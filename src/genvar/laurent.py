@@ -163,7 +163,11 @@ class LaurentPoly:
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; ConsistencyError if inexact.
 
-        Leading-term elimination under lex order. Exactness of every
+        Leading-term elimination under lex order. If self = q * other, then
+        in every coordinate the exponents of q lie between min(self) -
+        min(other) and max(self) - max(other) (the extreme parts of a
+        product are the products of the extreme parts), so a quotient term
+        outside that box proves the division inexact. Exactness of every
         mutation-step division is a structural guarantee, so failure here
         means an implementation bug, not bad input.
         """
@@ -172,6 +176,9 @@ class LaurentPoly:
             raise ConsistencyError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.nvars)
+        box = [(min(e[i] for e in self.terms) - min(e[i] for e in other.terms),
+                max(e[i] for e in self.terms) - max(e[i] for e in other.terms))
+               for i in range(self.nvars)]
         lead_exp = max(other.terms)
         lead_coef = other.terms[lead_exp]
         rem = dict(self.terms)
@@ -187,6 +194,8 @@ class LaurentPoly:
                 raise ConsistencyError("inexact laurent division (coefficient)")
             qc = rcoef // lead_coef
             qe = tuple(a - b for a, b in zip(rexp, lead_exp))
+            if any(not lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
+                raise ConsistencyError("inexact laurent division (exponent)")
             quot[qe] = quot.get(qe, 0) + qc
             for oexp, ocoef in other.terms.items():
                 exp = tuple(a + b for a, b in zip(qe, oexp))

@@ -1,15 +1,14 @@
 """Exact linear algebra: Fractions over Q, dense elimination over F_p,
-Gaussian binomials and reduced-echelon subspace enumeration.
+Gaussian binomials and the packed F_p reduction kernel.
 
-Everything here is deterministic and allocation-light; the F_p routines
-sit inside the grassmannian point-counting hot loop.
+Everything here is deterministic and allocation-light; `PackedFp` sits
+inside the grassmannian point-counting hot loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 # ---------------------------------------------------------------- rationals
@@ -149,30 +148,6 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
-def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns)."""
-    m = [[x % p for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    return m[:rank], pivots
-
-
 def gauss_binom(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n (Gaussian binomial)."""
     if k < 0 or k > n:
@@ -186,45 +161,80 @@ def gauss_binom(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def iter_subspaces(m: int, k: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every k-dimensional subspace of F_p^m exactly once, as the
-    rows of its reduced echelon basis."""
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(m), k):
-        pivset = set(pivots)
-        free_pos = [(i, j) for i in range(k) for j in range(pivots[i] + 1, m)
-                    if j not in pivset]
-        base = []
-        for i in range(k):
-            row = [0] * m
-            row[pivots[i]] = 1
-            base.append(row)
-        if not free_pos:
-            yield tuple(tuple(r) for r in base)
-            continue
-        for vals in product(range(p), repeat=len(free_pos)):
-            rows = [list(r) for r in base]
-            for (i, j), v in zip(free_pos, vals):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+class PackedFp:
+    """One reduction kernel for vectors of F_p^n packed into Python ints.
 
+    Coordinate j of an n-vector sits in the w-bit field n-1-j, so the first
+    nonzero coordinate is the highest nonzero field and its offset follows
+    from `bit_length`. Packed vectors add and scale field by field as
+    plain ints while every field stays below 2^b, b = bits(max(n_max, 2) p^2);
+    `reduce` then brings all fields back to [0, p) at once, with the
+    quotient of each field taken as (x * mul) >> shift, exact for x < 2^b.
 
-def iter_superspaces(f_rows: Sequence[Sequence[int]], f_pivots: Sequence[int],
-                     m: int, k: int, p: int) -> Iterator[list[tuple[int, ...]]]:
-    """Yield spanning rows for each k-dimensional subspace of F_p^m that
-    contains the span of `f_rows` (an RREF basis with pivot columns
-    `f_pivots`), exactly once each."""
-    f = len(f_rows)
-    if k < f:
-        return
-    nonpiv = [j for j in range(m) if j not in set(f_pivots)]
-    for w in iter_subspaces(len(nonpiv), k - f, p):
-        rows = [tuple(r) for r in f_rows]
-        for qrow in w:
-            lift = [0] * m
-            for pos, val in zip(nonpiv, qrow):
-                lift[pos] = val
-            rows.append(tuple(lift))
-        yield rows
+    An echelon basis is a tuple of (offset, row) pairs with distinct
+    offsets in descending order, each row scaled to leading coefficient 1.
+    `residue(basis, u)` subtracts from u its component in the span: the
+    result is zero at every pivot field and linear in u. `extend(basis, u)`
+    returns the echelon basis of span(basis, u), `basis` itself when u
+    lies in the span. `rank(vectors)` is the dimension of their span, found
+    by the same field elimination against unscaled rows, with no basis
+    built. The operations are closures over the constants, which keeps the
+    hot loop free of attribute lookups.
+    """
+
+    __slots__ = ("w", "pack", "coords", "reduce", "residue", "extend", "rank")
+
+    def __init__(self, p: int, n_max: int):
+        b = (max(n_max, 2) * p * p).bit_length()
+        shift = b + p.bit_length()
+        mul = (1 << shift) // p + 1
+        w = b + shift + 1
+        mask = (1 << w) - 1
+        qmask = sum(((1 << b) - 1) << (i * w) for i in range(max(n_max, 1)))
+
+        def pack(coords: Sequence[int]) -> int:
+            u = 0
+            for x in coords:
+                u = (u << w) | (x % p)
+            return u
+
+        def coords(u: int, n: int) -> list[int]:
+            return [(u >> (w * i)) & mask for i in range(n - 1, -1, -1)]
+
+        def reduce(x: int) -> int:
+            return x - (((x * mul) >> shift) & qmask) * p
+
+        def residue(basis: tuple, u: int) -> int:
+            for off, row in basis:
+                f = (u >> off) & mask
+                if f:
+                    u += (p - f) * row
+                    u -= (((u * mul) >> shift) & qmask) * p
+            return u
+
+        def extend(basis: tuple, u: int) -> tuple:
+            if basis:
+                u = residue(basis, u)
+            if not u:
+                return basis
+            off = (u.bit_length() - 1) // w * w
+            new = (off, reduce(u * pow(u >> off, -1, p)))
+            return tuple(sorted(basis + (new,), reverse=True)) if basis else (new,)
+
+        def rank(vectors: Sequence[int]) -> int:
+            # leading-field elimination against unscaled rows keyed by offset
+            leads: dict[int, int] = {}
+            for u in vectors:
+                while u:
+                    off = (u.bit_length() - 1) // w * w
+                    row = leads.get(off)
+                    if row is None:
+                        leads[off] = u
+                        break
+                    u = (row >> off) * u + (p - (u >> off)) * row
+                    u -= (((u * mul) >> shift) & qmask) * p
+            return len(leads)
+
+        self.w = w
+        self.pack, self.coords, self.reduce = pack, coords, reduce
+        self.residue, self.extend, self.rank = residue, extend, rank

@@ -11,6 +11,7 @@ matrix of the Tits form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import InputError
@@ -162,6 +163,20 @@ class Quiver:
 
     def type_class(self) -> str:
         """'dynkin', 'affine' or 'wild'."""
+        return self._type_class
+
+    def affine_data(self) -> AffineData | None:
+        """delta and extending vertex for affine quivers, None for Dynkin,
+        WildTypeError otherwise."""
+        data = self._affine_data
+        if isinstance(data, str):
+            raise WildTypeError(data)
+        return data
+
+    # Both classifications are computed once per instance and kept in its
+    # __dict__; the dataclass __eq__ and __hash__ only read the fields.
+    @cached_property
+    def _type_class(self) -> str:
         cls = classify_gram(self.gram_matrix())
         if cls == "positive_definite":
             return "dynkin"
@@ -171,14 +186,14 @@ class Quiver:
             return "affine" if len(rad) == 1 else "wild"
         return "wild"
 
-    def affine_data(self) -> AffineData | None:
-        """delta and extending vertex for affine quivers, None for Dynkin,
-        WildTypeError otherwise."""
+    @cached_property
+    def _affine_data(self) -> AffineData | str | None:
+        """The affine data, None for Dynkin, or the WildTypeError message."""
         cls = self.type_class()
         if cls == "dynkin":
             return None
         if cls == "wild":
-            raise WildTypeError("quiver is wild: no affine data")
+            return "quiver is wild: no affine data"
         rad = nullspace_fraction(self.gram_matrix())[0]
         dens = [f.denominator for f in rad]
         lcm = 1
@@ -192,16 +207,16 @@ class Quiver:
         if delta[0] < 0 or all(x <= 0 for x in delta):
             delta = tuple(-x for x in delta)
         if any(x <= 0 for x in delta):
-            raise WildTypeError("radical vector is not sincere")
+            return "radical vector is not sincere"
         candidates = [i + 1 for i, x in enumerate(delta) if x == 1]
         if not candidates:
-            raise WildTypeError("no vertex with delta = 1")
+            return "no vertex with delta = 1"
         ext = candidates[0]
         # removing the extending vertex must leave a Dynkin (definite) part
         rest = [v for v in range(1, self.vertices + 1) if v != ext]
         sub = [[self.gram_matrix()[i - 1][j - 1] for j in rest] for i in rest]
         if classify_gram(sub) != "positive_definite":
-            raise WildTypeError("extending vertex check failed")
+            return "extending vertex check failed"
         return AffineData(delta=delta, extending_vertex=ext)
 
     def defect(self, aff: AffineData, e) -> int:

@@ -8,19 +8,35 @@ vertices with no outgoing arrows nothing downstream depends on the
 choice, so those factors are summed in closed form (Gaussian binomials)
 instead of enumerated. When the transposed representation is cheaper to
 enumerate, the engine counts quotients there instead (duality).
+
+Each subspace is built row by row in reduced echelon form, and each
+row's images are merged into the states of the arrow targets once, so
+every subspace below that row shares the work. All F_p arithmetic goes
+through one kernel, `linalg.PackedFp`: vectors are packed into Python
+ints and reduced mod p field by field. Two shortcuts apply at the last
+enumerated vertex, where only the ranks of the target states matter.
+Once every target state spans its fibre, the remaining rows change no
+rank, and their p^(free entries) choices are counted in closed form.
+At the last row, reduction against the fixed target states is linear,
+so the image of the row e_lead + sum x_j e_j reduces to c + sum x_j d_j
+(c, d_j the reduced matrix columns): each tail x costs one packed
+combination and one rank, and no new state is built.
+
+Euler characteristics interpolate the counts at good primes with one
+integer Lagrange basis per number of nodes, checking integrality by
+divisibility and the fit on every further prime.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly  # noqa: F401  (re-exported convenience)
-from .linalg import (gauss_binom, iter_subspaces, iter_superspaces, rank_fraction,
-                     rank_mod_p, rref_mod_p)
+from .linalg import PackedFp, gauss_binom, rank_fraction, rank_mod_p
 from .quiver import DimVector, Quiver
 
 DEFAULT_BUDGET = 10_000_000
@@ -220,27 +236,30 @@ def ext_dim(m: Representation, n: Representation) -> int:
 
 # -------------------------------------------------------- subrep counting
 
-_COUNT_CACHE: dict[tuple, dict[DimVector, int]] = {}
+_COUNT_CACHE: dict[tuple, tuple[dict[DimVector, int], int]] = {}
 
 
 def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[DimVector, int]:
-    """Number of subrepresentations of every dimension vector at once."""
+    """Number of subrepresentations of every dimension vector at once.
+
+    A cached module keeps the number of subspaces its count visited, so a
+    cache hit raises BudgetError exactly when a cold count would."""
     if m.p == 0:
         raise InputError("subrep counting needs a finite field")
     key = m.key()
     hit = _COUNT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    direct_cost = _enum_cost(m)
-    dual = dual_rep(m)
-    if _enum_cost(dual) < direct_cost:
-        dual_counts = _count_engine(dual, budget)
-        counts = {tuple(a - b for a, b in zip(m.dim, e)): c
-                  for e, c in dual_counts.items()}
-    else:
-        counts = _count_engine(m, budget)
-    _COUNT_CACHE[key] = counts
-    return counts
+    if hit is None:
+        dual = dual_rep(m)
+        if _enum_cost(dual) < _enum_cost(m):
+            dual_counts, visits = _count_engine(dual, budget)
+            counts = {tuple(a - b for a, b in zip(m.dim, e)): c
+                      for e, c in dual_counts.items()}
+        else:
+            counts, visits = _count_engine(m, budget)
+        hit = _COUNT_CACHE[key] = (counts, visits)
+    if hit[1] > budget:
+        raise BudgetError("subspace enumeration budget exceeded")
+    return hit[0]
 
 
 def count_subreps(m: Representation, e, budget: int = DEFAULT_BUDGET) -> int:
@@ -262,89 +281,133 @@ def _enum_cost(m: Representation) -> int:
     return cost
 
 
-def _mat_vec(mat, vec, p):
-    return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in mat)
-
-
-_INV_CACHE: dict[int, tuple] = {}
-
-
-def _inv_table(p: int) -> tuple:
-    """Lookup table of modular inverses: table[x] = x^-1 mod p."""
-    tab = _INV_CACHE.get(p)
-    if tab is None:
-        tab = (0,) + tuple(pow(x, -1, p) for x in range(1, p))
-        _INV_CACHE[p] = tab
-    return tab
-
-
-def _rank_accumulate(pivrows: list, pivcols: list, vec, p: int) -> int:
-    """Reduce vec against the pivot rows; append if independent. Returns
-    1 when the rank grew."""
-    inv = _inv_table(p)
-    v = list(vec)
-    for row, c in zip(pivrows, pivcols):
-        f = v[c]
-        if f:
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    for c, x in enumerate(v):
-        if x:
-            s = inv[x]
-            pivrows.append([(a * s) % p for a in v])
-            pivcols.append(c)
-            return 1
-    return 0
-
-
-def _count_engine(m: Representation, budget: int) -> dict[DimVector, int]:
-    q = m.quiver
-    p = m.p
+def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int], int]:
+    """Stable subspace tuples of m by dimension vector, and the number of
+    subspaces visited: one per subspace chosen at each enumerated vertex.
+    BudgetError as soon as that number exceeds `budget`."""
+    q, p = m.quiver, m.p
+    kern = PackedFp(p, max(m.dim))
+    red, residue, extend, rank, w = kern.reduce, kern.residue, kern.extend, kern.rank, kern.w
     order = q.topological_order()
     has_out = {s for s, _ in q.arrows}
-    if len(has_out) == 1 and next(iter(has_out)) not in {t for _, t in q.arrows}:
-        return _count_engine_source(m, budget)
     enum_verts = [v for v in order if v in has_out]
     sink_verts = [v for v in order if v not in has_out]
-    in_arrows_of = {v: [(i, s) for i, (s, t) in enumerate(q.arrows) if t == v]
-                    for v in order}
-    visits = 0
+    # per vertex: (target, packed columns of each arrow from the vertex to it)
+    outs: dict[int, list] = {v: [] for v in enum_verts}
+    for (s, t), mat in zip(q.arrows, m.matrices):
+        cols = [kern.pack([row[j] for row in mat]) for j in range(m.dim[s - 1])]
+        group = next((g for g in outs[s] if g[0] == t), None)
+        if group is None:
+            outs[s].append((t, [cols]))
+        else:
+            group[1].append(cols)
     hist: dict[tuple, int] = {}
-    chosen: dict[int, list] = {}
+    visits = 0
 
-    def forced(v: int):
-        piv_rows: list = []
-        piv_cols: list = []
-        for ai, s in in_arrows_of[v]:
-            mat = m.matrices[ai]
-            for u in chosen[s]:
-                _rank_accumulate(piv_rows, piv_cols, _mat_vec(mat, u, p), p)
-        return piv_rows
-
-    def dfs(idx: int, dims: tuple):
+    def tick(n: int) -> None:
         nonlocal visits
-        if idx == len(enum_verts):
-            fs = []
-            for w in sink_verts:
-                fs.append(len(forced(w)))
-            key = (dims, tuple(fs))
-            hist[key] = hist.get(key, 0) + 1
-            return
-        v = enum_verts[idx]
-        dv = m.dim[v - 1]
-        f_rows = forced(v)
-        f_rref, f_pivots = rref_mod_p(f_rows, p) if f_rows else ([], [])
-        f = len(f_rref)
-        for ev in range(f, dv + 1):
-            for rows in iter_superspaces(f_rref, f_pivots, dv, ev, p):
-                visits += 1
-                if visits > budget:
-                    raise BudgetError("subspace enumeration budget exceeded")
-                chosen[v] = rows
-                dfs(idx + 1, dims + (ev,))
-        chosen.pop(v, None)
+        visits += n
+        if visits > budget:
+            raise BudgetError("subspace enumeration budget exceeded")
 
-    dfs(0, ())
-    return _hist_to_counts(m, enum_verts, sink_verts, hist)
+    def vertex(idx: int, dims: tuple, states: tuple) -> None:
+        """Every subspace at enum_verts[idx] containing its forced image,
+        built row by row in reduced echelon form over the free coordinates;
+        each row's images are merged into the target states once and
+        shared by everything below it."""
+        v = enum_verts[idx]
+        n = m.dim[v - 1]
+        forced = states[v - 1]
+        targets = outs[v]
+        top = [states[t - 1] for t, _ in targets]
+        for (off, r) in forced:
+            rc = kern.coords(r, n)
+            for ti, (_, arrows) in enumerate(targets):
+                for cols in arrows:
+                    top[ti] = extend(top[ti], red(sum(x * c for x, c in zip(rc, cols))))
+        pivots = {n - 1 - off // w for off, _ in forced}
+        free = [j for j in range(n) if j not in pivots]
+        last = idx == len(enum_verts) - 1
+        full = [m.dim[t - 1] for t, _ in targets]
+        if last:
+            tpos = {t: ti for ti, (t, _) in enumerate(targets)}
+            fixed = [len(states[u - 1]) for u in sink_verts]
+
+        def record(dim_v: int, ranks, count: int) -> None:
+            key = (dims + (dim_v,),
+                   tuple(ranks[tpos[u]] if u in tpos else r for u, r in zip(sink_verts, fixed)))
+            hist[key] = hist.get(key, 0) + count
+
+        def last_row(dim_v: int, lead: int, tails: list, tstates: list) -> None:
+            """The last echelon row at the last enumerated vertex. Reduction
+            against a fixed echelon basis is linear, so each target's image
+            of the row lead + sum x_j e_j, reduced against the state, is
+            c + sum x_j d_j with c, d_j the reduced columns; only the rank
+            of those images is taken for each tail x."""
+            pairs = []  # (reduced lead column, reduced tail columns), grouped by target
+            spans = []
+            for b, (_, arrows) in zip(tstates, targets):
+                spans.append((len(pairs), len(pairs) + len(arrows)))
+                pairs.extend((residue(b, cols[lead]), [residue(b, cols[j]) for j in tails])
+                             for cols in arrows)
+            leaves = p ** len(tails)
+            tick(leaves)
+            acc: dict[tuple, int] = {}
+            if not any(any(ds) for _, ds in pairs):
+                acc[tuple(rank([c for c, _ in pairs[lo:hi]]) for lo, hi in spans)] = leaves
+            else:
+                steps = [[x * ds[-1] for x in range(p)] for _, ds in pairs]
+                one = len(spans) == 1
+                for head in product(range(p), repeat=len(tails) - 1):
+                    bases = [red(c + sum(x * d for x, d in zip(head, ds))) for c, ds in pairs]
+                    for step in zip(*steps):
+                        vals = [red(b + s) for b, s in zip(bases, step)]
+                        key = (rank(vals),) if one else tuple(
+                            [rank(vals[lo:hi]) for lo, hi in spans])
+                        acc[key] = acc.get(key, 0) + 1
+            for ranks, count in acc.items():
+                record(dim_v, [len(b) + r for b, r in zip(tstates, ranks)], count)
+
+        def walk(rows: list, i: int, tstates: list) -> None:
+            """Choose rows[i:] (lead coordinate, free tail coordinates) on
+            top of the target states reached by rows[:i]."""
+            dim_v = len(forced) + len(rows)
+            if last and (i == len(rows) or all(len(b) == d for b, d in zip(tstates, full))):
+                # nothing below changes a rank: count the leaves in closed form
+                leaves = p ** sum(len(tails) for _, tails in rows[i:])
+                tick(leaves)
+                record(dim_v, [len(b) for b in tstates], leaves)
+                return
+            if i == len(rows):
+                tick(1)
+                nxt = list(states)
+                for (t, _), b in zip(targets, tstates):
+                    nxt[t - 1] = b
+                vertex(idx + 1, dims + (dim_v,), tuple(nxt))
+                return
+            lead, tails = rows[i]
+            if last and i == len(rows) - 1:
+                last_row(dim_v, lead, tails, tstates)
+                return
+            for vals in product(range(p), repeat=len(tails)):
+                new = []
+                for b, (_, arrows) in zip(tstates, targets):
+                    for cols in arrows:
+                        b = extend(b, red(cols[lead] + sum(
+                            x * cols[j] for x, j in zip(vals, tails))))
+                    new.append(b)
+                walk(rows, i + 1, new)
+
+        for k in range(len(free) + 1):
+            for leads in combinations(range(len(free)), k):
+                walk([(free[a], [free[b] for b in range(a + 1, len(free)) if b not in leads])
+                      for a in leads], 0, top)
+
+    if enum_verts:
+        vertex(0, (), tuple(() for _ in range(q.vertices)))
+    else:
+        hist[((), tuple(0 for _ in sink_verts))] = 1
+    return _hist_to_counts(m, enum_verts, sink_verts, hist), visits
 
 
 def _hist_to_counts(m: Representation, enum_verts, sink_verts,
@@ -372,111 +435,6 @@ def _hist_to_counts(m: Representation, enum_verts, sink_verts,
             e = tuple(e)
             counts[e] = counts.get(e, 0) + factor
     return counts
-
-
-def _canonical_lines(n: int, p: int):
-    """Canonical representatives of the lines of F_p^n: first nonzero
-    coordinate equal to 1.  Every row of a reduced echelon basis is one."""
-    rng = range(p)
-    for lead in range(n):
-        head = (0,) * lead + (1,)
-        for tail in product(rng, repeat=n - lead - 1):
-            yield head + tail
-
-
-def _count_engine_source(m: Representation, budget: int) -> dict[DimVector, int]:
-    """Fast path when one vertex carries every arrow tail and receives no
-    arrow: enumerate subspaces of its fibre row by row in reduced echelon
-    form.  The sink-image ranks are merged incrementally from per-line
-    blocks precomputed once, so siblings in the enumeration tree share all
-    rank work above the deepest row."""
-    q, p = m.quiver, m.p
-    v = next(iter({s for s, _ in q.arrows}))
-    dv = m.dim[v - 1]
-    sink_verts = [w for w in range(1, q.vertices + 1) if w != v]
-    mats_by_sink = [[m.matrices[ai] for ai, (s, t) in enumerate(q.arrows) if t == w]
-                    for w in sink_verts]
-    inv = _inv_table(p)
-
-    def reduce_into(rows: list, cols: list, vec) -> None:
-        u = list(vec)
-        for row, c in zip(rows, cols):
-            f = u[c]
-            if f:
-                u = [(a - f * b) % p for a, b in zip(u, row)]
-        for c, x in enumerate(u):
-            if x:
-                s = inv[x]
-                rows.append(tuple((a * s) % p for a in u))
-                cols.append(c)
-                return
-
-    line_blocks: dict[tuple, tuple] = {}
-    for line in _canonical_lines(dv, p):
-        per = []
-        for mats in mats_by_sink:
-            rows: list = []
-            cols: list = []
-            for mat in mats:
-                reduce_into(rows, cols, _mat_vec(mat, line, p))
-            per.append((tuple(rows), tuple(cols)))
-        line_blocks[line] = tuple(per)
-
-    def merge(state, block):
-        brows, _ = block
-        if not brows:
-            return state
-        rows = list(state[0])
-        cols = list(state[1])
-        for vec in brows:
-            u = list(vec)
-            for row, c in zip(rows, cols):
-                f = u[c]
-                if f:
-                    u = [(a - f * b) % p for a, b in zip(u, row)]
-            for c, x in enumerate(u):
-                if x:
-                    s = inv[x]
-                    rows.append(tuple((a * s) % p for a in u))
-                    cols.append(c)
-                    break
-        return tuple(rows), tuple(cols)
-
-    hist: dict[tuple, int] = {((0,), tuple(0 for _ in sink_verts)): 1}
-    visits = 1
-    empty_state = tuple(((), ()) for _ in sink_verts)
-    rng = range(p)
-
-    for k in range(1, dv + 1):
-        for pivots in combinations(range(dv), k):
-            pivset = set(pivots)
-            free_cols = [[j for j in range(c + 1, dv) if j not in pivset]
-                         for c in pivots]
-
-            def walk(i: int, states) -> None:
-                nonlocal visits
-                base = [0] * dv
-                base[pivots[i]] = 1
-                fc = free_cols[i]
-                last = i == k - 1
-                for vals in product(rng, repeat=len(fc)):
-                    for j, val in zip(fc, vals):
-                        base[j] = val
-                    blocks = line_blocks[tuple(base)]
-                    new_states = tuple(merge(st, bl)
-                                       for st, bl in zip(states, blocks))
-                    if last:
-                        visits += 1
-                        if visits > budget:
-                            raise BudgetError("subspace enumeration budget exceeded")
-                        key = ((k,), tuple(len(st[0]) for st in new_states))
-                        hist[key] = hist.get(key, 0) + 1
-                    else:
-                        walk(i + 1, new_states)
-
-            walk(0, empty_state)
-
-    return _hist_to_counts(m, [v], sink_verts, hist)
 
 
 # --------------------------------------------- Euler characteristic by chi
@@ -513,27 +471,42 @@ def good_primes(m_int: Representation, pool, count: int,
                       % (len(good), count))
 
 
-def _lagrange_coeffs(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Coefficients (ascending degree) of the interpolating polynomial."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _lagrange_basis(xs: list[int]) -> tuple[int, list[list[int]]]:
+    """Integer Lagrange basis through the nodes xs: (den, rows) with
+    den * L_i(x) = sum_k rows[i][k] x^k, den the lcm of the node products."""
+    nums, dens = [], []
+    for i, xi in enumerate(xs):
+        poly, d = [1], 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                poly = [a - xj * b for a, b in zip([0] + poly, poly + [0])]
+                d *= xi - xj
+        nums.append(poly)
+        dens.append(d)
+    den = lcm(*dens)
+    return den, [[c * (den // d) for c in poly] for poly, d in zip(nums, dens)]
+
+
+def _interpolate(points: list[tuple[int, int]], degree: int, bases: dict) -> list[int]:
+    """Integer coefficients (ascending degree) of the polynomial of degree
+    <= `degree` through the first degree + 1 points, checked on the rest.
+    `bases` memoises the Lagrange basis per number of nodes, so callers
+    sharing it pass points on the same nodes."""
+    n = degree + 1
+    if n not in bases:
+        bases[n] = _lagrange_basis([x for x, _ in points[:n]])
+    den, rows = bases[n]
+    num = [0] * n
+    for (_, y), row in zip(points, rows):
+        if y:
+            num = [a + y * b for a, b in zip(num, row)]
+    if any(c % den for c in num):
+        raise ConsistencyError("interpolated counting polynomial is not integral")
+    ints = [c // den for c in num]
+    for x, y in points[n:]:
+        if _poly_eval(ints, x) != y:
+            raise ConsistencyError("counting polynomial fails the extra-prime check")
+    return ints
 
 
 def counting_polynomial(m_int: Representation, e, pool=DEFAULT_PRIMES,
@@ -549,13 +522,9 @@ def counting_polynomial(m_int: Representation, e, pool=DEFAULT_PRIMES,
     degree = sum(x * (dv - x) for x, dv in zip(e, d))
     primes = good_primes(m_int, pool, degree + 2, guards)
     pts = [(p, count_all_subreps(rep_mod(m_int, p), budget).get(e, 0)) for p in primes]
-    coeffs = _lagrange_coeffs(pts[:degree + 1])
-    if any(c.denominator != 1 for c in coeffs):
-        raise ConsistencyError("interpolated counting polynomial is not integral")
-    ints = [int(c) for c in coeffs]
-    for p, cnt in pts[degree + 1:]:
-        if _poly_eval(ints, p) != cnt:
-            raise ConsistencyError("counting polynomial fails the extra-prime check")
+    ints = _interpolate(pts, degree, {})
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
     return ints
 
 
@@ -585,16 +554,10 @@ def chi_all(m_int: Representation, pool=DEFAULT_PRIMES,
                       for e in product(*[range(x + 1) for x in d])), default=0)
     primes = good_primes(m_int, pool, max_degree + 2, guards)
     per_prime = {p: count_all_subreps(rep_mod(m_int, p), budget) for p in primes}
+    bases: dict = {}
     out: dict[DimVector, int] = {}
     for e in product(*[range(x + 1) for x in d]):
         degree = sum(x * (dv - x) for x, dv in zip(e, d))
         pts = [(p, per_prime[p].get(e, 0)) for p in primes]
-        coeffs = _lagrange_coeffs(pts[:degree + 1])
-        if any(c.denominator != 1 for c in coeffs):
-            raise ConsistencyError("interpolated counting polynomial is not integral")
-        ints = [int(c) for c in coeffs]
-        for p, cnt in pts[degree + 1:]:
-            if _poly_eval(ints, p) != cnt:
-                raise ConsistencyError("counting polynomial fails the extra-prime check")
-        out[e] = _poly_eval(ints, 1)
+        out[e] = _poly_eval(_interpolate(pts, degree, bases), 1)
     return out

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genvar.errors import InputError
+from genvar.errors import ConsistencyError, InputError
 from genvar.laurent import LaurentPoly, substitute_univariate
 
 
@@ -76,7 +76,7 @@ def test_divide_exact_roundtrip():
 def test_divide_exact_rejects_nondivisible():
     x = LaurentPoly.variable(1, 1)
     one = LaurentPoly.one(1)
-    with pytest.raises(Exception):
+    with pytest.raises(ConsistencyError):
         (one + x + x * x).divide_exact(one + x)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from genvar import quiver as quiver_mod
 from genvar.errors import InputError
 from genvar.quiver import (Quiver, WildTypeError, a_n, affine_a2, kronecker,
                            negative_part, positive_part)
@@ -89,6 +90,27 @@ def test_affine_data_and_defect(kron, atilde):
 
 def test_dynkin_quiver_has_no_affine_data(a3):
     assert a3.affine_data() is None
+
+
+def test_classification_is_computed_once_per_instance(monkeypatch):
+    calls = []
+    real = quiver_mod.classify_gram
+    monkeypatch.setattr(quiver_mod, "classify_gram",
+                        lambda s: calls.append(1) or real(s))
+    q = Quiver(3, ((1, 2), (2, 3), (1, 3)))
+    for _ in range(3):
+        assert q.type_class() == "affine"
+        assert q.affine_data().delta == (1, 1, 1)
+    assert len(calls) == 2  # the Gram class, then the part without vertex 1
+    wild = Quiver(2, ((1, 2), (1, 2), (1, 2)))
+    for _ in range(2):
+        with pytest.raises(WildTypeError):
+            wild.affine_data()
+    assert len(calls) == 3
+    # the cached values leave equality and hashing to the fields
+    fresh = Quiver(3, ((1, 2), (2, 3), (1, 3)))
+    assert q == fresh and hash(q) == hash(fresh)
+    assert q != wild
 
 
 def test_topological_order_and_sinks(a3, atilde):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from genvar import repfq
 from genvar.errors import BudgetError, ConsistencyError, InputError
-from genvar.linalg import gauss_binom, iter_subspaces
-from genvar.quiver import a_n, affine_a2, kronecker
+from genvar.linalg import PackedFp, gauss_binom, rank_mod_p
+from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import (Representation, count_all_subreps, count_subreps,
                           counting_polynomial, direct_sum, dual_rep, ext_dim,
                           euler_char_grassmannian, good_primes, hom_dim,
@@ -79,40 +79,58 @@ def test_representation_validation(kron):
 
 # ------------------------------------------------- counting, brute-force
 
+def _subspaces(n, p):
+    """Every subspace of F_p^n once, as the frozenset of its vectors mapped
+    to its dimension: grow each found subspace s by one vector v to
+    {a + c v}."""
+    vectors = list(itertools.product(range(p), repeat=n))
+    found = {frozenset([(0,) * n]): 0}
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for s in frontier:
+            for v in vectors:
+                if v in s:
+                    continue
+                t = frozenset(tuple((a + c * b) % p for a, b in zip(u, v))
+                              for u in s for c in range(p))
+                if t not in found:
+                    found[t] = found[s] + 1
+                    grown.append(t)
+        frontier = grown
+    return found
+
+
 def brute_force_counts(m):
-    """Direct enumeration of all stable subspace tuples; exponential."""
-    p = m.p
-    q = m.quiver
-    per_vertex = [[rows for k in range(m.dim[v - 1] + 1)
-                   for rows in iter_subspaces(m.dim[v - 1], k, p)]
-                  for v in range(1, q.vertices + 1)]
-
-    def in_span(rows, vec):
-        piv_rows, piv_cols = [], []
-        for r in rows:
-            repfq._rank_accumulate(piv_rows, piv_cols, r, p)
-        u = list(vec)
-        for row, c in zip(piv_rows, piv_cols):
-            f = u[c]
-            if f:
-                u = [(a - f * b) % p for a, b in zip(u, row)]
-        return not any(u)
-
+    """Every stable subspace tuple by its definition: a subspace is the set
+    of its vectors, and a tuple is stable when each arrow maps the set at
+    its tail into the set at its head. Exponential; no code shared with
+    the engine."""
+    p, q = m.p, m.quiver
+    per_vertex = [_subspaces(m.dim[v - 1], p) for v in range(1, q.vertices + 1)]
+    dims = {sub: k for subs in per_vertex for sub, k in subs.items()}
+    images = {}  # (arrow, subspace) -> image set
+    for ai, (s, _t) in enumerate(q.arrows):
+        mat = m.matrices[ai]
+        for sub in per_vertex[s - 1]:
+            images[ai, sub] = frozenset(
+                tuple(sum(a * b for a, b in zip(row, u)) % p for row in mat)
+                for u in sub)
     counts = {}
-    for combo in itertools.product(*per_vertex):
-        ok = True
-        for ai, (s, t) in enumerate(q.arrows):
-            mat = m.matrices[ai]
-            for u in combo[s - 1]:
-                if not in_span(combo[t - 1], repfq._mat_vec(mat, u, p)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            e = tuple(len(c) for c in combo)
+    for combo in itertools.product(*(list(subs) for subs in per_vertex)):
+        if all(images[ai, combo[s - 1]] <= combo[t - 1]
+               for ai, (s, t) in enumerate(q.arrows)):
+            e = tuple(dims[c] for c in combo)
             counts[e] = counts.get(e, 0) + 1
     return counts
+
+
+def _three_arrow():
+    return Quiver(2, ((1, 2), (1, 2), (1, 2)))
+
+
+def _two_sinks():
+    return Quiver(3, ((1, 2), (1, 3)))
 
 
 @pytest.mark.parametrize("builder,d,p,seed", [
@@ -124,11 +142,39 @@ def brute_force_counts(m):
     (lambda: a_n(3), (1, 2, 1), 3, 17),
     (lambda: affine_a2(), (1, 1, 1), 3, 18),
     (lambda: affine_a2(), (2, 1, 2), 3, 19),  # forced-containment lifting
+    (kronecker, (3, 3), 5, 14),   # linear last row at a larger prime
+    (_three_arrow, (3, 3), 3, 20),  # one row's images span the sink
+    (_three_arrow, (3, 2), 3, 21),  # dual: saturated before the last row
+    (_two_sinks, (3, 2, 2), 3, 22),  # one source, two sinks
+    (_two_sinks, (2, 2, 1), 2, 23),
 ])
 def test_counts_match_brute_force(builder, d, p, seed):
     q = builder()
     m = sample_representation(q, d, p, seed)
     assert count_all_subreps(m) == brute_force_counts(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 43, 10007])
+def test_packed_kernel_matches_plain_elimination(p):
+    rng = random.Random(p)
+    kern = PackedFp(p, 5)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(rng.randint(1, 5))]
+        packed = [kern.pack(r) for r in rows]
+        basis = ()
+        for u in packed:
+            basis = kern.extend(basis, u)
+        assert len(basis) == kern.rank(packed) == rank_mod_p(rows, p)
+        # the residue against a fixed basis is linear, and zero on its span
+        x, y = (kern.pack([rng.randrange(p) for _ in range(n)]) for _ in range(2))
+        a = rng.randrange(p)
+        lhs = kern.residue(basis, kern.reduce(x + a * y))
+        assert lhs == kern.reduce(kern.residue(basis, x) + a * kern.residue(basis, y))
+        assert all(kern.residue(basis, u) == 0 for u in packed)
+        assert kern.coords(kern.reduce(sum(packed)), n) == [
+            sum(col) % p for col in zip(*rows)]
 
 
 def test_count_structure_full_fibre(kron):
@@ -165,6 +211,29 @@ def test_budget_error_on_tiny_budget(kron):
     m = sample_representation(kron, (2, 2), 5, 4)
     with pytest.raises(BudgetError):
         repfq._count_engine(m, budget=1)
+
+
+@pytest.mark.parametrize("builder,d,p,seed,visits", [
+    # one source: every subspace of F_3^3 is one visit, sum_k [3 k]_3 = 28
+    (kronecker, (3, 3), 3, 15, sum(gauss_binom(3, k, 3) for k in range(4))),
+    # general engine: subspaces at vertex 1, then superspaces at vertex 2
+    (lambda: affine_a2(), (2, 2, 2), 3, 5, 26),
+])
+def test_budget_boundary_is_the_visit_count(builder, d, p, seed, visits):
+    m = sample_representation(builder(), d, p, seed)
+    with pytest.raises(BudgetError):
+        repfq._count_engine(m, budget=visits - 1)
+    repfq._count_engine(m, budget=visits)
+
+
+def test_count_cache_keeps_the_budget(kron):
+    m = sample_representation(kron, (2, 2), 5, 41)
+    with pytest.raises(BudgetError):
+        count_all_subreps(m, budget=1)  # cold cache
+    counts = count_all_subreps(m)
+    with pytest.raises(BudgetError):
+        count_all_subreps(m, budget=1)  # warm cache, same verdict
+    assert count_all_subreps(m, budget=8) == counts  # 1 + [2 1]_5 + 1 visits
 
 
 # ------------------------------------------------------- chi interpolation
@@ -222,6 +291,15 @@ def test_good_primes_budget_error(kron):
     m = Representation(kron, 0, (1, 1), (((5,),), ((10,),)))
     with pytest.raises(BudgetError):
         good_primes(m, (5,), 1)  # 5 is bad, pool exhausted
+
+
+def test_interpolation_checks_integrality_and_extra_points():
+    square_plus_one = [(x, x * x + 1) for x in (5, 7, 11, 13)]
+    assert repfq._interpolate(square_plus_one, 2, {}) == [1, 0, 1]
+    with pytest.raises(ConsistencyError, match="extra-prime"):
+        repfq._interpolate(square_plus_one[:3] + [(13, 171)], 2, {})
+    with pytest.raises(ConsistencyError, match="not integral"):
+        repfq._interpolate([(5, 0), (7, 1)], 1, {})  # slope 1/2
 
 
 def test_chi_all_matches_counting_polynomial(kron):
