@@ -15,6 +15,7 @@ comparisons on the double-arrow quiver are made of.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import ccmap, mutation
 from .errors import BudgetError, ConsistencyError, InputError
@@ -68,10 +69,6 @@ def s_as_f_sum(n: int) -> list[int]:
     return out
 
 
-def substitute(coeffs: list[int], x: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly.substitute_univariate(coeffs, x)
-
-
 KRONECKER_DELTA: DimVector = (1, 1)
 
 
@@ -108,21 +105,14 @@ class AffineGenericValue:
                 "regular_parts": [list(e) for e in self.regular_parts]}
 
 
-_DELTA_CHAR_CACHE: dict[tuple, LaurentPoly] = {}
-
-
 def delta_character(q: Quiver, seed: int = 0, pool=DEFAULT_PRIMES,
                     budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """Character of the generic quasi-simple of dimension delta."""
     aff = q.affine_data()
     if aff is None:
         raise InputError("delta character needs an affine quiver")
-    key = (q.vertices, q.arrows, int(seed))
-    if key not in _DELTA_CHAR_CACHE:
-        gv = ccmap.generic_variable(q, aff.delta, seed=seed, pool=pool,
-                                    budget=budget)
-        _DELTA_CHAR_CACHE[key] = gv.poly
-    return _DELTA_CHAR_CACHE[key]
+    return ccmap.generic_variable(q, aff.delta, seed=seed, pool=pool,
+                                  budget=budget).poly
 
 
 def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
@@ -183,15 +173,9 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
                               regular_parts=tuple(sorted(real_parts)))
 
 
-_TABLE_CACHE: dict[tuple, mutation.ClusterVariableTable] = {}
-
-
+@cache
 def _real_summand_table(q: Quiver, depth: int, sweeps: int):
-    key = (q.vertices, q.arrows, depth, sweeps)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = mutation.enumerate_cluster_variables(
-            q, depth, sweeps=sweeps)
-    return _TABLE_CACHE[key]
+    return mutation.enumerate_cluster_variables(q, depth, sweeps=sweeps)
 
 
 def regular_rigid_check(q: Quiver, m: Representation) -> bool:

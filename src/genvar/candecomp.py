@@ -11,6 +11,7 @@ pairs of distinct summand instances with vanishing Ext).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from . import rng
@@ -49,10 +50,6 @@ def _exhaustive_space(q: Quiver, d: DimVector, p: int = 2) -> int:
     return p ** cells
 
 
-_SCHUR_CACHE: dict[tuple, bool] = {}
-_EXT_CACHE: dict[tuple, bool] = {}
-
-
 def is_schur_root(q: Quiver, d, seed: int = 0) -> bool:
     """True iff some representation of dimension d has a trivial
     endomorphism algebra. Sampling first; definitive small-case negative
@@ -64,15 +61,11 @@ def is_schur_root(q: Quiver, d, seed: int = 0) -> bool:
         return False
     if q.q_norm(d) > 1:
         return False  # not a root at all
-    key = (q.vertices, q.arrows, d, seed)
-    if key in _SCHUR_CACHE:
-        return _SCHUR_CACHE[key]
-    out = _is_schur_uncached(q, d, seed)
-    _SCHUR_CACHE[key] = out
-    return out
+    return _is_schur(q, d, seed)
 
 
-def _is_schur_uncached(q: Quiver, d: DimVector, seed: int) -> bool:
+@cache
+def _is_schur(q: Quiver, d: DimVector, seed: int) -> bool:
     aff = q.affine_data() if q.type_class() == "affine" else None
     if aff is not None and all(x % y == 0 for x, y in zip(d, aff.delta)):
         ks = {x // y for x, y in zip(d, aff.delta)}
@@ -104,16 +97,11 @@ def generic_ext_vanishes(q: Quiver, d, e, seed: int = 0) -> bool:
         return True
     if q.euler_form(d, e) < 0:
         return False  # ext = hom - <d,e> >= -<d,e> > 0 for every pair
-    key = (q.vertices, q.arrows, d, e, seed)
-    if key in _EXT_CACHE:
-        return _EXT_CACHE[key]
-    out = _ext_vanishes_uncached(q, d, e, seed)
-    _EXT_CACHE[key] = out
-    return out
+    return _ext_vanishes(q, d, e, seed)
 
 
-def _ext_vanishes_uncached(q: Quiver, d: DimVector, e: DimVector,
-                           seed: int) -> bool:
+@cache
+def _ext_vanishes(q: Quiver, d: DimVector, e: DimVector, seed: int) -> bool:
     for p in ORACLE_PRIMES:
         for k in range(ORACLE_SAMPLES):
             m = sample_representation(q, d, p, rng.derive(seed, "extL", d, e, p, k))
@@ -184,9 +172,6 @@ def _tag(q: Quiver, e: DimVector) -> str:
     return "real_schur" if q.q_norm(e) == 1 else "imaginary_schur"
 
 
-_DECOMP_CACHE: dict[tuple, tuple] = {}
-
-
 def canonical_decomposition(q: Quiver, d, method: str = "auto",
                             seed: int = 0) -> CanonicalDecomposition:
     """The unique generic direct-sum splitting of d into Schur roots with
@@ -203,26 +188,25 @@ def canonical_decomposition(q: Quiver, d, method: str = "auto",
         raise InputError("canonical decomposition needs a nonnegative vector")
     if method not in ("auto", "search", "structural"):
         raise InputError("unknown method %r" % (method,))
-    key = (q.vertices, q.arrows, d, method, seed)
-    if key in _DECOMP_CACHE:
-        summands = _DECOMP_CACHE[key]
-    else:
-        if method == "auto":
-            use = "structural" if q.type_class() == "affine" else "search"
-        else:
-            use = method
-        if use == "structural" and q.type_class() != "affine":
-            raise InputError("structural method needs an affine quiver")
-        parts = _decompose(q, d, use, seed)
-        merged: dict[DimVector, int] = {}
-        for e in parts:
-            merged[e] = merged.get(e, 0) + 1
-        summands = tuple(sorted((e, m, _tag(q, e)) for e, m in merged.items()))
-        _DECOMP_CACHE[key] = summands
+    summands = _summands(q, d, method, seed)
     witnesses = _find_witnesses(q, [e for e, m, _t in summands for _ in range(m)], seed)
     out = CanonicalDecomposition(vector=d, summands=summands, witnesses=witnesses)
     verify_certificate(q, out)
     return out
+
+
+@cache
+def _summands(q: Quiver, d: DimVector, method: str, seed: int) -> tuple:
+    if method == "auto":
+        use = "structural" if q.type_class() == "affine" else "search"
+    else:
+        use = method
+    if use == "structural" and q.type_class() != "affine":
+        raise InputError("structural method needs an affine quiver")
+    merged: dict[DimVector, int] = {}
+    for e in _decompose(q, d, use, seed):
+        merged[e] = merged.get(e, 0) + 1
+    return tuple(sorted((e, m, _tag(q, e)) for e, m in merged.items()))
 
 
 def _decompose(q: Quiver, d: DimVector, method: str, seed: int) -> list[DimVector]:

@@ -21,11 +21,13 @@ direct sum (Caldero-Chapoton 2006, Prop. 3.6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from . import candecomp, rng
 from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
+from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import (DEFAULT_BUDGET, DEFAULT_PRIMES, Representation, chi_all,
                     ext_dim, hom_dim, sample_integer_rep)
@@ -113,9 +115,6 @@ class GenericValue:
                             for d, mats in self.samples]}
 
 
-_GENERIC_CACHE: dict[tuple, GenericValue] = {}
-
-
 def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
                      budget: int = DEFAULT_BUDGET,
                      retries: int = GENERIC_RETRIES) -> GenericValue:
@@ -128,22 +127,24 @@ def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     whole; its character is the product of the parts' characters
     (X_{M+N} = X_M * X_N, Caldero-Chapoton 2006, Prop. 3.6), each part
     counted at primes good for that part. The denominator vector of the
-    result must equal d exactly.
+    result must equal d exactly. Values are cached on every argument,
+    so a cached value never outlives the caller's budget or retries.
     """
     d = tuple(int(x) for x in d)
     if len(d) != q.vertices:
         raise InputError("dimension vector length mismatch")
-    key = (q.vertices, q.arrows, d, int(seed), tuple(pool))
-    if key in _GENERIC_CACHE:
-        return _GENERIC_CACHE[key]
+    return _generic_variable(q, d, int(seed), tuple(pool), budget, retries)
+
+
+@cache
+def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
+                      budget: int, retries: int) -> GenericValue:
     n = q.vertices
     dp, dn = positive_part(d), negative_part(d)
     shift = LaurentPoly.monomial(n, dn, 1)
     if not any(dp):
-        out = GenericValue(vector=d, poly=shift, rigid=True, summands=(),
-                           predicted_hom=0, samples=())
-        _GENERIC_CACHE[key] = out
-        return out
+        return GenericValue(vector=d, poly=shift, rigid=True, summands=(),
+                            predicted_hom=0, samples=())
 
     dec = candecomp.canonical_decomposition(q, dp, method="auto", seed=seed)
     instances = dec.expanded()
@@ -195,11 +196,9 @@ def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
         raise ConsistencyError(
             "denominator vector %r of the generic character differs from %r"
             % (poly.denominator_vector(), d))
-    out = GenericValue(vector=d, poly=poly, rigid=rigid_shape,
-                       summands=dec.summands, predicted_hom=predicted,
-                       samples=tuple((m.dim, m.matrices) for m in accepted))
-    _GENERIC_CACHE[key] = out
-    return out
+    return GenericValue(vector=d, poly=poly, rigid=rigid_shape,
+                        summands=dec.summands, predicted_hom=predicted,
+                        samples=tuple((m.dim, m.matrices) for m in accepted))
 
 
 def generic_guards(q: Quiver, rigid: bool, seed: int = 0) -> tuple:
@@ -249,53 +248,24 @@ def rigid_integer_rep(q: Quiver, e, seed: int = 0,
 
 
 def express_in_basis(x: LaurentPoly, basis: list[LaurentPoly]):
-    """Solve x = sum_j c_j * basis_j exactly over the rationals.
+    """Solve x = sum_j c_j * basis_j exactly over the rationals, with
+    `linalg.solve` on the coefficients over the joint support.
 
     Returns the coefficient list, or None if the system is inconsistent
-    or underdetermined (dependent basis)."""
-    if not basis:
-        return [] if x.is_zero() else None
-    n = x.nvars
+    or underdetermined (dependent basis). A solution is re-checked as a
+    Laurent identity with cleared denominators."""
     support = set(x.terms)
     for b in basis:
-        if b.nvars != n:
+        if b.nvars != x.nvars:
             raise InputError("mixed variable counts in basis expansion")
         support.update(b.terms)
     rows = sorted(support)
-    a_rows = [[Fraction(b.terms.get(m, 0)) for b in basis] for m in rows]
-    b_col = [Fraction(x.terms.get(m, 0)) for m in rows]
-    # eliminate; track pivots to detect free columns
-    ncols = len(basis)
-    aug = [row + [v] for row, v in zip(a_rows, b_col)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            return None  # dependent/unused column: expansion not unique
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    if len(pivots) < ncols:
+    coeffs = solve([[b.terms.get(m, 0) for m in rows] for b in basis],
+                   [x.terms.get(m, 0) for m in rows])
+    if coeffs is None:
         return None
-    for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
-            return None  # inconsistent
-    coeffs = [aug[i][ncols] for i in range(ncols)]
-    # exactness re-check in the Laurent ring with cleared denominators
-    from math import lcm
-    m = lcm(*[c.denominator for c in coeffs]) if coeffs else 1
-    acc = LaurentPoly.zero(n)
+    m = lcm(*[c.denominator for c in coeffs])
+    acc = LaurentPoly.zero(x.nvars)
     for c, b in zip(coeffs, basis):
         acc = acc + b.scale(int(c * m))
-    if acc != x.scale(m):
-        return None
-    return coeffs
+    return coeffs if acc == x.scale(m) else None

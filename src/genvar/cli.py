@@ -15,7 +15,7 @@ import sys
 from . import acceptance, affine, candecomp, ccmap, kronecker, mutation
 from .errors import BudgetError, ConsistencyError, InputError
 from .quiver import Quiver
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, Representation
+from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, Representation, is_prime
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +103,8 @@ def _pool(args):
     if args.primes is None:
         return DEFAULT_PRIMES
     pool = _ints(args.primes, "prime pool")
-    if any(p < 2 for p in pool):
-        raise InputError("prime pool entries must be at least 2")
+    if not all(is_prime(p) for p in pool):
+        raise InputError("prime pool entries must be primes")
     return pool
 
 

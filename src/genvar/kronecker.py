@@ -17,6 +17,7 @@ against two independent routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import affine, ccmap, mutation
 from .errors import ConsistencyError, InputError
@@ -27,22 +28,22 @@ from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES
 
 KINDS = ("G", "SZ", "CZ")
 
-_Z_CACHE: list = []
-
 
 def z_character(pool=DEFAULT_PRIMES, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """The quasi-simple character z = (1 + u1^2 + u2^2) / (u1 u2),
-    cross-checked against the module-character route."""
-    if not _Z_CACHE:
-        closed = LaurentPoly(2, {(1, -1): 1, (-1, -1): 1, (-1, 1): 1})
-        q = kronecker()
-        m = affine.quasi_simple_kronecker(q, 1)
-        computed = ccmap.cc_of_module(m, pool=pool, budget=budget)
-        if computed != closed:
-            raise ConsistencyError(
-                "quasi-simple character disagrees with its closed form")
-        _Z_CACHE.append(closed)
-    return _Z_CACHE[0]
+    cross-checked against the module-character route (cached per pool
+    and budget)."""
+    return _z_character(tuple(pool), budget)
+
+
+@cache
+def _z_character(pool: tuple, budget: int) -> LaurentPoly:
+    closed = LaurentPoly(2, {(1, -1): 1, (-1, -1): 1, (-1, 1): 1})
+    m = affine.quasi_simple_kronecker(kronecker(), 1)
+    if ccmap.cc_of_module(m, pool=pool, budget=budget) != closed:
+        raise ConsistencyError(
+            "quasi-simple character disagrees with its closed form")
+    return closed
 
 
 def family_element(kind: str, n: int, pool=DEFAULT_PRIMES,
@@ -58,10 +59,7 @@ def family_element(kind: str, n: int, pool=DEFAULT_PRIMES,
     if kind == "G":
         return z ** n
     coeffs = affine.chebyshev_f(n) if kind == "SZ" else affine.chebyshev_s(n)
-    return affine.substitute(coeffs, z)
-
-
-_EXPAND_CACHE: dict[int, tuple] = {}
+    return LaurentPoly.substitute_univariate(coeffs, z)
 
 
 def expand_in_F(n: int) -> list[int]:
@@ -70,31 +68,34 @@ def expand_in_F(n: int) -> list[int]:
     re-verified as an exact Laurent identity."""
     if n < 0:
         raise InputError("n >= 0 required")
-    if n not in _EXPAND_CACHE:
-        lam = [1]
-        for _ in range(n):
-            new = [0] * (len(lam) + 1)
-            for i, c in enumerate(lam):
-                if c == 0:
-                    continue
-                if i == 0:
-                    new[1] += c
-                elif i == 1:
-                    new[0] += 2 * c
-                    new[2] += c
-                else:
-                    new[i - 1] += c
-                    new[i + 1] += c
-            lam = new
-        lam = lam[:n + 1]
-        acc = LaurentPoly.zero(2)
+    return list(_expand_in_F(n))
+
+
+@cache
+def _expand_in_F(n: int) -> tuple:
+    lam = [1]
+    for _ in range(n):
+        new = [0] * (len(lam) + 1)
         for i, c in enumerate(lam):
-            if c:
-                acc = acc + family_element("SZ", i).scale(c)
-        if acc != family_element("G", n):
-            raise ConsistencyError("F-expansion of z^%d fails to verify" % n)
-        _EXPAND_CACHE[n] = tuple(lam)
-    return list(_EXPAND_CACHE[n])
+            if c == 0:
+                continue
+            if i == 0:
+                new[1] += c
+            elif i == 1:
+                new[0] += 2 * c
+                new[2] += c
+            else:
+                new[i - 1] += c
+                new[i + 1] += c
+        lam = new
+    lam = lam[:n + 1]
+    acc = LaurentPoly.zero(2)
+    for i, c in enumerate(lam):
+        if c:
+            acc = acc + family_element("SZ", i).scale(c)
+    if acc != family_element("G", n):
+        raise ConsistencyError("F-expansion of z^%d fails to verify" % n)
+    return tuple(lam)
 
 
 def expand_in_S(n: int) -> list[int]:

@@ -68,9 +68,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
 
@@ -255,8 +252,3 @@ class LaurentPoly:
                 raise InputError("duplicate exponent vector %r" % (exp,))
             terms[key] = coef
         return cls(n, terms)
-
-
-def substitute_univariate(coeffs: list[int], x: LaurentPoly) -> LaurentPoly:
-    """Module-level alias for LaurentPoly.substitute_univariate."""
-    return LaurentPoly.substitute_univariate(coeffs, x)

@@ -1,96 +1,87 @@
-"""Exact linear algebra: Fractions over Q, dense elimination over F_p,
-Gaussian binomials and the packed F_p reduction kernel.
+"""Exact linear algebra: one fraction-free elimination over the integers,
+one packed reduction kernel over F_p, Gaussian binomials, and the
+definiteness class of a symmetric form.
 
-Everything here is deterministic and allocation-light; `PackedFp` sits
-inside the grassmannian point-counting hot loop.
+Over Q, `echelon` is the only elimination: rank (`rank_fraction`), the
+primitive integer kernel (`kernel_basis`) and exact solving (`solve`)
+all read its result. Over F_p, `PackedFp` is the only one: the counting
+engine uses it directly, and `rank_mod_p` takes the rank of a plain
+integer matrix with it. Everything here is deterministic; `PackedFp`
+sits inside the grassmannian point-counting hot loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 
-# ---------------------------------------------------------------- rationals
+# ------------------------------------------------------------ integers
 
-def rank_fraction(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix with int/Fraction entries, exact."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free reduced echelon form of an integer matrix (Bareiss
+    1968, in Gauss-Jordan form): (pivot rows, pivot columns, d).
 
-
-def nullspace_fraction(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of the right kernel over Q."""
-    if not rows:
-        return []
-    nrows, ncols = len(rows), len(rows[0])
-    m = [[Fraction(x) for x in row] for row in rows]
+    The pivot rows are d times the reduced echelon form over Q: every
+    pivot entry equals d and every other entry of a pivot column is zero.
+    Each step replaces a row by (a * row - f * top) / d_prev, a division
+    that is exact because every entry is a minor of the input; a row with
+    f = 0 is only rescaled, and rows that become zero are dropped.
+    """
+    m = [list(row) for row in rows if any(row)]
     pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+    d = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        a = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(a * x - f * y) // d for x, y in zip(row, top)]
+            elif a != d:
+                m[i] = [a * x // d for x in row]
+        pivots.append(c)
+        d = a
+        m[r + 1:] = [row for row in m[r + 1:] if any(row)]
+    return m[:len(pivots)], pivots, d
+
+
+def rank_fraction(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q (the field of fractions) of an integer matrix, exact."""
+    return len(echelon(rows)[1])
+
+
+def kernel_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Basis of the right kernel over Q: one primitive integer vector per
+    free column, positive at that column and zero at the other free ones."""
+    ech, pivots, d = echelon(rows)
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [0] * len(rows[0])
+        v[fc] = d
+        for row, pc in zip(ech, pivots):
+            v[pc] = -row[fc]
+        g = gcd(*v) * (1 if d > 0 else -1)
+        basis.append([x // g for x in v])
     return basis
 
 
-def solve_fraction(a_rows: Sequence[Sequence], b_cols: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Solve A X = B exactly for square invertible A; B given column-wise.
-
-    Returns X column-wise. Raises ValueError when A is singular.
-    """
-    n = len(a_rows)
-    k = len(b_cols)
-    m = [[Fraction(a_rows[r][c]) for c in range(n)] + [Fraction(b_cols[j][r]) for j in range(k)]
-         for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [[m[r][n + j] for r in range(n)] for j in range(k)]
+def solve(cols: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction] | None:
+    """The unique x with sum_j x_j cols[j] = b over Q, or None when the
+    system is inconsistent or the columns are dependent."""
+    n = len(cols)
+    ech, pivots, d = echelon([[c[i] for c in cols] + [v] for i, v in enumerate(b)])
+    if pivots != list(range(n)):
+        return None
+    return [Fraction(row[n], d) for row in ech]
 
 
 def classify_gram(s: Sequence[Sequence[int]]) -> str:
@@ -123,29 +114,11 @@ def classify_gram(s: Sequence[Sequence[int]]) -> str:
 # ------------------------------------------------------------------- mod p
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p; rows are int sequences, not necessarily reduced."""
-    m = [[x % p for x in row] for row in rows]
-    if not m:
+    """Rank over F_p of an integer matrix, by the packed kernel."""
+    if not rows:
         return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        row_r = m[rank]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col]
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], row_r)]
-        rank += 1
-        col += 1
-    return rank
+    kern = PackedFp(p, len(rows[0]))
+    return kern.rank([kern.pack(row) for row in rows])
 
 
 def gauss_binom(n: int, k: int, q: int) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import InputError
-from .linalg import classify_gram, nullspace_fraction
+from .linalg import classify_gram, kernel_basis
 
 DimVector = tuple[int, ...]
 
@@ -91,12 +91,6 @@ class Quiver:
     def opposite(self) -> "Quiver":
         return Quiver(self.vertices, tuple((t, s) for s, t in self.arrows))
 
-    def arrows_from(self, v: int) -> list[tuple[int, int]]:
-        return [(s, t) for s, t in self.arrows if s == v]
-
-    def arrows_into(self, v: int) -> list[tuple[int, int]]:
-        return [(s, t) for s, t in self.arrows if t == v]
-
     def sinks(self) -> list[int]:
         out = {s for s, _ in self.arrows}
         return [v for v in range(1, self.vertices + 1) if v not in out]
@@ -120,10 +114,6 @@ class Quiver:
         for s, t in self.arrows:
             total -= e[s - 1] * f[t - 1]
         return total
-
-    def tits_form(self, e, f) -> int:
-        """Symmetrized bilinear form <e,f> + <f,e>."""
-        return self.euler_form(e, f) + self.euler_form(f, e)
 
     def q_norm(self, e) -> int:
         """Quadratic Tits norm (e,e) = <e,e>."""
@@ -182,8 +172,7 @@ class Quiver:
             return "dynkin"
         if cls == "positive_semidefinite":
             # connected PSD non-PD has a 1-dimensional radical
-            rad = nullspace_fraction(self.gram_matrix())
-            return "affine" if len(rad) == 1 else "wild"
+            return "affine" if len(kernel_basis(self.gram_matrix())) == 1 else "wild"
         return "wild"
 
     @cached_property
@@ -194,16 +183,7 @@ class Quiver:
             return None
         if cls == "wild":
             return "quiver is wild: no affine data"
-        rad = nullspace_fraction(self.gram_matrix())[0]
-        dens = [f.denominator for f in rad]
-        lcm = 1
-        for d in dens:
-            lcm = lcm * d // _gcd(lcm, d)
-        ints = [int(f * lcm) for f in rad]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
-        delta = tuple(x // g for x in ints)
+        delta = tuple(kernel_basis(self.gram_matrix())[0])
         if delta[0] < 0 or all(x <= 0 for x in delta):
             delta = tuple(-x for x in delta)
         if any(x <= 0 for x in delta):
@@ -233,17 +213,13 @@ class Quiver:
         if not isinstance(doc, dict) or "vertices" not in doc or "arrows" not in doc:
             raise InputError("quiver document needs 'vertices' and 'arrows'")
         arrows = doc["arrows"]
+        if type(doc["vertices"]) is not int:
+            raise InputError("vertex count must be a positive integer")
         if not isinstance(arrows, list) or not all(
-                isinstance(a, list) and len(a) == 2 and all(isinstance(x, int) for x in a)
+                isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)
                 for a in arrows):
             raise InputError("arrows must be [source, target] integer pairs")
         return cls(doc["vertices"], tuple(tuple(a) for a in arrows))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # Fixed quivers used throughout the examples and the acceptance suite.

@@ -32,10 +32,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .laurent import LaurentPoly  # noqa: F401  (re-exported convenience)
 from .linalg import PackedFp, gauss_binom, rank_fraction, rank_mod_p
 from .quiver import DimVector, Quiver
 
@@ -55,7 +54,7 @@ class Representation:
         d = tuple(int(x) for x in self.dim)
         if len(d) != q.vertices or any(x < 0 for x in d):
             raise InputError("bad dimension vector %r" % (self.dim,))
-        if self.p < 0 or self.p == 1:
+        if self.p != 0 and not is_prime(self.p):
             raise InputError("field characteristic must be 0 or a prime")
         if len(self.matrices) != len(q.arrows):
             raise InputError("expected %d arrow matrices" % len(q.arrows))
@@ -83,8 +82,17 @@ class Representation:
     def from_json(cls, q: Quiver, doc: dict, p: int = 0) -> "Representation":
         if not isinstance(doc, dict) or "dim" not in doc or "matrices" not in doc:
             raise InputError("representation document needs 'dim' and 'matrices'")
-        return cls(q, p, tuple(doc["dim"]), tuple(tuple(tuple(r) for r in m)
-                                                  for m in doc["matrices"]))
+        dim, mats = doc["dim"], doc["matrices"]
+        if not (isinstance(dim, list) and all(type(x) is int for x in dim)
+                and isinstance(mats, list) and all(isinstance(m, list) and all(
+                    isinstance(r, list) and all(type(x) is int for x in r) for r in m)
+                    for m in mats)):
+            raise InputError("'dim' and 'matrices' must hold integers only")
+        return cls(q, p, tuple(dim), tuple(tuple(tuple(r) for r in m) for m in mats))
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
 
 
 # ------------------------------------------------------------ constructors
@@ -195,7 +203,10 @@ def sample_integer_rep(q: Quiver, d, rng: random.Random,
 # ------------------------------------------------------------- hom and ext
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    """Dimension of the space of intertwiners m -> n."""
+    """Dimension of the space of intertwiners m -> n: the number of
+    unknowns minus the rank of the intertwining equations, taken by the
+    packed kernel over F_p (`rank_mod_p`) and by fraction-free integer
+    elimination over Q (`rank_fraction`)."""
     if m.quiver != n.quiver:
         raise InputError("hom_dim needs a common quiver")
     if m.p != n.p:

@@ -5,6 +5,11 @@ PASS/FAIL summary, and enforces the runtime budget where one is part of
 the claim being checked.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from genvar import acceptance
 
 
@@ -66,3 +71,19 @@ def test_power_family_window_is_linearly_independent():
 
 def test_tube_characters_expand_integrally():
     _check(12)
+
+
+def test_criterion_fails_on_a_corrupted_golden_under_optimize():
+    # `python -O` strips `assert`; the criteria must still fail
+    code = ("import sys\n"
+            "from genvar import acceptance as a\n"
+            "g = a.P_POWER_TO_F\n"
+            "a.P_POWER_TO_F = ((2,) + g[0][1:],) + g[1:]\n"
+            "r = a.run_criterion(1)\n"
+            "print(sys.flags.optimize, r['passed'], r['detail'])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out.startswith("1 False ConsistencyError: forward matrix differs"), out

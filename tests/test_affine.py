@@ -7,11 +7,13 @@ from genvar import affine, ccmap
 from genvar.affine import (KRONECKER_DELTA, chebyshev_f, chebyshev_s,
                            delta_character, generic_variable_affine,
                            membership_check_A, quasi_simple_kronecker,
-                           regular_rigid_check, s_as_f_sum, substitute,
+                           regular_rigid_check, s_as_f_sum,
                            tube_module_kronecker)
-from genvar.errors import ConsistencyError, InputError
+from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.laurent import LaurentPoly
 from genvar.repfq import Representation, ext_dim, hom_dim
+
+substitute = LaurentPoly.substitute_univariate
 
 
 def test_chebyshev_families_frozen():
@@ -101,6 +103,12 @@ def test_regular_rigid_check_affine(atilde):
 def test_delta_character_is_quasi_simple_character(kron, z_closed_form):
     assert delta_character(kron) == z_closed_form
     assert KRONECKER_DELTA == (1, 1)
+
+
+def test_cached_delta_character_keeps_the_prime_pool(kron):
+    delta_character(kron)
+    with pytest.raises(BudgetError):
+        delta_character(kron, pool=(5,))
 
 
 def test_affine_generic_matches_direct_route(kron, atilde):

@@ -105,6 +105,12 @@ def test_generic_variable_caches(kron):
     assert a is b
 
 
+def test_cached_generic_variable_keeps_the_budget(kron):
+    generic_variable(kron, (2, 2))
+    with pytest.raises(BudgetError):
+        generic_variable(kron, (2, 2), budget=1)
+
+
 def test_generic_variable_validation_and_budget(kron):
     with pytest.raises(InputError):
         generic_variable(kron, (1, 1, 1))

@@ -63,6 +63,31 @@ def test_bad_prime_pool_exits_2(quiver_file, capsys):
     assert rc == 2 and "input error" in err
 
 
+def test_composite_prime_pool_exits_2(quiver_file, capsys):
+    rc, out, err = run_cli(
+        capsys, ["--quiver", quiver_file, "--primes", "4,6,8,9,10,12",
+                 "generic-var", "--d", "1,1"])
+    assert rc == 2 and "input error" in err and out == ""
+
+
+@pytest.mark.parametrize("entries", [(1.7, 2.9), (True, 2)])
+def test_non_integer_matrix_entries_exit_2(quiver_file, tmp_path, capsys, entries):
+    rep = {"dim": [1, 1], "matrices": [[[entries[0]]], [[entries[1]]]]}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep), encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, ["--quiver", quiver_file, "cc-map", "--rep", str(path)])
+    assert rc == 2 and "input error" in err and out == ""
+
+
+def test_bool_vertex_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text('{"vertices": true, "arrows": []}', encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, ["--quiver", str(path), "generic-var", "--d", "1"])
+    assert rc == 2 and "input error" in err and out == ""
+
+
 def test_tiny_budget_exits_3(quiver_file, tmp_path, capsys):
     rep = {"dim": [2, 2], "matrices": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]]}
     path = tmp_path / "rep.json"

@@ -5,12 +5,18 @@ import pytest
 
 from genvar import kronecker as kb
 from genvar.affine import chebyshev_f, chebyshev_s
-from genvar.errors import InputError
+from genvar.errors import BudgetError, InputError
 from genvar.laurent import LaurentPoly
 
 
 def test_quasi_simple_character_closed_form(z_closed_form):
     assert kb.z_character() == z_closed_form
+
+
+def test_cached_z_character_keeps_the_prime_pool():
+    kb.z_character()
+    with pytest.raises(BudgetError):
+        kb.z_character(pool=(5,))
 
 
 def test_family_elements_index_zero_and_one(z_closed_form):

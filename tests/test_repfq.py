@@ -72,6 +72,8 @@ def test_representation_validation(kron):
     with pytest.raises(InputError):
         Representation(kron, -3, (1, 1), (((1,),), ((1,),)))
     with pytest.raises(InputError):
+        Representation(kron, 4, (1, 1), (((1,),), ((1,),)))  # composite
+    with pytest.raises(InputError):
         Representation(kron, 0, (1, 1), (((1,),),))  # missing a matrix
     with pytest.raises(InputError):
         Representation(kron, 0, (1, 1), (((1, 2),), ((1,),)))  # bad shape
