@@ -1,7 +1,9 @@
 """Command-line front door: JSON in, JSON out, deterministic.
 
-Exit codes: 0 success, 2 invalid input, 3 budget exceeded, 4 internal
-consistency failure. Every document echoes the inputs (including the
+Exit codes: 0 success, 1 a selftest criterion failed, 2 invalid input,
+3 budget exceeded, 4 internal consistency failure or any other
+unexpected internal error (reported as one line on stderr, without a
+traceback). Every document echoes the inputs (including the
 seed and prime pool) so runs are reproducible and certificates can be
 re-verified offline.
 """
@@ -224,10 +226,17 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return 4
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("input error: cannot write output file: %s" % exc, file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if args.command == "selftest" and not doc["results"]["passed"]:

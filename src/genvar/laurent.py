@@ -4,10 +4,18 @@ Terms are a map from exponent vectors (one slot per quiver vertex) to
 nonzero integer coefficients. The zero polynomial is the empty map.
 Serialization orders terms lexicographically by exponent vector, which
 makes every emitted document byte-deterministic.
+
+The public constructor `LaurentPoly(nvars, terms)`, and the builders and
+`from_json` that go through it, validate: exponent vectors are re-tupled
+as ints of length `nvars` and zero coefficients are dropped. Results of
+arithmetic on polynomials that are already valid (`+`, `-`, `*`, `scale`,
+`shift`, powers and quotients) skip that pass and store their term map
+as built.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ConsistencyError, InputError
@@ -32,6 +40,16 @@ class LaurentPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "LaurentPoly":
+        """Wrap a term map already in canonical form (tuple-of-int keys of
+        length nvars, nonzero int values) without copying or checking it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -112,10 +130,10 @@ class LaurentPoly:
                 out[exp] = c
             else:
                 out.pop(exp, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
@@ -124,26 +142,26 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(exp, 0) + c1 * c2
-                if c:
-                    out[exp] = c
-                else:
-                    out.pop(exp, None)
-        return LaurentPoly(self.nvars, out)
+                exp = tuple(map(add, e1, e2))
+                out[exp] = get(exp, 0) + c1 * c2
+        return LaurentPoly._trusted(self.nvars, {e: c for e, c in out.items() if c})
 
     def scale(self, c: int) -> "LaurentPoly":
+        c = int(c)
         if c == 0:
             return LaurentPoly.zero(self.nvars)
-        return LaurentPoly(self.nvars, {e: c * k for e, k in self.terms.items()})
+        return LaurentPoly._trusted(self.nvars, {e: c * k for e, k in self.terms.items()})
 
     def shift(self, exp: Iterable[int]) -> "LaurentPoly":
         """Multiply by the monomial u^exp."""
-        exp = tuple(exp)
-        return LaurentPoly(self.nvars, {tuple(a + b for a, b in zip(e, exp)): c
-                                        for e, c in self.terms.items()})
+        exp = tuple(int(a) for a in exp)
+        if len(exp) != self.nvars:
+            raise InputError("exponent length %d != nvars %d" % (len(exp), self.nvars))
+        return LaurentPoly._trusted(self.nvars, {tuple(map(add, e, exp)): c
+                                                 for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -201,7 +219,8 @@ class LaurentPoly:
                     rem[exp] = c
                 else:
                     rem.pop(exp, None)
-        q = LaurentPoly(self.nvars, quot)
+        # rexp strictly decreases, so each quotient term is set once, nonzero
+        q = LaurentPoly._trusted(self.nvars, quot)
         if q * other != self:
             raise ConsistencyError("inexact laurent division (remainder)")
         return q

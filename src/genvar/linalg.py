@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from .errors import ConsistencyError
+
 
 # ------------------------------------------------------------ integers
 
@@ -130,7 +132,8 @@ def gauss_binom(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise ConsistencyError("Gaussian binomial is not an integer")
     return num // den
 
 

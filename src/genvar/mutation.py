@@ -9,11 +9,11 @@ bug and raises ConsistencyError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
-from .errors import ConsistencyError, InputError
+from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .quiver import DimVector, Quiver
+from .repfq import DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def _boundary_vertices(seed: Seed, direction: str) -> list[int]:
 
 
 def cluster_monomials(table: ClusterVariableTable, q: Quiver, max_den,
-                      min_den=None) -> list[LaurentPoly]:
+                      min_den=None, budget: int = DEFAULT_BUDGET) -> list[LaurentPoly]:
     """All monomials in the variables of a single recorded cluster whose
     denominator vector lies in the box min_den <= den <= max_den
     (componentwise; min_den defaults to -max_den). Deduplicated, sorted.
@@ -158,6 +158,16 @@ def cluster_monomials(table: ClusterVariableTable, q: Quiver, max_den,
     denominator vectors, so an upper bound alone admits arbitrary powers.
     Exponents are capped at sum(|bounds|) + 2, generous for every cluster
     whose denominator vectors are linearly independent.
+
+    Each cluster's exponent vectors are walked depth-first, one variable at
+    a time. A variable only takes the exponents m for which, in every
+    coordinate, the partial den-sum plus m times its denominator can still
+    reach the box once the remaining variables add anything between their
+    least and greatest contribution with exponents in [0, cap]. The leaves
+    are then exactly the exponent vectors whose den-sum lies in the box.
+    Every node visited (one exponent chosen for one variable) counts
+    against `budget`; BudgetError past it. Each power x ** m is computed
+    once per call.
     """
     max_den = tuple(int(x) for x in max_den)
     if len(max_den) != q.vertices:
@@ -167,28 +177,59 @@ def cluster_monomials(table: ClusterVariableTable, q: Quiver, max_den,
     min_den = tuple(int(x) for x in min_den)
     if len(min_den) != q.vertices:
         raise InputError("min_den has wrong length")
+    n = q.vertices
     cap = sum(abs(a) + abs(b) for a, b in zip(min_den, max_den)) + 2
     found: dict[tuple, LaurentPoly] = {}
-    one = LaurentPoly.one(q.vertices)
+    one = LaurentPoly.one(n)
     if all(a <= 0 <= b for a, b in zip(min_den, max_den)):
         found[one.key()] = one
+    powers: dict[tuple[DimVector, int], LaurentPoly] = {}
+    visited = 0
+
+    def walk(dens, reach, i, den_sum, mono):
+        nonlocal visited
+        if i == len(dens):
+            if mono is not one:
+                if mono.denominator_vector() != den_sum:
+                    raise ConsistencyError(
+                        "cluster monomial denominator is not additive")
+                found[mono.key()] = mono
+            return
+        d = dens[i]
+        lo_rest, hi_rest = reach[i + 1]
+        lo_m, hi_m = 0, cap
+        for j in range(n):
+            # m * d[j] must lie in [a, b] for coordinate j to stay reachable
+            a = min_den[j] - den_sum[j] - hi_rest[j]
+            b = max_den[j] - den_sum[j] - lo_rest[j]
+            if d[j] > 0:
+                lo_m, hi_m = max(lo_m, -(-a // d[j])), min(hi_m, b // d[j])
+            elif d[j] < 0:
+                lo_m, hi_m = max(lo_m, -(-b // d[j])), min(hi_m, a // d[j])
+            elif a > 0 or b < 0:
+                return
+        for m in range(lo_m, hi_m + 1):
+            visited += 1
+            if visited > budget:
+                raise BudgetError("cluster monomial enumeration budget exceeded")
+            if m == 0:
+                walk(dens, reach, i + 1, den_sum, mono)
+                continue
+            x = powers.get((d, m))
+            if x is None:
+                x = powers[d, m] = table.entries[d] ** m
+            walk(dens, reach, i + 1, tuple(s + m * e for s, e in zip(den_sum, d)),
+                 x if mono is one else mono * x)
+
     for cluster in sorted(table.clusters, key=sorted):
         dens = sorted(cluster)
-        polys = [table.entries[d] for d in dens]
-        for exps in product(range(cap + 1), repeat=len(polys)):
-            if not any(exps):
-                continue
-            den_sum = tuple(sum(m * d[i] for m, d in zip(exps, dens))
-                            for i in range(q.vertices))
-            if not all(a <= x <= b for a, x, b in zip(min_den, den_sum, max_den)):
-                continue
-            mono = one
-            for m, x in zip(exps, polys):
-                if m:
-                    mono = mono * x ** m
-            if mono.denominator_vector() != den_sum:
-                raise ConsistencyError("cluster monomial denominator is not additive")
-            found[mono.key()] = mono
+        # reach[i]: least and greatest amounts variables i.. add per coordinate
+        reach = [([0] * n, [0] * n)]
+        for d in reversed(dens):
+            lo, hi = reach[0]
+            reach.insert(0, ([l + cap * min(e, 0) for l, e in zip(lo, d)],
+                             [h + cap * max(e, 0) for h, e in zip(hi, d)]))
+        walk(dens, reach, 0, (0,) * n, one)
     return [found[k] for k in sorted(found)]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import product
 
 from .errors import InputError
@@ -68,25 +69,31 @@ class Quiver:
         return len(seen) == self.vertices
 
     def topological_order(self) -> list[int]:
-        """Vertices sorted sources-first; InputError on an oriented cycle."""
-        indeg = {v: 0 for v in range(1, self.vertices + 1)}
-        for _, t in self.arrows:
+        """Vertices sorted sources-first, always taking the smallest vertex
+        whose in-arrows are all used up; InputError on an oriented cycle."""
+        return list(self._topological_order)
+
+    @cached_property
+    def _topological_order(self) -> tuple[int, ...]:
+        # Kahn's algorithm with a min-heap of ready vertices: O((V+E) log V).
+        n = self.vertices
+        indeg = [0] * (n + 1)
+        succ: list[list[int]] = [[] for _ in range(n + 1)]
+        for s, t in self.arrows:
             indeg[t] += 1
-        ready = sorted(v for v, d in indeg.items() if d == 0)
+            succ[s].append(t)
+        ready = [v for v in range(1, n + 1) if indeg[v] == 0]
         order = []
-        indeg = dict(indeg)
         while ready:
-            v = ready.pop(0)
+            v = heappop(ready)
             order.append(v)
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0 and t not in ready:
-                        ready.append(t)
-                        ready.sort()
-        if len(order) != self.vertices:
+            for t in succ[v]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    heappush(ready, t)
+        if len(order) != n:
             raise InputError("quiver has an oriented cycle")
-        return order
+        return tuple(order)
 
     def opposite(self) -> "Quiver":
         return Quiver(self.vertices, tuple((t, s) for s, t in self.arrows))
@@ -163,8 +170,9 @@ class Quiver:
             raise WildTypeError(data)
         return data
 
-    # Both classifications are computed once per instance and kept in its
-    # __dict__; the dataclass __eq__ and __hash__ only read the fields.
+    # Both classifications, like the topological order, are computed once
+    # per instance and kept in its __dict__; the dataclass __eq__ and
+    # __hash__ only read the fields.
     @cached_property
     def _type_class(self) -> str:
         cls = classify_gram(self.gram_matrix())

@@ -110,6 +110,28 @@ def test_consistency_failure_exits_4(capsys, monkeypatch):
     assert rc == 4 and "consistency failure" in err
 
 
+def test_unexpected_exception_exits_4_without_traceback(capsys, monkeypatch):
+    def boom(_args):
+        raise RuntimeError("forced for the exit-code test")
+    monkeypatch.setattr(cli, "_run", boom)
+    rc, out, err = run_cli(
+        capsys, ["base-change", "--source", "G", "--target", "SZ",
+                 "--size", "3"])
+    assert rc == 4 and out == ""
+    assert err == "internal error: RuntimeError: forced for the exit-code test\n"
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "doc.json"
+    rc, out, err = run_cli(
+        capsys, ["--out", str(target), "base-change", "--source", "G",
+                 "--target", "SZ", "--size", "2"])
+    assert rc == 2 and out == ""
+    assert err.startswith("input error: cannot write output file")
+    assert "Traceback" not in err
+
+
 def test_selftest_single_criterion(capsys):
     rc, out, _err = run_cli(capsys, ["selftest", "--criteria", "9"])
     assert rc == 0

@@ -149,3 +149,75 @@ def test_power_is_repeated_product(ta, n):
     for _ in range(n):
         expected = expected * a
     assert a ** n == expected
+
+
+# ------------------------------------------- against a naive reference
+
+def naive_mul(ta, tb):
+    out = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def naive_add(ta, tb, sign=1):
+    out = dict(ta)
+    for e, c in tb.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_canonical(p, nvars):
+    assert p.nvars == nvars
+    for exp, coef in p.terms.items():
+        assert type(exp) is tuple and len(exp) == nvars
+        assert all(type(e) is int for e in exp)
+        assert type(coef) is int and coef != 0
+
+
+three_var_terms = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+    st.integers(-3, 3), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(three_var_terms, three_var_terms, st.integers(-4, 4))
+def test_arithmetic_matches_a_naive_reference(ta, tb, c):
+    a, b = LaurentPoly(3, ta), LaurentPoly(3, tb)
+    ta = {e: k for e, k in ta.items() if k}
+    tb = {e: k for e, k in tb.items() if k}
+    for got, want in ((a * b, naive_mul(ta, tb)),
+                      (a + b, naive_add(ta, tb)),
+                      (a - b, naive_add(ta, tb, -1)),
+                      (-a, {e: -k for e, k in ta.items()}),
+                      (a.scale(c), {e: c * k for e, k in ta.items() if c * k})):
+        assert got.terms == want
+        assert_canonical(got, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_var_terms)
+def test_cancellation_leaves_no_zero_coefficients(ta):
+    a = LaurentPoly(3, ta)
+    one = LaurentPoly.one(3)
+    u1 = LaurentPoly.variable(3, 1)
+    # (a*u1 + a) - a*(u1 + 1) cancels every term
+    for p in (a - a, a + (-a), a * u1 + a - a * (u1 + one), a.scale(0)):
+        assert p.terms == {}
+        assert_canonical(p, 3)
+    # (1 - u1)(1 + u1) cancels the middle terms of the product
+    square = (one - u1) * (one + u1)
+    assert square.terms == {(0, 0, 0): 1, (2, 0, 0): -1}
+
+
+def test_public_constructor_still_validates():
+    p = LaurentPoly(2, {(True, 1.0): 2.0, (0, 0): 0})
+    assert p.terms == {(1, 1): 2}
+    assert_canonical(p, 2)
+    with pytest.raises(InputError):
+        LaurentPoly(2, {(1, 2, 3): 1})
+    with pytest.raises(InputError):
+        LaurentPoly.variable(2, 1).shift((1, 2, 3))
+    assert LaurentPoly.variable(2, 1).shift([0, -1]).terms == {(1, -1): 1}

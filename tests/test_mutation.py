@@ -1,8 +1,10 @@
 """Seed mutation, cluster-variable tables and cluster monomials."""
 
+from itertools import product
+
 import pytest
 
-from genvar.errors import InputError
+from genvar.errors import BudgetError, InputError
 from genvar.laurent import LaurentPoly
 from genvar.mutation import (cluster_monomials, enumerate_cluster_variables,
                              initial_seed, laurent_check, monomials_by_den,
@@ -90,3 +92,65 @@ def test_cluster_monomials_rejects_bad_box(a2):
     table = enumerate_cluster_variables(a2, depth=4)
     with pytest.raises(InputError):
         cluster_monomials(table, a2, (1, 1, 1))
+
+
+def exhaustive_cluster_monomials(table, q, max_den, min_den=None):
+    """The plain (cap+1)^n sweep over every exponent vector of every
+    cluster, kept here as the reference for the pruned walk."""
+    if min_den is None:
+        min_den = tuple(-x for x in max_den)
+    cap = sum(abs(a) + abs(b) for a, b in zip(min_den, max_den)) + 2
+    found = {}
+    one = LaurentPoly.one(q.vertices)
+    if all(a <= 0 <= b for a, b in zip(min_den, max_den)):
+        found[one.key()] = one
+    for cluster in sorted(table.clusters, key=sorted):
+        dens = sorted(cluster)
+        polys = [table.entries[d] for d in dens]
+        for exps in product(range(cap + 1), repeat=len(polys)):
+            if not any(exps):
+                continue
+            den_sum = tuple(sum(m * d[i] for m, d in zip(exps, dens))
+                            for i in range(q.vertices))
+            if not all(a <= x <= b for a, x, b in zip(min_den, den_sum, max_den)):
+                continue
+            mono = one
+            for m, x in zip(exps, polys):
+                if m:
+                    mono = mono * x ** m
+            assert mono.denominator_vector() == den_sum
+            found[mono.key()] = mono
+    return [found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize("name, depth, max_den, min_den", [
+    ("a2", 10, (3, 3), (-2, -2)),
+    ("a3", 10, (2, 2, 2), (-2, -2, -2)),
+    ("kron", 8, (5, 5), None),
+    ("a3", 10, (1, 2, 3), (0, -1, 1)),   # min_den is not -max_den
+])
+def test_cluster_monomials_match_the_exhaustive_sweep(request, name, depth,
+                                                      max_den, min_den):
+    q = request.getfixturevalue(name)
+    table = enumerate_cluster_variables(q, depth)
+    got = cluster_monomials(table, q, max_den, min_den)
+    want = exhaustive_cluster_monomials(table, q, max_den, min_den)
+    assert [m.key() for m in got] == [m.key() for m in want]
+    assert got
+
+
+def test_cluster_monomials_budget_boundary(a2):
+    # Box [0,1]^2 on 1 -> 2, so cap = 4. A node is one exponent chosen for
+    # one variable. Per cluster (variables in sorted order):
+    #   {(-1,0),(0,-1)}: 0, then 0                      -> 2 nodes
+    #   {(-1,0),(0,1)}:  0, then 0..1                   -> 3 nodes
+    #   {(0,-1),(1,0)}:  0, then 0..1                   -> 3 nodes
+    #   {(0,1),(1,1)}:   0..1, then 0..1 after 0, 0 after 1 -> 5 nodes
+    #   {(1,0),(1,1)}:   0..1, then 0..1 after 0, 0 after 1 -> 5 nodes
+    table = enumerate_cluster_variables(a2, 10)
+    nodes = 18
+    monos = cluster_monomials(table, a2, (1, 1), (0, 0), budget=nodes)
+    assert sorted(m.denominator_vector() for m in monos) == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(BudgetError):
+        cluster_monomials(table, a2, (1, 1), (0, 0), budget=nodes - 1)

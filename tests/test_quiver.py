@@ -1,5 +1,7 @@
 """Quiver combinatorics: forms, roots, affine structure, validation."""
 
+import random
+
 import pytest
 
 from genvar import quiver as quiver_mod
@@ -138,3 +140,52 @@ def test_json_roundtrip(atilde):
         Quiver.from_json({"vertices": 2})
     with pytest.raises(InputError):
         Quiver.from_json({"vertices": 2, "arrows": [[1, 2, 3]]})
+
+
+def reference_topological_order(q):
+    """The original quadratic loop, kept as the reference order."""
+    indeg = {v: 0 for v in range(1, q.vertices + 1)}
+    for _, t in q.arrows:
+        indeg[t] += 1
+    ready = sorted(v for v, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for s, t in q.arrows:
+            if s == v:
+                indeg[t] -= 1
+                if indeg[t] == 0 and t not in ready:
+                    ready.append(t)
+                    ready.sort()
+    return order
+
+
+def test_topological_order_matches_the_reference_on_random_dags():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)  # every arrow runs from earlier to later in perm
+        arrows = [(perm[rng.randrange(i)], perm[i]) for i in range(1, n)]
+        for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+            i, j = sorted(rng.sample(range(n), 2))
+            arrows += [(perm[i], perm[j])] * rng.randint(1, 3)
+        rng.shuffle(arrows)
+        q = Quiver(n, tuple(arrows))
+        assert q.topological_order() == reference_topological_order(q)
+
+
+def test_topological_order_is_cached_and_copied(a3):
+    order = a3.topological_order()
+    order.append(99)
+    assert a3.topological_order() == [1, 2, 3]
+    assert "_topological_order" in vars(a3)
+
+
+def test_long_path_builds():
+    n = 20_000
+    q = Quiver(n, tuple((v, v + 1) for v in range(1, n)))
+    assert q.topological_order() == list(range(1, n + 1))
+    reverse = Quiver(n, tuple((v + 1, v) for v in range(1, n)))
+    assert reverse.topological_order() == list(range(n, 0, -1))
