@@ -2,8 +2,8 @@
 
 Everything is integer or rational arithmetic: Laurent polynomials with
 integer coefficients, finite-field point counts turned into Euler
-characteristics by exact interpolation, and sampling oracles whose
-positive answers always carry re-checkable witnesses.
+characteristics by exact interpolation, exact decomposition oracles,
+and sampled witnesses that make every certificate re-checkable.
 """
 
 from .errors import BudgetError, ConsistencyError, InputError

@@ -1,11 +1,13 @@
 """Schur-root testing, generic Ext vanishing and canonical decomposition.
 
-The oracles are sampling-based and can only err toward a missed witness:
-a positive answer always carries a concrete witness representation, and
-negative answers on tiny dimension vectors are confirmed by exhaustive
-enumeration over F_2. Every decomposition returned here is re-verified
-against the full pairwise certificate (each summand Schur, all ordered
-pairs of distinct summand instances with vanishing Ext).
+Both oracles are exact and build no representation. They follow
+Schofield's recursion (General representations of quivers, 1992,
+Thm 3.3, 5.4 and 6.1): generic Ext and generic subdimension vectors are
+decided from the Euler form alone, memoised on the quiver and the two
+vectors. Every decomposition returned here carries sampled witness
+representations as its certificate, and is re-verified against them
+exactly (each summand Schur, all ordered pairs of distinct summand
+instances with vanishing Ext).
 """
 
 from __future__ import annotations
@@ -13,15 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import mul
 
 from . import rng
 from .errors import BudgetError, InputError
 from .quiver import DimVector, Quiver, positive_part
 from .repfq import (Representation, ext_dim, hom_dim, sample_representation)
-
-ORACLE_SAMPLES = 12
-ORACLE_PRIMES = (5, 7)
-EXHAUSTIVE_CAP = 1_000_000
 
 
 def _as_dim(q: Quiver, d) -> DimVector:
@@ -31,29 +30,46 @@ def _as_dim(q: Quiver, d) -> DimVector:
     return d
 
 
-def _iter_all_reps(q: Quiver, d: DimVector, p: int):
-    """Every representation of dimension d over F_p (exhaustive)."""
-    shapes = [(d[t - 1], d[s - 1]) for s, t in q.arrows]
-    cells = sum(r * c for r, c in shapes)
-    for flat in product(range(p), repeat=cells):
-        mats = []
-        i = 0
-        for r, c in shapes:
-            mats.append(tuple(tuple(flat[i + row * c:i + (row + 1) * c])
-                              for row in range(r)))
-            i += r * c
-        yield Representation(q, p, d, tuple(mats))
+def _proper_subvectors(e: DimVector):
+    """Every s with 0 <= s <= e componentwise, s != 0 and s != e."""
+    for s in product(*[range(x + 1) for x in e]):
+        if any(s) and s != e:
+            yield s
 
 
-def _exhaustive_space(q: Quiver, d: DimVector, p: int = 2) -> int:
-    cells = sum(d[s - 1] * d[t - 1] for s, t in q.arrows)
-    return p ** cells
+def _minus(a: DimVector, b: DimVector) -> DimVector:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+@cache
+def _ext_zero(q: Quiver, d: DimVector, e: DimVector) -> bool:
+    """Generic Ext(d, e) = 0: <d, e> >= 0 and <d, e - s> >= 0 for every
+    proper generic subdimension vector s of e, where s embeds generically
+    in e iff generic Ext(s, e - s) = 0. Each recursive call has a smaller
+    total |d| + |e|, and the cheap Euler-form test comes first."""
+    c = list(d)  # <d, f> = sum(c_i f_i)
+    for s, t in q.arrows:
+        c[t - 1] -= d[s - 1]
+    de = sum(map(mul, c, e))  # <d, e - s> < 0 iff <d, s> > <d, e>
+    return de >= 0 and not any(sum(map(mul, c, s)) > de and _ext_zero(q, s, _minus(e, s))
+                               for s in _proper_subvectors(e))
+
+
+@cache
+def _is_schur(q: Quiver, d: DimVector) -> bool:
+    """d is Schur iff <s, d> - <d, s> > 0 for every proper generic
+    subdimension vector s of d."""
+    w = [0] * q.vertices  # <s, d> - <d, s> = sum(w_i s_i)
+    for s, t in q.arrows:
+        w[t - 1] += d[s - 1]
+        w[s - 1] -= d[t - 1]
+    return not any(sum(map(mul, w, s)) <= 0 and _ext_zero(q, s, _minus(d, s))
+                   for s in _proper_subvectors(d))
 
 
 def is_schur_root(q: Quiver, d, seed: int = 0) -> bool:
-    """True iff some representation of dimension d has a trivial
-    endomorphism algebra. Sampling first; definitive small-case negative
-    by exhaustion over F_2."""
+    """True iff a general representation of dimension d has a trivial
+    endomorphism algebra. Exact; seed does not change the answer."""
     d = _as_dim(q, d)
     if not any(d):
         raise InputError("zero vector is not a root")
@@ -61,74 +77,31 @@ def is_schur_root(q: Quiver, d, seed: int = 0) -> bool:
         return False
     if q.q_norm(d) > 1:
         return False  # not a root at all
-    return _is_schur(q, d, seed)
-
-
-@cache
-def _is_schur(q: Quiver, d: DimVector, seed: int) -> bool:
-    aff = q.affine_data() if q.type_class() == "affine" else None
-    if aff is not None and all(x % y == 0 for x, y in zip(d, aff.delta)):
-        ks = {x // y for x, y in zip(d, aff.delta)}
-        if len(ks) == 1 and ks.pop() >= 2:
-            # proper multiples of delta: every representation, regular or
-            # decomposable, has endomorphism dimension at least the factor
-            return False
-    for p in ORACLE_PRIMES:
-        for k in range(ORACLE_SAMPLES):
-            m = sample_representation(q, d, p, rng.derive(seed, "schur", d, p, k))
-            if hom_dim(m, m) == 1:
-                return True
-    if _exhaustive_space(q, d) <= EXHAUSTIVE_CAP:
-        for m in _iter_all_reps(q, d, 2):
-            if hom_dim(m, m) == 1:
-                return True
-        return False
-    return False
+    return _is_schur(q, d)
 
 
 def generic_ext_vanishes(q: Quiver, d, e, seed: int = 0) -> bool:
-    """True iff Ext^1(M, N) = 0 for some (hence generic) pair of
-    representations of dimensions d and e."""
+    """True iff Ext^1(M, N) = 0 for general representations M, N of
+    dimensions d and e. Exact; seed does not change the answer."""
     d = _as_dim(q, d)
     e = _as_dim(q, e)
     if any(x < 0 for x in d) or any(x < 0 for x in e):
         raise InputError("module ext vanishing needs nonnegative vectors")
-    if not any(d) or not any(e):
-        return True
-    if q.euler_form(d, e) < 0:
-        return False  # ext = hom - <d,e> >= -<d,e> > 0 for every pair
-    return _ext_vanishes(q, d, e, seed)
-
-
-@cache
-def _ext_vanishes(q: Quiver, d: DimVector, e: DimVector, seed: int) -> bool:
-    for p in ORACLE_PRIMES:
-        for k in range(ORACLE_SAMPLES):
-            m = sample_representation(q, d, p, rng.derive(seed, "extL", d, e, p, k))
-            n = sample_representation(q, e, p, rng.derive(seed, "extR", d, e, p, k))
-            if ext_dim(m, n) == 0:
-                return True
-    if _exhaustive_space(q, d) * _exhaustive_space(q, e) <= EXHAUSTIVE_CAP:
-        for m in _iter_all_reps(q, d, 2):
-            for n in _iter_all_reps(q, e, 2):
-                if ext_dim(m, n) == 0:
-                    return True
-        return False
-    return False
+    return _ext_zero(q, d, e)
 
 
 def generic_ext_vanishes_cluster(q: Quiver, d, e, seed: int = 0) -> bool:
     """Ext vanishing for decorated objects: shifted projectives at vertex i
     obstruct exactly the vectors with support at i on the other side, and
-    the module parts must be ext-orthogonal both ways."""
+    the module parts must be ext-orthogonal both ways. Exact; seed does
+    not change the answer."""
     d = _as_dim(q, d)
     e = _as_dim(q, e)
     for di, ei in zip(d, e):
         if (di < 0 and ei > 0) or (di > 0 and ei < 0):
             return False
     dp, ep = positive_part(d), positive_part(e)
-    return (generic_ext_vanishes(q, dp, ep, seed)
-            and generic_ext_vanishes(q, ep, dp, seed))
+    return generic_ext_vanishes(q, dp, ep) and generic_ext_vanishes(q, ep, dp)
 
 
 def exceptional_regular_dims(q: Quiver) -> list[DimVector]:
@@ -181,14 +154,15 @@ def canonical_decomposition(q: Quiver, d, method: str = "auto",
     shapes (multiples of delta; real non-Schur roots split as
     delta^k + minimal-height real root) before searching; 'auto' picks
     'structural' on affine quivers. The result always re-verifies the
-    full pairwise witness certificate.
+    full pairwise witness certificate; seed picks the witnesses and does
+    not change the summands.
     """
     d = _as_dim(q, d)
     if any(x < 0 for x in d):
         raise InputError("canonical decomposition needs a nonnegative vector")
     if method not in ("auto", "search", "structural"):
         raise InputError("unknown method %r" % (method,))
-    summands = _summands(q, d, method, seed)
+    summands = _summands(q, d, method)
     witnesses = _find_witnesses(q, [e for e, m, _t in summands for _ in range(m)], seed)
     out = CanonicalDecomposition(vector=d, summands=summands, witnesses=witnesses)
     verify_certificate(q, out)
@@ -196,7 +170,7 @@ def canonical_decomposition(q: Quiver, d, method: str = "auto",
 
 
 @cache
-def _summands(q: Quiver, d: DimVector, method: str, seed: int) -> tuple:
+def _summands(q: Quiver, d: DimVector, method: str) -> tuple:
     if method == "auto":
         use = "structural" if q.type_class() == "affine" else "search"
     else:
@@ -204,12 +178,12 @@ def _summands(q: Quiver, d: DimVector, method: str, seed: int) -> tuple:
     if use == "structural" and q.type_class() != "affine":
         raise InputError("structural method needs an affine quiver")
     merged: dict[DimVector, int] = {}
-    for e in _decompose(q, d, use, seed):
+    for e in _decompose(q, d, use):
         merged[e] = merged.get(e, 0) + 1
     return tuple(sorted((e, m, _tag(q, e)) for e, m in merged.items()))
 
 
-def _decompose(q: Quiver, d: DimVector, method: str, seed: int) -> list[DimVector]:
+def _decompose(q: Quiver, d: DimVector, method: str) -> list[DimVector]:
     if not any(d):
         return []
     if method == "structural":
@@ -219,47 +193,39 @@ def _decompose(q: Quiver, d: DimVector, method: str, seed: int) -> list[DimVecto
             ks = {x // delta[i] for i, x in enumerate(d)}
             if len(ks) == 1:
                 k = ks.pop()
-                if k >= 1 and is_schur_root(q, delta, seed):
+                if k >= 1 and is_schur_root(q, delta):
                     return [delta] * k
         if q.q_norm(d) == 1:
-            if is_schur_root(q, d, seed):
+            if is_schur_root(q, d):
                 return [d]
             d0 = _minimal_height_real(q, delta, d)
-            diff = tuple(a - b for a, b in zip(d, d0))
+            diff = _minus(d, d0)
             ks = {diff[i] // delta[i] for i in range(len(d)) if delta[i]}
             if len(ks) == 1 and all(diff[i] == ks.copy().pop() * delta[i] for i in range(len(d))):
                 k = ks.pop()
-                if k >= 1 and is_schur_root(q, d0, seed):
+                if k >= 1 and is_schur_root(q, d0):
                     return [delta] * k + [d0]
         # outside the structural shapes: try delta-stripping splits first
         for k in range(min(d[i] // delta[i] for i in range(len(d))), 0, -1):
             a = tuple(k * x for x in delta)
-            b = tuple(x - y for x, y in zip(d, a))
+            b = _minus(d, a)
             if not any(b):
                 continue
-            if generic_ext_vanishes(q, a, b, seed) and generic_ext_vanishes(q, b, a, seed):
-                return _decompose(q, a, method, seed) + _decompose(q, b, method, seed)
-    if is_schur_root(q, d, seed):
+            if generic_ext_vanishes(q, a, b) and generic_ext_vanishes(q, b, a):
+                return _decompose(q, a, method) + _decompose(q, b, method)
+    if is_schur_root(q, d):
         return [d]
     for a, b in _splittings(d):
-        if generic_ext_vanishes(q, a, b, seed) and generic_ext_vanishes(q, b, a, seed):
-            return _decompose(q, a, method, seed) + _decompose(q, b, method, seed)
+        if generic_ext_vanishes(q, a, b) and generic_ext_vanishes(q, b, a):
+            return _decompose(q, a, method) + _decompose(q, b, method)
     raise BudgetError("canonical decomposition search exhausted for %r" % (d,))
 
 
 def _splittings(d: DimVector):
     """Unordered proper splittings d = a + b, ordered by height of a then
     lexicographically; each pair listed once."""
-    cands = []
-    for a in product(*[range(x + 1) for x in d]):
-        if not any(a):
-            continue
-        b = tuple(x - y for x, y in zip(d, a))
-        if not any(b):
-            continue
-        if a <= b:
-            cands.append((sum(a), a, b))
-    for _h, a, b in sorted(cands):
+    pairs = [(a, _minus(d, a)) for a in _proper_subvectors(d)]
+    for _h, a, b in sorted((sum(a), a, b) for a, b in pairs if a <= b):
         yield a, b
 
 

@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", metavar="P1,P2,...",
                    help="prime pool for point counting")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="enumeration budget per counting call")
+                   help="work budget per counting or mutation enumeration")
     p.add_argument("--out", metavar="FILE",
                    help="write the JSON document here instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
@@ -119,8 +119,8 @@ def _run(args) -> dict:
     if args.command == "mutate-enumerate":
         q = _load_quiver(args)
         inputs.update(quiver=q.to_json(), depth=args.depth, sweeps=args.sweeps)
-        table = mutation.enumerate_cluster_variables(q, args.depth,
-                                                     sweeps=args.sweeps)
+        table = mutation.enumerate_cluster_variables(q, args.depth, sweeps=args.sweeps,
+                                                     budget=args.budget)
         results["variables"] = [
             {"den": list(den), "poly": table.entries[den].to_json(),
              "word": list(table.provenance[den])}

@@ -239,7 +239,7 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
     if n_max < 0:
         raise InputError("n_max must be nonnegative")
     q = kronecker()
-    table = mutation.enumerate_cluster_variables(q, max(bound) + 3)
+    table = mutation.enumerate_cluster_variables(q, max(bound) + 3, budget=budget)
     monos = mutation.cluster_monomials(table, q, bound, budget=budget)
     elements = []
     seen = set()

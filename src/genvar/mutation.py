@@ -9,6 +9,7 @@ bug and raises ConsistencyError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
@@ -92,15 +93,29 @@ class ClusterVariableTable:
         return [self.entries[d] for d in sorted(self.entries)]
 
 
-def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0) -> ClusterVariableTable:
+def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
+                                budget: int = DEFAULT_BUDGET) -> ClusterVariableTable:
     """BFS over seeds up to `depth` mutations, deduplicated by cluster
     multiset; terminates early when the exchange graph closes (finite
     type). `sweeps` additionally runs that many directed sink-sweep and
     source-sweep rounds to extend the table along the preprojective and
     preinjective chains without exploring the whole exchange graph.
+
+    Before each mutation its exchange work (`_exchange_terms`) counts
+    against `budget`; BudgetError past it, so no step starts whose work
+    would pass the budget.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
+    spent = 0
+
+    def step(seed: Seed, k: int) -> Seed:
+        nonlocal spent
+        spent += _exchange_terms(seed, k)
+        if spent > budget:
+            raise BudgetError("cluster-variable enumeration exceeded budget %d" % budget)
+        return mutate(seed, k)
+
     table = ClusterVariableTable(quiver=q)
     s0 = initial_seed(q)
     for x in s0.cluster:
@@ -112,7 +127,7 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0) -> Clust
         nxt = []
         for seed, word in frontier:
             for k in range(1, q.vertices + 1):
-                new = mutate(seed, k)
+                new = step(seed, k)
                 key = new.key()
                 if key in seen:
                     continue
@@ -128,11 +143,27 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0) -> Clust
         seed, word = s0, ()
         for _ in range(sweeps):
             for k in _boundary_vertices(seed, direction):
-                seed = mutate(seed, k)
+                seed = step(seed, k)
                 word = word + (k,)
                 table.add_variable(seed.cluster[k - 1], word)
                 table.add_cluster(seed)
     return table
+
+
+def _exchange_terms(seed: Seed, k: int) -> int:
+    """The most terms the two exchange monomials at k can have: for each
+    sign, the lattice points of the box spanned by the exponents of
+    prod x_i^|b_ik|, from the exponent ranges of the x_i."""
+    total = 0
+    for sign in (1, -1):
+        width = [0] * len(seed.b)
+        for x, row in zip(seed.cluster, seed.b):
+            b = sign * row[k - 1]
+            if b > 0:
+                for j, exps in enumerate(zip(*x.terms)):
+                    width[j] += b * (max(exps) - min(exps))
+        total += prod(w + 1 for w in width)
+    return total
 
 
 def _boundary_vertices(seed: Seed, direction: str) -> list[int]:

@@ -1,14 +1,19 @@
 """Generic decomposition of dimension vectors with verifiable witnesses."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genvar import candecomp, rng
 from genvar.candecomp import (CanonicalDecomposition, canonical_decomposition,
                               exceptional_regular_dims, generic_ext_vanishes,
                               generic_ext_vanishes_cluster, is_schur_root,
                               verify_certificate)
 from genvar.errors import ConsistencyError
+from genvar.quiver import Quiver, a_n, affine_a2, kronecker
+from genvar.repfq import Representation, ext_dim, hom_dim, sample_representation
 
 
 def test_schur_roots_kronecker(kron):
@@ -70,6 +75,8 @@ FROZEN_DECOMPOSITIONS = [
     ("a3", (1, 2, 1), (((0, 1, 0), 1, "real_schur"),
                        ((1, 1, 1), 1, "real_schur"))),
     ("a2", (2, 1), (((1, 0), 1, "real_schur"), ((1, 1), 1, "real_schur"))),
+    ("atilde", (2, 3, 2), (((0, 1, 0), 1, "real_schur"),
+                           ((1, 1, 1), 2, "imaginary_schur"))),
 ]
 
 
@@ -132,3 +139,123 @@ def test_decomposition_of_negative_free_vector_json(atilde):
     assert doc["vector"] == [2, 1, 2]
     assert doc["summands"][0]["kind"] in ("real_schur", "imaginary_schur")
     assert len(doc["witnesses"]) == len(dec.expanded())
+
+
+# The sampled oracles that the exact recursion replaced, kept as an
+# independent reference: 12 samples over F_5 and F_7 each, then every
+# representation over F_2 up to a cap of 10^6 (False past the cap).
+REF_SAMPLES, REF_PRIMES, REF_CAP = 12, (5, 7), 1_000_000
+
+
+def _ref_all_reps(q, d):
+    shapes = [(d[t - 1], d[s - 1]) for s, t in q.arrows]
+    for flat in product(range(2), repeat=sum(r * c for r, c in shapes)):
+        mats, i = [], 0
+        for r, c in shapes:
+            mats.append(tuple(tuple(flat[i + row * c:i + (row + 1) * c])
+                              for row in range(r)))
+            i += r * c
+        yield Representation(q, 2, d, tuple(mats))
+
+
+def _ref_space(q, d):
+    return 2 ** sum(d[s - 1] * d[t - 1] for s, t in q.arrows)
+
+
+def _ref_is_schur_root(q, d, seed=0):
+    if q.q_norm(d) > 1:
+        return False
+    aff = q.affine_data() if q.type_class() == "affine" else None
+    if aff is not None and all(x % y == 0 for x, y in zip(d, aff.delta)):
+        ks = {x // y for x, y in zip(d, aff.delta)}
+        if len(ks) == 1 and ks.pop() >= 2:
+            return False
+    for p in REF_PRIMES:
+        for k in range(REF_SAMPLES):
+            m = sample_representation(q, d, p, rng.derive(seed, "schur", d, p, k))
+            if hom_dim(m, m) == 1:
+                return True
+    if _ref_space(q, d) <= REF_CAP:
+        return any(hom_dim(m, m) == 1 for m in _ref_all_reps(q, d))
+    return False
+
+
+def _ref_ext_vanishes(q, d, e, seed=0):
+    if not any(d) or not any(e):
+        return True
+    if q.euler_form(d, e) < 0:
+        return False
+    for p in REF_PRIMES:
+        for k in range(REF_SAMPLES):
+            m = sample_representation(q, d, p, rng.derive(seed, "extL", d, e, p, k))
+            n = sample_representation(q, e, p, rng.derive(seed, "extR", d, e, p, k))
+            if ext_dim(m, n) == 0:
+                return True
+    if _ref_space(q, d) * _ref_space(q, e) <= REF_CAP:
+        return any(ext_dim(m, n) == 0
+                   for m in _ref_all_reps(q, d) for n in _ref_all_reps(q, e))
+    return False
+
+
+def _grid(box):
+    return [d for d in product(*[range(x + 1) for x in box]) if any(d)]
+
+
+AGREEMENT_GRIDS = [
+    ("kronecker", kronecker(), (6, 6)),
+    ("a3", a_n(3), (2, 2, 2)),
+    ("affine-a2", affine_a2(), (2, 2, 2)),
+    ("kronecker-3", Quiver(2, ((1, 2),) * 3), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,q,box", AGREEMENT_GRIDS,
+                         ids=[g[0] for g in AGREEMENT_GRIDS])
+def test_oracles_agree_with_the_sampled_reference(name, q, box):
+    grid = _grid(box)
+    for d in grid:
+        assert is_schur_root(q, d) == _ref_is_schur_root(q, d), d
+    for d in grid:
+        for e in grid:
+            assert generic_ext_vanishes(q, d, e) == _ref_ext_vanishes(q, d, e), (d, e)
+
+
+SEMICONTINUITY_BOXES = [(kronecker(), (4, 4)), (affine_a2(), (2, 2, 2)), (a_n(3), (2, 2, 2))]
+
+
+@st.composite
+def _vector_pairs(draw):
+    q, box = draw(st.sampled_from(SEMICONTINUITY_BOXES))
+    vector = st.tuples(*[st.integers(0, x) for x in box]).filter(any)
+    return q, draw(vector), draw(vector), draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vector_pairs())
+def test_every_sample_is_at_least_as_special_as_the_generic_value(case):
+    # Ext and End dimensions are upper semicontinuous: no representation
+    # over F_5 or F_7 has less Ext, or a smaller End, than the general one.
+    q, d, e, seed = case
+    ext_zero = generic_ext_vanishes(q, d, e)
+    schur = q.q_norm(d) > 1 or is_schur_root(q, d)
+    for p in (5, 7):
+        m = sample_representation(q, d, p, rng.derive(seed, "M", p))
+        n = sample_representation(q, e, p, rng.derive(seed, "N", p))
+        assert ext_zero or ext_dim(m, n) > 0
+        assert schur or hom_dim(m, m) > 1
+
+
+def test_oracles_build_no_representation(monkeypatch):
+    def boom(*_args, **_kwargs):
+        raise AssertionError("a decomposition oracle built a representation")
+
+    for name in ("sample_representation", "hom_dim", "ext_dim"):
+        monkeypatch.setattr(candecomp, name, boom)
+    candecomp._ext_zero.cache_clear()
+    candecomp._is_schur.cache_clear()
+    q = affine_a2()
+    grid = _grid((3, 3, 3))
+    for d in grid:
+        is_schur_root(q, d)
+        for e in grid:
+            generic_ext_vanishes(q, d, e)

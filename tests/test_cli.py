@@ -241,3 +241,13 @@ def test_independence_document(capsys):
     assert rc == 0
     rep = json.loads(out)["results"]["independence"]
     assert rep["independent"] is True and rep["rank"] == rep["elements"]
+
+
+def test_wild_enumeration_over_budget_exits_3(tmp_path, capsys):
+    path = tmp_path / "wild.json"
+    path.write_text(json.dumps({"vertices": 3, "arrows": [[1, 2], [1, 2], [1, 2], [2, 3]]}),
+                    encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, ["--quiver", str(path), "--budget", "1000",
+                 "mutate-enumerate", "--depth", "7"])
+    assert rc == 3 and "budget exceeded" in err and out == ""

@@ -154,3 +154,18 @@ def test_cluster_monomials_budget_boundary(a2):
         (0, 0), (0, 1), (1, 0), (1, 1)]
     with pytest.raises(BudgetError):
         cluster_monomials(table, a2, (1, 1), (0, 0), budget=nodes - 1)
+
+
+def test_enumeration_budget_boundary(a2):
+    # The pentagon closes at depth 3: two mutations from each of the 1, 2
+    # and 2 seeds of depths 0-2, ten in all. Each is charged the boxes of
+    # its two exchange monomials: 1 for the empty product or a one-term
+    # variable, 2 for a two-term variable of width 1, 4 for
+    # (1 + x1 + x2)/(x1 x2), of width (1, 1).
+    #   depth 1: 1+1, 1+1; depth 2: 1+1, 1+2, 1+2, 1+1;
+    #   depth 3: 1+4, 1+2, 1+2, 1+4                  -> 30
+    charge = 30
+    table = enumerate_cluster_variables(a2, 8, budget=charge)
+    assert len(table.entries) == 5
+    with pytest.raises(BudgetError):
+        enumerate_cluster_variables(a2, 8, budget=charge - 1)
