@@ -1,19 +1,23 @@
 """Exact linear algebra: one fraction-free elimination over the integers,
-one packed reduction kernel over F_p, Gaussian binomials, and the
-definiteness class of a symmetric form.
+one packed reduction kernel over F_p, Gaussian binomials, the
+definiteness class of a symmetric form, and the closed-form count of
+affine families of vectors by the rank of their span.
 
 Over Q, `echelon` is the only elimination: rank (`rank_fraction`), the
 primitive integer kernel (`kernel_basis`) and exact solving (`solve`)
 all read its result. Over F_p, `PackedFp` is the only one: the counting
-engine uses it directly, and `rank_mod_p` takes the rank of a plain
-integer matrix with it. Everything here is deterministic; `PackedFp`
-sits inside the grassmannian point-counting hot loop.
+engine uses it directly, `rank_mod_p` takes the rank of a plain integer
+matrix with it, and `image_rank_counts` solves its affine systems with
+it. Everything here is deterministic; `PackedFp` and `image_rank_counts`
+sit inside the grassmannian point-counting hot loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from itertools import product
+from math import gcd, prod
 from typing import Sequence
 
 from .errors import ConsistencyError
@@ -158,7 +162,7 @@ class PackedFp:
     hot loop free of attribute lookups.
     """
 
-    __slots__ = ("w", "pack", "coords", "reduce", "residue", "extend", "rank")
+    __slots__ = ("p", "w", "pack", "coords", "reduce", "residue", "extend", "rank")
 
     def __init__(self, p: int, n_max: int):
         b = (max(n_max, 2) * p * p).bit_length()
@@ -211,6 +215,89 @@ class PackedFp:
                     u -= (((u * mul) >> shift) & qmask) * p
             return len(leads)
 
-        self.w = w
+        self.p, self.w = p, w
         self.pack, self.coords, self.reduce = pack, coords, reduce
         self.residue, self.extend, self.rank = residue, extend, rank
+
+
+@cache
+def _lattice_size(ks: tuple, p: int) -> int:
+    """Number of tuples of subspaces of F_p^k, one k per entry of ks."""
+    return prod(sum(gauss_binom(k, j, p) for j in range(k + 1)) for k in ks)
+
+
+@cache
+def _mobius_row(d: int, p: int) -> tuple:
+    """sum over the s-dimensional subspaces L of a d-dimensional L' of the
+    Moebius function mu(L, L') of the subspace lattice, for s = 0..d:
+    (-1)^m p^(m(m-1)/2) [d s]_p with m = d - s."""
+    return tuple((-1) ** (d - s) * p ** ((d - s) * (d - s - 1) // 2) * gauss_binom(d, s, p)
+                 for s in range(d + 1))
+
+
+def image_rank_counts(kern: PackedFp, targets: Sequence, ntails: int) -> dict[tuple, int] | None:
+    """Number of tails x in F_p^T (T = ntails) by the rank of their images
+    at each target, in closed form; None when the p^T tails are fewer than
+    the subspace tuples the closed form visits.
+
+    targets[t] = (n, columns) holds, per arrow a into target t, packed
+    n-vectors (c_a, [d_a1, ..., d_aT]); the images are v_a(x) = c_a +
+    sum_j x_j d_aj, and their rank is k_t - dim K_t(x), where K_t(x) is the
+    space of lambda in F_p^(k_t) with sum_a lambda_a v_a(x) = 0. For a
+    tuple L of subspaces L_t of F_p^(k_t), f(L) = #{x : every L_t lies in
+    K_t(x)} counts the solutions of one affine system in x, whose rows are
+    the coordinates of sum_a lambda_a v_a(x) for lambda in an echelon basis
+    of each L_t: f(L) is 0 when the system is inconsistent and p^(T - r)
+    otherwise, r its rank. Moebius inversion on the product of subspace
+    lattices (Rota 1964) counts the x with dim K_t(x) = s_t as the sum over
+    L of f(L) times prod_t mu-sums from `_mobius_row`.
+
+    Each L_t is reached in a tree whose children add one echelon row with
+    a smaller pivot, so a child contains its parent and extends its
+    system; an inconsistent system prunes everything below it. Rows have
+    T + 1 fields with the constant last, and sums of k_t rows are reduced
+    once, so `kern` must fit T + 1 fields and k_t <= its n_max. Tails that
+    are free coordinates of one of its vectors give the first, and a
+    lattice smaller than p^T implies k_t <= T, which gives the second.
+    """
+    p = kern.p
+    ks = tuple(len(cols) for _, cols in targets)
+    if _lattice_size(ks, p) >= p ** ntails:
+        return None
+    pack, coords, red, extend = kern.pack, kern.coords, kern.reduce, kern.extend
+    systems = []  # per target, per nonzero fibre coordinate i: per arrow (d_a1[i], .., c_a[i])
+    for n, cols in targets:
+        per_arrow = [zip(*[coords(u, n) for u in ds + [c]]) for c, ds in cols]
+        systems.append([[pack(r) for r in rows] for rows in zip(*per_arrow)
+                        if any(map(any, rows))])
+    sums: dict[tuple, int] = {}
+
+    def grow(t: int, dims: tuple, pivots: tuple, basis: tuple) -> None:
+        """Every L_t whose echelon rows extend those with `pivots` by rows
+        with smaller pivots, on top of the consistent system `basis`."""
+        if t == len(systems):
+            sums[dims] = sums.get(dims, 0) + p ** (ntails - len(basis))
+            return
+        grow(t + 1, dims + (len(pivots),), (), basis)
+        rows, k = systems[t], ks[t]
+        for c in range(pivots[0] if pivots else k):
+            free = [j for j in range(c + 1, k) if j not in pivots]
+            for lam in product(range(p), repeat=len(free)):
+                nb = basis
+                for row in rows:
+                    nb = extend(nb, red(row[c] + sum(x * row[j] for x, j in zip(lam, free))))
+                if not nb or nb[-1][0]:  # no pivot in the constant field
+                    grow(t, dims, (c,) + pivots, nb)
+
+    grow(0, (), (), ())
+    out: dict[tuple, int] = {}
+    for dims, f in sums.items():
+        for s in product(*[range(d + 1) for d in dims]):
+            c = f
+            for d, si in zip(dims, s):
+                c *= _mobius_row(d, p)[si]
+            key = tuple(k - si for k, si in zip(ks, s))
+            out[key] = out.get(key, 0) + c
+    if min(out.values()) < 0:
+        raise ConsistencyError("negative count of tails by image rank")
+    return {r: c for r, c in out.items() if c}

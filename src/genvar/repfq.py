@@ -19,8 +19,9 @@ Once every target state spans its fibre, the remaining rows change no
 rank, and their p^(free entries) choices are counted in closed form.
 At the last row, reduction against the fixed target states is linear,
 so the image of the row e_lead + sum x_j e_j reduces to c + sum x_j d_j
-(c, d_j the reduced matrix columns): each tail x costs one packed
-combination and one rank, and no new state is built.
+(c, d_j the reduced matrix columns). The tails x are counted by the rank
+of those images by Moebius inversion on the subspace lattice
+(`linalg.image_rank_counts`), or by one rank per x where that is cheaper.
 
 Euler characteristics interpolate the counts at good primes with one
 integer Lagrange basis per number of nodes, checking integrality by
@@ -35,7 +36,7 @@ from itertools import combinations, product
 from math import isqrt, lcm
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .linalg import PackedFp, gauss_binom, rank_fraction, rank_mod_p
+from .linalg import PackedFp, gauss_binom, image_rank_counts, rank_fraction, rank_mod_p
 from .quiver import DimVector, Quiver
 
 DEFAULT_BUDGET = 10_000_000
@@ -70,9 +71,6 @@ class Representation:
 
     def key(self) -> tuple:
         return (self.quiver.vertices, self.quiver.arrows, self.p, self.dim, self.matrices)
-
-    def total_dim(self) -> int:
-        return sum(self.dim)
 
     def to_json(self) -> dict:
         return {"dim": list(self.dim),
@@ -144,20 +142,10 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
         raise InputError("direct sum needs matching quiver and field")
     d = tuple(x + y for x, y in zip(a.dim, b.dim))
     mats = []
-    for (s, t), ma, mb in zip(a.quiver.arrows, a.matrices, b.matrices):
-        rs, cs = a.dim[t - 1], a.dim[s - 1]
-        rows = []
-        for r in range(d[t - 1]):
-            row = []
-            for c in range(d[s - 1]):
-                if r < rs and c < cs:
-                    row.append(ma[r][c])
-                elif r >= rs and c >= cs:
-                    row.append(mb[r - rs][c - cs])
-                else:
-                    row.append(0)
-            rows.append(tuple(row))
-        mats.append(tuple(rows))
+    for (s, _t), ma, mb in zip(a.quiver.arrows, a.matrices, b.matrices):
+        # block diagonal: rows of ma padded right, rows of mb padded left
+        mats.append(tuple(r + (0,) * b.dim[s - 1] for r in ma)
+                    + tuple((0,) * a.dim[s - 1] + r for r in mb))
     return Representation(a.quiver, a.p, d, tuple(mats))
 
 
@@ -275,9 +263,7 @@ def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[D
 
 def count_subreps(m: Representation, e, budget: int = DEFAULT_BUDGET) -> int:
     """Number of subspace tuples of dimension e stable under all arrows."""
-    e = tuple(int(x) for x in e)
-    if len(e) != m.quiver.vertices or any(x < 0 or x > dv for x, dv in zip(e, m.dim)):
-        raise InputError("e must satisfy 0 <= e <= dim")
+    e = _subvector(e, m.dim)
     return count_all_subreps(m, budget).get(e, 0)
 
 
@@ -353,8 +339,9 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
             """The last echelon row at the last enumerated vertex. Reduction
             against a fixed echelon basis is linear, so each target's image
             of the row lead + sum x_j e_j, reduced against the state, is
-            c + sum x_j d_j with c, d_j the reduced columns; only the rank
-            of those images is taken for each tail x."""
+            c + sum x_j d_j with c, d_j the reduced columns. The tails x are
+            counted by the ranks of those images in closed form, or by one
+            rank per x where `image_rank_counts` finds that cheaper."""
             pairs = []  # (reduced lead column, reduced tail columns), grouped by target
             spans = []
             for b, (_, arrows) in zip(tstates, targets):
@@ -363,10 +350,13 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
                              for cols in arrows)
             leaves = p ** len(tails)
             tick(leaves)
-            acc: dict[tuple, int] = {}
             if not any(any(ds) for _, ds in pairs):
-                acc[tuple(rank([c for c, _ in pairs[lo:hi]]) for lo, hi in spans)] = leaves
+                acc = {tuple(rank([c for c, _ in pairs[lo:hi]]) for lo, hi in spans): leaves}
             else:
+                acc = image_rank_counts(kern, [(n, pairs[lo:hi]) for n, (lo, hi)
+                                               in zip(full, spans)], len(tails))
+            if acc is None:
+                acc = {}
                 steps = [[x * ds[-1] for x in range(p)] for _, ds in pairs]
                 one = len(spans) == 1
                 for head in product(range(p), repeat=len(tails) - 1):
@@ -520,20 +510,36 @@ def _interpolate(points: list[tuple[int, int]], degree: int, bases: dict) -> lis
     return ints
 
 
+def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
+                          guards: tuple) -> dict[DimVector, list[int]]:
+    """Integer coefficients (ascending degree) of the polynomial counting
+    e-dimensional subrepresentations of m_int over F_q, for every e in es:
+    one sweep of max degree + 2 good primes, each polynomial fitted through
+    its degree + 1 first primes and verified on every further one."""
+    d = m_int.dim
+    degrees = [sum(x * (dv - x) for x, dv in zip(e, d)) for e in es]
+    primes = good_primes(m_int, pool, max(degrees, default=0) + 2, guards)
+    per_prime = [count_all_subreps(rep_mod(m_int, p), budget) for p in primes]
+    bases: dict = {}
+    return {e: _interpolate([(p, c.get(e, 0)) for p, c in zip(primes, per_prime)],
+                            degree, bases) for e, degree in zip(es, degrees)}
+
+
+def _subvector(e, dim: DimVector) -> DimVector:
+    e = tuple(e)
+    if len(e) != len(dim) or any(type(x) is not int or not 0 <= x <= dv
+                                 for x, dv in zip(e, dim)):
+        raise InputError("e must hold integers with 0 <= e <= dim")
+    return e
+
+
 def counting_polynomial(m_int: Representation, e, pool=DEFAULT_PRIMES,
                         budget: int = DEFAULT_BUDGET,
                         guards: tuple = ()) -> list[int]:
     """Integer coefficients of the polynomial counting e-dimensional
-    subrepresentations of m_int over F_q, fitted through D+1 primes and
-    verified on every further computed prime."""
-    e = tuple(int(x) for x in e)
-    d = m_int.dim
-    if any(x < 0 or x > dv for x, dv in zip(e, d)):
-        raise InputError("e must satisfy 0 <= e <= dim")
-    degree = sum(x * (dv - x) for x, dv in zip(e, d))
-    primes = good_primes(m_int, pool, degree + 2, guards)
-    pts = [(p, count_all_subreps(rep_mod(m_int, p), budget).get(e, 0)) for p in primes]
-    ints = _interpolate(pts, degree, {})
+    subrepresentations of m_int over F_q, without trailing zeros."""
+    e = _subvector(e, m_int.dim)
+    ints = _counting_polynomials(m_int, [e], pool, budget, guards)[e]
     while len(ints) > 1 and ints[-1] == 0:
         ints.pop()
     return ints
@@ -560,15 +566,6 @@ def chi_all(m_int: Representation, pool=DEFAULT_PRIMES,
             budget: int = DEFAULT_BUDGET,
             guards: tuple = ()) -> dict[DimVector, int]:
     """chi(Gr_e) for every 0 <= e <= dim at once, sharing prime sweeps."""
-    d = m_int.dim
-    max_degree = max((sum(x * (dv - x) for x, dv in zip(e, d))
-                      for e in product(*[range(x + 1) for x in d])), default=0)
-    primes = good_primes(m_int, pool, max_degree + 2, guards)
-    per_prime = {p: count_all_subreps(rep_mod(m_int, p), budget) for p in primes}
-    bases: dict = {}
-    out: dict[DimVector, int] = {}
-    for e in product(*[range(x + 1) for x in d]):
-        degree = sum(x * (dv - x) for x, dv in zip(e, d))
-        pts = [(p, per_prime[p].get(e, 0)) for p in primes]
-        out[e] = _poly_eval(_interpolate(pts, degree, bases), 1)
-    return out
+    es = list(product(*[range(x + 1) for x in m_int.dim]))
+    return {e: _poly_eval(ints, 1)
+            for e, ints in _counting_polynomials(m_int, es, pool, budget, guards).items()}

@@ -1,13 +1,18 @@
 """The exact elimination kernels: fraction-free integer elimination over Q
-(rank, primitive kernel, solve) against the packed F_p rank."""
+(rank, primitive kernel, solve) against the packed F_p rank, and the
+closed-form count of tails by image rank against enumerating the tails."""
 
+import itertools
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genvar.linalg import kernel_basis, rank_fraction, rank_mod_p, solve
+from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_basis,
+                           rank_fraction, rank_mod_p, solve)
 
 # Every minor of a matrix below is at most (3 sqrt 5)^5 < 13,600 in absolute
 # value (Hadamard), so none vanishes mod 65537 and the largest rank mod p
@@ -55,3 +60,73 @@ def test_solve_is_exact_or_none(a, data):
         assert all(isinstance(c, Fraction) for c in x)
     else:
         assert x is None
+
+
+# --------------------------------------------- tails counted by image rank
+
+def _lattice(ks, p):
+    return prod(sum(gauss_binom(k, j, p) for j in range(k + 1)) for k in ks)
+
+
+def _column(rng, p, n, earlier):
+    """A random column, or a degenerate one: zero, a repeat of an earlier
+    column, or a combination of the earlier ones."""
+    kind = rng.choice(("random", "random", "zero", "repeat", "span"))
+    if kind == "random" or not earlier and kind != "zero":
+        return [rng.randrange(p) for _ in range(n)]
+    if kind == "zero":
+        return [0] * n
+    if kind == "repeat":
+        return list(rng.choice(earlier))
+    coeffs = [rng.randrange(p) for _ in earlier]
+    return [sum(a * u[i] for a, u in zip(coeffs, earlier)) % p for i in range(n)]
+
+
+def _system(rng, p, n, k, ntails):
+    """Per arrow (c_a, [d_a1, ..]) as plain lists; c_a is often drawn in the
+    span of the d's."""
+    arrows, earlier = [], []
+    for _ in range(k):
+        ds = []
+        for _ in range(ntails):
+            ds.append(_column(rng, p, n, earlier))
+            earlier.append(ds[-1])
+        c = _column(rng, p, n, ds if rng.random() < 0.5 else earlier)
+        earlier.append(c)
+        arrows.append((c, ds))
+    return arrows
+
+
+def _ranks_by_enumeration(p, systems, ntails):
+    """The loop the closed form replaces: one rank per target and tail x."""
+    out = {}
+    for x in itertools.product(range(p), repeat=ntails):
+        key = tuple(rank_mod_p([[(c[i] + sum(a * d[i] for a, d in zip(x, ds))) % p
+                                 for i in range(len(c))] for c, ds in arrows], p)
+                    for arrows in systems)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("ntargets", [1, 2])
+def test_image_rank_counts_match_enumeration(p, ntargets):
+    rng = random.Random(100 * p + ntargets)
+    for k_max in (1, 2, 3):
+        for _ in range(6):
+            ks = [rng.randint(1, k_max) for _ in range(ntargets)]
+            ks[0] = k_max
+            lattice = _lattice(ks, p)
+            ntails = next(t for t in itertools.count(1) if p ** t > lattice)
+            if p ** ntails > 20000:
+                continue
+            ns = [rng.randint(1, 3) for _ in ks]
+            systems = [_system(rng, p, n, k, ntails) for n, k in zip(ns, ks)]
+            kern = PackedFp(p, max(ns + [ntails + 1]))
+            packed = [(n, [(kern.pack(c), [kern.pack(d) for d in ds]) for c, ds in arrows])
+                      for n, arrows in zip(ns, systems)]
+            assert image_rank_counts(kern, packed, ntails) == _ranks_by_enumeration(
+                p, systems, ntails)
+            # one tail fewer and the subspace tuples are too many to pay off
+            assert image_rank_counts(kern, [(n, [(c, ds[1:]) for c, ds in arrows])
+                                            for n, arrows in packed], ntails - 1) is None

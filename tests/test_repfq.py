@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from genvar import repfq
 from genvar.errors import BudgetError, ConsistencyError, InputError
-from genvar.linalg import PackedFp, gauss_binom, rank_mod_p
+from genvar.linalg import PackedFp, gauss_binom, image_rank_counts, rank_mod_p
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import (Representation, count_all_subreps, count_subreps,
                           counting_polynomial, direct_sum, dual_rep, ext_dim,
@@ -135,7 +135,7 @@ def _two_sinks():
     return Quiver(3, ((1, 2), (1, 3)))
 
 
-@pytest.mark.parametrize("builder,d,p,seed", [
+BRUTE_FORCE_CASES = [
     (kronecker, (2, 2), 3, 11),
     (kronecker, (2, 2), 5, 12),
     (kronecker, (3, 2), 3, 13),   # dualized direction
@@ -149,11 +149,41 @@ def _two_sinks():
     (_three_arrow, (3, 2), 3, 21),  # dual: saturated before the last row
     (_two_sinks, (3, 2, 2), 3, 22),  # one source, two sinks
     (_two_sinks, (2, 2, 1), 2, 23),
-])
+    (kronecker, (4, 2), 3, 24),  # up to three tails at the last row
+    (_two_sinks, (4, 1, 2), 3, 25),  # two targets: the product lattice
+]
+
+
+def _engine_both_ways(m):
+    """Counts from the engine run on m and, mapped back, on its dual: both
+    directions, not only the one `count_all_subreps` picks."""
+    direct = repfq._count_engine(m, repfq.DEFAULT_BUDGET)[0]
+    dual = repfq._count_engine(dual_rep(m), repfq.DEFAULT_BUDGET)[0]
+    return direct, {tuple(a - b for a, b in zip(m.dim, e)): c for e, c in dual.items()}
+
+
+@pytest.mark.parametrize("builder,d,p,seed", BRUTE_FORCE_CASES)
 def test_counts_match_brute_force(builder, d, p, seed):
     q = builder()
     m = sample_representation(q, d, p, seed)
-    assert count_all_subreps(m) == brute_force_counts(m)
+    want = brute_force_counts(m)
+    assert count_all_subreps(m) == want
+    assert _engine_both_ways(m) == (want, want)
+
+
+def test_brute_force_cases_reach_every_last_row_path(monkeypatch):
+    # closed form with one target, with several targets, and the loop
+    seen = set()
+
+    def spy(kern, targets, ntails):
+        out = image_rank_counts(kern, targets, ntails)
+        seen.add("loop" if out is None else min(len(targets), 2))
+        return out
+
+    monkeypatch.setattr(repfq, "image_rank_counts", spy)
+    for builder, d, p, seed in BRUTE_FORCE_CASES:
+        _engine_both_ways(sample_representation(builder(), d, p, seed))
+    assert seen == {1, 2, "loop"}
 
 
 @pytest.mark.parametrize("p", [2, 3, 43, 10007])
@@ -251,6 +281,18 @@ def test_counting_polynomial_rigid_21(kron):
     assert counting_polynomial(m, (0, 1)) == [1]
     assert counting_polynomial(m, (2, 1)) == [1]
     assert euler_char_grassmannian(kron, m, (1, 1)) == 2
+
+
+def test_single_e_rejects_a_bad_vector(kron):
+    # wrong length, out of range or not an integer: InputError, never a count
+    m = Representation(kron, 0, (2, 1), (((1, 0),), ((0, 1),)))
+    for e in ((1,), (1, 0, 5), (3, 0), (1.5, 0)):
+        with pytest.raises(InputError):
+            counting_polynomial(m, e)
+        with pytest.raises(InputError):
+            euler_char_grassmannian(kron, m, e)
+        with pytest.raises(InputError):
+            count_subreps(rep_mod(m, 5), e)
 
 
 def test_quasi_simple_counting_polynomials(kron):
