@@ -12,7 +12,7 @@ import time
 from itertools import product
 
 from . import affine, candecomp, ccmap, kronecker, mutation
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .quiver import (a_n, affine_a2, kronecker as kronecker_quiver,
                      negative_part, positive_part)
@@ -335,7 +335,6 @@ CRITERIA = (
 def run_criterion(k: int) -> dict:
     entry = next((c for c in CRITERIA if c[0] == k), None)
     if entry is None:
-        from .errors import InputError
         raise InputError("no criterion %r" % (k,))
     _k, name, fn = entry
     start = time.monotonic()

@@ -2,11 +2,11 @@
 tube representations on the double-arrow quiver, tagged generic variables
 and the desk-scale basis-membership report.
 
-Both polynomial families are normalized to the three-term recurrence
-P_{n+1}(x) = x*P_n(x) - P_{n-1}(x); they differ in the seed:
+Both polynomial families follow the three-term recurrence
+P_{n+1}(x) = x*P_n(x) - P_{n-1}(x) from P_1 = x; they differ only in P_0:
 
-    S: S_0 = 1, S_1 = x          (so S_n(t + 1/t) = (t^{n+1}-t^{-n-1})/(t-1/t))
-    F: F_1 = x, F_2 = x^2 - 2    (so F_n(t + 1/t) = t^n + t^{-n}), F_0 = 2
+    S: S_0 = 1                   (so S_n(t + 1/t) = (t^{n+1}-t^{-n-1})/(t-1/t))
+    F: F_0 = 2                   (so F_n(t + 1/t) = t^n + t^{-n})
 
 The integer sequences connecting x^n, S_n and F_n are what the basis
 comparisons on the double-arrow quiver are made of.
@@ -29,30 +29,25 @@ def chebyshev_s(n: int) -> list[int]:
     """Coefficient list (ascending) of S_n."""
     if n < 0:
         raise InputError("S_n needs n >= 0")
-    prev, cur = [1], [0, 1]  # S_0, S_1
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
+    return _three_term([1], n)
 
 
 def chebyshev_f(n: int) -> list[int]:
     """Coefficient list (ascending) of F_n, with F_0 = 2."""
     if n < 0:
         raise InputError("F_n needs n >= 0")
-    if n == 0:
-        return [2]
-    prev, cur = [2], [0, 1]  # F_0, F_1
-    for _ in range(n - 1):
+    return _three_term([2], n)
+
+
+def _three_term(p0: list[int], n: int) -> list[int]:
+    """P_n for P_{k+1} = x*P_k - P_{k-1}, P_1 = x and the given P_0."""
+    prev, cur = p0, [0, 1]
+    for _ in range(n):
         nxt = [0] + cur
         for i, c in enumerate(prev):
             nxt[i] -= c
         prev, cur = cur, nxt
-    return cur
+    return prev
 
 
 def s_as_f_sum(n: int) -> list[int]:
@@ -127,9 +122,7 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     route is independent of direct character evaluation at the composite
     vector and can be compared against it.
     """
-    d = tuple(int(x) for x in d)
-    if len(d) != q.vertices:
-        raise InputError("dimension vector length mismatch")
+    d = q.check_dim(d)
     aff = q.affine_data()
     if aff is None:
         raise InputError("structural generic values need an affine quiver")

@@ -15,19 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import mul
+from operator import mul, sub
 
 from . import rng
-from .errors import BudgetError, InputError
+from .errors import BudgetError, ConsistencyError, InputError
 from .quiver import DimVector, Quiver, positive_part
 from .repfq import (Representation, ext_dim, hom_dim, sample_representation)
-
-
-def _as_dim(q: Quiver, d) -> DimVector:
-    d = tuple(int(x) for x in d)
-    if len(d) != q.vertices:
-        raise InputError("dimension vector length mismatch")
-    return d
 
 
 def _proper_subvectors(e: DimVector):
@@ -47,9 +40,7 @@ def _ext_zero(q: Quiver, d: DimVector, e: DimVector) -> bool:
     proper generic subdimension vector s of e, where s embeds generically
     in e iff generic Ext(s, e - s) = 0. Each recursive call has a smaller
     total |d| + |e|, and the cheap Euler-form test comes first."""
-    c = list(d)  # <d, f> = sum(c_i f_i)
-    for s, t in q.arrows:
-        c[t - 1] -= d[s - 1]
+    c = q.euler_coefficients(d)[0]  # <d, f> = sum(c_i f_i)
     de = sum(map(mul, c, e))  # <d, e - s> < 0 iff <d, s> > <d, e>
     return de >= 0 and not any(sum(map(mul, c, s)) > de and _ext_zero(q, s, _minus(e, s))
                                for s in _proper_subvectors(e))
@@ -59,10 +50,8 @@ def _ext_zero(q: Quiver, d: DimVector, e: DimVector) -> bool:
 def _is_schur(q: Quiver, d: DimVector) -> bool:
     """d is Schur iff <s, d> - <d, s> > 0 for every proper generic
     subdimension vector s of d."""
-    w = [0] * q.vertices  # <s, d> - <d, s> = sum(w_i s_i)
-    for s, t in q.arrows:
-        w[t - 1] += d[s - 1]
-        w[s - 1] -= d[t - 1]
+    left, right = q.euler_coefficients(d)
+    w = list(map(sub, right, left))  # <s, d> - <d, s> = sum(w_i s_i)
     return not any(sum(map(mul, w, s)) <= 0 and _ext_zero(q, s, _minus(d, s))
                    for s in _proper_subvectors(d))
 
@@ -70,7 +59,7 @@ def _is_schur(q: Quiver, d: DimVector) -> bool:
 def is_schur_root(q: Quiver, d, seed: int = 0) -> bool:
     """True iff a general representation of dimension d has a trivial
     endomorphism algebra. Exact; seed does not change the answer."""
-    d = _as_dim(q, d)
+    d = q.check_dim(d)
     if not any(d):
         raise InputError("zero vector is not a root")
     if any(x < 0 for x in d):
@@ -83,8 +72,8 @@ def is_schur_root(q: Quiver, d, seed: int = 0) -> bool:
 def generic_ext_vanishes(q: Quiver, d, e, seed: int = 0) -> bool:
     """True iff Ext^1(M, N) = 0 for general representations M, N of
     dimensions d and e. Exact; seed does not change the answer."""
-    d = _as_dim(q, d)
-    e = _as_dim(q, e)
+    d = q.check_dim(d)
+    e = q.check_dim(e)
     if any(x < 0 for x in d) or any(x < 0 for x in e):
         raise InputError("module ext vanishing needs nonnegative vectors")
     return _ext_zero(q, d, e)
@@ -95,8 +84,8 @@ def generic_ext_vanishes_cluster(q: Quiver, d, e, seed: int = 0) -> bool:
     obstruct exactly the vectors with support at i on the other side, and
     the module parts must be ext-orthogonal both ways. Exact; seed does
     not change the answer."""
-    d = _as_dim(q, d)
-    e = _as_dim(q, e)
+    d = q.check_dim(d)
+    e = q.check_dim(e)
     for di, ei in zip(d, e):
         if (di < 0 and ei > 0) or (di > 0 and ei < 0):
             return False
@@ -157,7 +146,7 @@ def canonical_decomposition(q: Quiver, d, method: str = "auto",
     full pairwise witness certificate; seed picks the witnesses and does
     not change the summands.
     """
-    d = _as_dim(q, d)
+    d = q.check_dim(d)
     if any(x < 0 for x in d):
         raise InputError("canonical decomposition needs a nonnegative vector")
     if method not in ("auto", "search", "structural"):
@@ -263,7 +252,6 @@ def _find_witnesses(q: Quiver, instances: list[DimVector], seed: int) -> tuple:
 
 def verify_certificate(q: Quiver, dec: CanonicalDecomposition) -> bool:
     """Exactly re-check the stored witnesses; ConsistencyError on failure."""
-    from .errors import ConsistencyError
     total = [0] * q.vertices
     for e, mult, _tag_ in dec.summands:
         for i, x in enumerate(e):

@@ -30,7 +30,7 @@ from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import (DEFAULT_BUDGET, DEFAULT_PRIMES, Representation, chi_all,
-                    ext_dim, hom_dim, sample_integer_rep)
+                    direct_sum, ext_dim, hom_dim, sample_integer_rep, zero_rep)
 
 GENERIC_RETRIES = 12
 
@@ -68,20 +68,16 @@ def cc_of_module(m: Representation, pool=DEFAULT_PRIMES,
     if not any(m.dim):
         return LaurentPoly.one(n)
     chi = chi_all(m, pool=pool, budget=budget, guards=guards)
-    d = m.dim
+    # -<e, a_i> - <a_i, d - e> = <a_i, e> - <e, a_i> - <a_i, d>
+    base = q.euler_coefficients(m.dim)[1]
     acc: dict[tuple, int] = {}
     for e, c in chi.items():
         if c == 0:
             continue
-        rest = tuple(a - b for a, b in zip(d, e))
-        exp = tuple(-q.euler_form(e, _unit(n, i)) - q.euler_form(_unit(n, i), rest)
-                    for i in range(n))
+        left, right = q.euler_coefficients(e)
+        exp = tuple(r - l - b for l, r, b in zip(left, right, base))
         acc[exp] = acc.get(exp, 0) + c
     return LaurentPoly(n, acc)
-
-
-def _unit(n: int, i: int) -> DimVector:
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def cc_of_object(obj: DecoratedRep, pool=DEFAULT_PRIMES,
@@ -130,9 +126,7 @@ def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     result must equal d exactly. Values are cached on every argument,
     so a cached value never outlives the caller's budget or retries.
     """
-    d = tuple(int(x) for x in d)
-    if len(d) != q.vertices:
-        raise InputError("dimension vector length mismatch")
+    d = q.check_dim(d)
     return _generic_variable(q, d, int(seed), tuple(pool), budget, retries)
 
 
@@ -224,7 +218,6 @@ def _sample_parts(q: Quiver, instances, seed: int,
 
 
 def _direct_sum_all(q: Quiver, parts) -> Representation:
-    from .repfq import direct_sum, zero_rep
     total = zero_rep(q, 0)
     for part in parts:
         total = direct_sum(total, part)
@@ -235,7 +228,7 @@ def rigid_integer_rep(q: Quiver, e, seed: int = 0,
                       retries: int = GENERIC_RETRIES) -> Representation:
     """An integer representation of a real Schur root with End = Q and
     Ext = 0, found by small-entry sampling."""
-    e = tuple(int(x) for x in e)
+    e = q.check_dim(e)
     if q.q_norm(e) != 1:
         raise InputError("rigid representatives need a real root")
     for attempt in range(retries):

@@ -8,10 +8,11 @@ indexed by multiples of delta = (1,1):
     SZ : F_n(z), the trace-normalized family (F_n(t + 1/t) = t^n + t^-n)
     CZ : S_n(z), the quotient-normalized family
 
-with the index-0 element of every layer normalized to 1. Base changes are
-computed from integer recurrences and re-verified as exact Laurent
-identities, so the frozen matrices in the comparison tests are checked
-against two independent routes.
+with the index-0 element of every layer normalized to 1. Element n of each
+layer is a monic integer polynomial of degree n in z, so every base change
+is one unitriangular back-substitution on the coefficient table, and every
+column is re-verified as an exact Laurent identity among integer
+combinations of the powers of z.
 """
 
 from __future__ import annotations
@@ -53,86 +54,79 @@ def family_element(kind: str, n: int, pool=DEFAULT_PRIMES,
         raise InputError("unknown family %r" % (kind,))
     if n < 0:
         raise InputError("layer index must be nonnegative")
-    z = z_character(pool=pool, budget=budget)
-    if n == 0:
-        return LaurentPoly.one(2)
+    return _combine(_coeffs(kind, n), _powers(n + 1, pool, budget))
+
+
+def _coeffs(kind: str, j: int) -> list[int]:
+    """Element j of a family as integer coefficients over z^0, ..., z^j."""
     if kind == "G":
-        return z ** n
-    coeffs = affine.chebyshev_f(n) if kind == "SZ" else affine.chebyshev_s(n)
-    return LaurentPoly.substitute_univariate(coeffs, z)
+        return [0] * j + [1]
+    if kind == "SZ":
+        return affine.chebyshev_f(j) if j else [1]
+    return affine.chebyshev_s(j)
+
+
+def _powers(n: int, pool=DEFAULT_PRIMES,
+            budget: int = DEFAULT_BUDGET) -> list[LaurentPoly]:
+    """z^0, ..., z^(n-1): every layer element is a combination of these."""
+    z = z_character(pool=pool, budget=budget)
+    out = [LaurentPoly.one(2)]
+    while len(out) < n:
+        out.append(out[-1] * z)
+    return out
+
+
+def _combine(coeffs, polys) -> LaurentPoly:
+    acc = LaurentPoly.zero(2)
+    for c, p in zip(coeffs, polys):
+        if c:
+            acc = acc + p.scale(c)
+    return acc
+
+
+def _column(source: str, target: str, j: int) -> list[int]:
+    """Expansion of source element j in the target layer (length j+1), by
+    back-substitution: target element i is monic of degree i in z."""
+    rest = _coeffs(source, j)
+    col = [0] * (j + 1)
+    for i in range(j, -1, -1):
+        c = col[i] = rest[i]
+        if c:
+            for k, v in enumerate(_coeffs(target, i)):
+                rest[k] -= c * v
+    return col
+
+
+def _verify(source: str, target: str, cols: dict) -> None:
+    """Re-check each column j of `cols` as the exact Laurent identity
+    source_j = sum_i cols[j][i] * target_i; ConsistencyError on failure."""
+    powers = _powers(max(map(len, cols.values())))
+    targets = [_combine(_coeffs(target, i), powers) for i in range(len(powers))]
+    for j, col in cols.items():
+        if _combine(col, targets) != _combine(_coeffs(source, j), powers):
+            raise ConsistencyError(
+                "column %d of %s->%s fails the Laurent identity"
+                % (j, source, target))
 
 
 def expand_in_F(n: int) -> list[int]:
     """Coefficients lambda with z^n = sum_i lambda_i * E_i where E_0 = 1
-    and E_i = F_i(z); computed by the multiply-by-z recurrence and
-    re-verified as an exact Laurent identity."""
-    if n < 0:
-        raise InputError("n >= 0 required")
-    return list(_expand_in_F(n))
-
-
-@cache
-def _expand_in_F(n: int) -> tuple:
-    lam = [1]
-    for _ in range(n):
-        new = [0] * (len(lam) + 1)
-        for i, c in enumerate(lam):
-            if c == 0:
-                continue
-            if i == 0:
-                new[1] += c
-            elif i == 1:
-                new[0] += 2 * c
-                new[2] += c
-            else:
-                new[i - 1] += c
-                new[i + 1] += c
-        lam = new
-    lam = lam[:n + 1]
-    acc = LaurentPoly.zero(2)
-    for i, c in enumerate(lam):
-        if c:
-            acc = acc + family_element("SZ", i).scale(c)
-    if acc != family_element("G", n):
-        raise ConsistencyError("F-expansion of z^%d fails to verify" % n)
-    return tuple(lam)
+    and E_i = F_i(z), re-verified as an exact Laurent identity."""
+    return _expand("SZ", n)
 
 
 def expand_in_S(n: int) -> list[int]:
-    """Coefficients mu with z^n = sum_i mu_i * E_i, E_0 = 1, E_i = S_i(z):
-    mu_i = lambda_i - lambda_{i+2}."""
-    lam = expand_in_F(n)
-    mu = [lam[i] - (lam[i + 2] if i + 2 <= n else 0) for i in range(n + 1)]
-    acc = LaurentPoly.zero(2)
-    for i, c in enumerate(mu):
-        if c:
-            acc = acc + family_element("CZ", i).scale(c)
-    if acc != family_element("G", n):
-        raise ConsistencyError("S-expansion of z^%d fails to verify" % n)
-    return mu
+    """Coefficients mu with z^n = sum_i mu_i * E_i, E_0 = 1, E_i = S_i(z),
+    re-verified as an exact Laurent identity."""
+    return _expand("CZ", n)
 
 
-def _column(source: str, target: str, j: int) -> list[int]:
-    """Expansion of source element j in the target layer (length j+1)."""
-    if source == target:
-        return [0] * j + [1]
-    if source == "G" and target == "SZ":
-        return expand_in_F(j)
-    if source == "G" and target == "CZ":
-        return expand_in_S(j)
-    if source == "SZ" and target == "G":
-        return [1] if j == 0 else affine.chebyshev_f(j)
-    if source == "CZ" and target == "G":
-        return affine.chebyshev_s(j)
-    if source == "SZ" and target == "CZ":
-        col = [0] * (j + 1)
-        col[j] += 1
-        if j >= 2:
-            col[j - 2] -= 1
-        return col
-    if source == "CZ" and target == "SZ":
-        return affine.s_as_f_sum(j)
-    raise InputError("unknown family pair %r -> %r" % (source, target))
+def _expand(target: str, n: int) -> list[int]:
+    if n < 0:
+        raise InputError("n >= 0 required")
+    col = _column("G", target, n)
+    _verify("G", target, {n: col})
+    return col
 
 
 @dataclass(frozen=True)
@@ -173,25 +167,15 @@ def base_change(source: str, target: str, size: int) -> BaseChangeMatrix:
                     raise ConsistencyError("base change is not triangular")
                 if (i - j) % 2 and m[i][j] != 0:
                     raise ConsistencyError("base change breaks parity")
-    for j in range(size):
-        acc = LaurentPoly.zero(2)
-        for i in range(size):
-            if mat[i][j]:
-                acc = acc + family_element(target, i).scale(mat[i][j])
-        if acc != family_element(source, j):
-            raise ConsistencyError(
-                "column %d of %s->%s fails the Laurent identity"
-                % (j, source, target))
+    _verify(source, target, {j: [row[j] for row in mat] for j in range(size)})
     return BaseChangeMatrix(source=source, target=target, size=size,
                             matrix=mat, inverse=inv)
 
 
 def _square(source: str, target: str, size: int) -> tuple:
-    cols = []
-    for j in range(size):
-        c = _column(source, target, j)
-        cols.append(list(c[:size]) + [0] * (size - min(size, len(c))))
-    return tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
+    cols = [_column(source, target, j) + [0] * (size - 1 - j)
+            for j in range(size)]
+    return tuple(zip(*cols))
 
 
 def _check_identity(a, b):
@@ -233,12 +217,12 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
     with denominator in the box plus the imaginary layer up to n_max."""
     if kind not in KINDS:
         raise InputError("unknown family %r" % (kind,))
-    bound = tuple(int(x) for x in monomial_bound)
-    if len(bound) != 2 or any(x < 0 for x in bound):
+    q = kronecker()
+    bound = q.check_dim(monomial_bound)
+    if any(x < 0 for x in bound):
         raise InputError("monomial bound must be a nonnegative pair")
     if n_max < 0:
         raise InputError("n_max must be nonnegative")
-    q = kronecker()
     table = mutation.enumerate_cluster_variables(q, max(bound) + 3, budget=budget)
     monos = mutation.cluster_monomials(table, q, bound, budget=budget)
     elements = []
@@ -247,8 +231,9 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
         name = "mono:%d,%d" % poly.denominator_vector()
         elements.append((name, poly))
         seen.add(poly.key())
+    powers = _powers(n_max + 1, pool, budget)
     for n in range(1, n_max + 1):
-        p = family_element(kind, n, pool=pool, budget=budget)
+        p = _combine(_coeffs(kind, n), powers)
         if p.denominator_vector() != (n, n):
             raise ConsistencyError(
                 "layer element %d has denominator %r" % (n, p.denominator_vector()))

@@ -6,11 +6,13 @@ Serialization orders terms lexicographically by exponent vector, which
 makes every emitted document byte-deterministic.
 
 The public constructor `LaurentPoly(nvars, terms)`, and the builders and
-`from_json` that go through it, validate: exponent vectors are re-tupled
-as ints of length `nvars` and zero coefficients are dropped. Results of
-arithmetic on polynomials that are already valid (`+`, `-`, `*`, `scale`,
-`shift`, powers and quotients) skip that pass and store their term map
-as built.
+`from_json` that go through it, validate: exponent vectors become tuples
+of `nvars` ints, coefficients become ints, a value that is not integral
+(0.5, "1") raises InputError instead of being truncated, and zero
+coefficients are dropped; `shift` checks its exponent the same way.
+Results of arithmetic on polynomials that are already valid (`+`, `-`,
+`*`, `scale`, `shift`, powers and quotients) skip that pass and store
+their term map as built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,17 @@ from .errors import ConsistencyError, InputError
 _DIV_STEP_CAP = 2_000_000
 
 
+def _as_int(x) -> int:
+    """x as an int; InputError unless x has an integral value (2, True,
+    2.0), so nothing is truncated."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError("%r is not an integer" % (x,))
+
+
 class LaurentPoly:
     """Immutable exact Laurent polynomial in `nvars` variables."""
 
@@ -33,10 +46,12 @@ class LaurentPoly:
             raise InputError("nvars must be positive")
         clean: dict[tuple[int, ...], int] = {}
         for exp, coef in (terms or {}).items():
+            exp = tuple(map(_as_int, exp))
             if len(exp) != nvars:
                 raise InputError("exponent length %d != nvars %d" % (len(exp), nvars))
+            coef = _as_int(coef)
             if coef:
-                clean[tuple(int(e) for e in exp)] = int(coef)
+                clean[exp] = coef
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -157,7 +172,7 @@ class LaurentPoly:
 
     def shift(self, exp: Iterable[int]) -> "LaurentPoly":
         """Multiply by the monomial u^exp."""
-        exp = tuple(int(a) for a in exp)
+        exp = tuple(map(_as_int, exp))
         if len(exp) != self.nvars:
             raise InputError("exponent length %d != nvars %d" % (len(exp), self.nvars))
         return LaurentPoly._trusted(self.nvars, {tuple(map(add, e, exp)): c

@@ -264,17 +264,6 @@ def cluster_monomials(table: ClusterVariableTable, q: Quiver, max_den,
     return [found[k] for k in sorted(found)]
 
 
-def monomials_by_den(monomials: list[LaurentPoly]) -> dict[DimVector, LaurentPoly]:
-    """Index monomials by denominator vector, requiring injectivity."""
-    out: dict[DimVector, LaurentPoly] = {}
-    for m in monomials:
-        den = m.denominator_vector()
-        if den in out and out[den] != m:
-            raise ConsistencyError("two cluster monomials share denominator %r" % (den,))
-        out[den] = m
-    return out
-
-
 def laurent_check(table: ClusterVariableTable) -> dict:
     """Summary of the table: every stored variable is an integer Laurent
     polynomial by construction; report sizes and coefficient positivity."""

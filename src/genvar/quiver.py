@@ -46,6 +46,9 @@ class Quiver:
                 raise InputError("arrow (%d,%d) out of range" % (s, t))
             if s == t:
                 raise InputError("loops are not allowed")
+        # n - 2 or fewer edges leave n vertices disconnected: reject before allocating
+        if n > len(self.arrows) + 1:
+            raise InputError("underlying graph must be connected")
         self.topological_order()  # raises on oriented cycles
         if not self._connected():
             raise InputError("underlying graph must be connected")
@@ -108,19 +111,32 @@ class Quiver:
 
     # --------------------------------------------------------------- forms
 
-    def _check_dim(self, e) -> DimVector:
-        e = tuple(int(x) for x in e)
+    def check_dim(self, e) -> DimVector:
+        """e as a tuple; InputError unless it holds one int (no bool) per vertex."""
+        e = tuple(e)
         if len(e) != self.vertices:
             raise InputError("dimension vector length %d != %d" % (len(e), self.vertices))
+        if any(type(x) is not int for x in e):
+            raise InputError("dimension vector %r must hold integers" % (e,))
         return e
 
     def euler_form(self, e, f) -> int:
-        e = self._check_dim(e)
-        f = self._check_dim(f)
+        e = self.check_dim(e)
+        f = self.check_dim(f)
         total = sum(a * b for a, b in zip(e, f))
         for s, t in self.arrows:
             total -= e[s - 1] * f[t - 1]
         return total
+
+    def euler_coefficients(self, d) -> tuple[list[int], list[int]]:
+        """Vectors l and r with <d, f> = sum_i l_i f_i and
+        <f, d> = sum_i r_i f_i for every f."""
+        d = self.check_dim(d)
+        left, right = list(d), list(d)
+        for s, t in self.arrows:
+            left[t - 1] -= d[s - 1]
+            right[s - 1] -= d[t - 1]
+        return left, right
 
     def q_norm(self, e) -> int:
         """Quadratic Tits norm (e,e) = <e,e>."""
@@ -142,7 +158,7 @@ class Quiver:
 
     def positive_roots(self, box) -> list[tuple[DimVector, str]]:
         """All nonzero e <= box with (e,e) <= 1, tagged 'real' or 'imaginary'."""
-        box = self._check_dim(box)
+        box = self.check_dim(box)
         if any(b < 0 for b in box):
             raise InputError("box entries must be nonnegative")
         out = []

@@ -51,18 +51,18 @@ class Representation:
     matrices: tuple  # per arrow: rows (length dim[target]) of tuples (length dim[source])
 
     def __post_init__(self):
-        q = self.quiver
-        d = tuple(int(x) for x in self.dim)
-        if len(d) != q.vertices or any(x < 0 for x in d):
+        q, p = self.quiver, self.p
+        d = q.check_dim(self.dim)
+        if any(x < 0 for x in d):
             raise InputError("bad dimension vector %r" % (self.dim,))
-        if self.p != 0 and not is_prime(self.p):
+        if p != 0 and not is_prime(p):
             raise InputError("field characteristic must be 0 or a prime")
         if len(self.matrices) != len(q.arrows):
             raise InputError("expected %d arrow matrices" % len(q.arrows))
         mats = []
         for (s, t), m in zip(q.arrows, self.matrices):
-            rows = tuple(tuple(int(x) % self.p if self.p else int(x) for x in row)
-                         for row in m)
+            rows = tuple([tuple([(x % p if p else x) if type(x) is int else _not_int(x)
+                                 for x in row]) for row in m])
             if len(rows) != d[t - 1] or any(len(r) != d[s - 1] for r in rows):
                 raise InputError("matrix shape mismatch on arrow (%d,%d)" % (s, t))
             mats.append(rows)
@@ -87,6 +87,10 @@ class Representation:
                     for m in mats)):
             raise InputError("'dim' and 'matrices' must hold integers only")
         return cls(q, p, tuple(dim), tuple(tuple(tuple(r) for r in m) for m in mats))
+
+
+def _not_int(x):
+    raise InputError("matrix entry %r is not an integer" % (x,))
 
 
 def is_prime(n: int) -> bool:
@@ -168,7 +172,7 @@ def rep_mod(m: Representation, p: int) -> Representation:
 
 def sample_representation(q: Quiver, d, p: int, rng_seed: int) -> Representation:
     """Uniformly random arrow matrices over F_p, deterministic in rng_seed."""
-    d = tuple(int(x) for x in d)
+    d = q.check_dim(d)
     rng = random.Random(rng_seed)
     mats = []
     for s, t in q.arrows:
@@ -180,7 +184,7 @@ def sample_representation(q: Quiver, d, p: int, rng_seed: int) -> Representation
 def sample_integer_rep(q: Quiver, d, rng: random.Random,
                        lo: int = -3, hi: int = 3) -> Representation:
     """Random integer representation with entries in [lo, hi], over Q."""
-    d = tuple(int(x) for x in d)
+    d = q.check_dim(d)
     mats = []
     for s, t in q.arrows:
         mats.append(tuple(tuple(rng.randint(lo, hi) for _ in range(d[s - 1]))

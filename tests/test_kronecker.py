@@ -4,8 +4,8 @@ between their imaginary layers."""
 import pytest
 
 from genvar import kronecker as kb
-from genvar.affine import chebyshev_f, chebyshev_s
-from genvar.errors import BudgetError, InputError
+from genvar.affine import chebyshev_f, chebyshev_s, s_as_f_sum
+from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.laurent import LaurentPoly
 
 
@@ -124,6 +124,32 @@ def test_base_change_columns_match_polynomials():
         f, s = chebyshev_f(j), chebyshev_s(j)
         assert [sz_to_g[i][j] for i in range(j + 1)] == f
         assert [cz_to_g[i][j] for i in range(j + 1)] == s
+
+
+def test_solved_quotient_columns_match_the_closed_form():
+    n = 12
+    cz_to_sz = kb.base_change("CZ", "SZ", n).matrix
+    for j in range(n):
+        assert [cz_to_sz[i][j] for i in range(j + 1)] == s_as_f_sum(j)
+
+
+def test_corrupted_column_fails_the_laurent_identity(monkeypatch):
+    solve = kb._column
+
+    # z^2 = F_2 + 2: write 3 in G->SZ and -3 in SZ->G, so the two matrices
+    # stay mutually inverse, unipotent and on the parity checkerboard
+    def corrupt(source, target, j):
+        col = solve(source, target, j)
+        if j == 2 and (source, target) in (("G", "SZ"), ("SZ", "G")):
+            col[0] += 1 if source == "G" else -1
+        return col
+
+    monkeypatch.setattr(kb, "_column", corrupt)
+    with pytest.raises(ConsistencyError, match="Laurent identity"):
+        kb.base_change("G", "SZ", 4)
+    with pytest.raises(ConsistencyError, match="Laurent identity"):
+        kb.expand_in_F(2)
+    kb.expand_in_F(3)  # other columns still verify
 
 
 def test_positivity_reports():

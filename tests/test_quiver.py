@@ -1,13 +1,20 @@
 """Quiver combinatorics: forms, roots, affine structure, validation."""
 
 import random
+import tracemalloc
+from operator import mul
 
 import pytest
 
 from genvar import quiver as quiver_mod
+from genvar.affine import generic_variable_affine
+from genvar.candecomp import canonical_decomposition
+from genvar.ccmap import generic_variable
 from genvar.errors import InputError
+from genvar.laurent import LaurentPoly
 from genvar.quiver import (Quiver, WildTypeError, a_n, affine_a2, kronecker,
                            negative_part, positive_part)
+from genvar.repfq import Representation, sample_integer_rep
 
 
 def test_builders_shape(kron, a3, atilde):
@@ -36,6 +43,39 @@ def test_euler_form_hand_values(kron, a3):
     assert kron.euler_form((1, 1), (1, 1)) == 0
     assert a3.euler_form((1, 1, 0), (0, 1, 1)) == 1 - 1 - 1  # = -1
     assert a3.euler_form((0, 1, 1), (1, 1, 0)) == 1
+
+
+def test_euler_coefficients_match_the_form(kron, atilde):
+    rng = random.Random(5)
+    for q in (kron, atilde):
+        for _ in range(40):
+            d = tuple(rng.randint(-3, 3) for _ in range(q.vertices))
+            f = tuple(rng.randint(-3, 3) for _ in range(q.vertices))
+            left, right = q.euler_coefficients(d)
+            assert sum(map(mul, left, f)) == q.euler_form(d, f)
+            assert sum(map(mul, right, f)) == q.euler_form(f, d)
+
+
+# Each of these was truncated by int() and answered for another vector.
+NON_INTEGER_INPUTS = {
+    "generic_variable": lambda: generic_variable(kronecker(), (1.5, 1)),
+    "canonical_decomposition": lambda: canonical_decomposition(kronecker(), (2.7, 1)),
+    "euler_form": lambda: kronecker().euler_form((1.9, 0), (1, 0)),
+    "euler_form_bool": lambda: kronecker().euler_form((True, 0), (1, 0)),
+    "generic_variable_affine": lambda: generic_variable_affine(kronecker(), (2.2, 2)),
+    "laurent": lambda: LaurentPoly(2, {(0.5, 0): 1.7}),
+    "laurent_coefficient": lambda: LaurentPoly(2, {(0, 0): 1.7}),
+    "laurent_shift": lambda: LaurentPoly.one(2).shift((0.5, 0)),
+    "rep_dim": lambda: Representation(kronecker(), 0, (1.0, 1), (((1,),), ((1,),))),
+    "rep_entry": lambda: Representation(kronecker(), 5, (1, 1), (((1.5,),), ((1,),))),
+    "sample": lambda: sample_integer_rep(kronecker(), (2, 1.5), random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUTS))
+def test_non_integer_vectors_are_rejected(name):
+    with pytest.raises(InputError):
+        NON_INTEGER_INPUTS[name]()
 
 
 def test_q_norm_detects_roots(kron, atilde):
@@ -140,6 +180,17 @@ def test_json_roundtrip(atilde):
         Quiver.from_json({"vertices": 2})
     with pytest.raises(InputError):
         Quiver.from_json({"vertices": 2, "arrows": [[1, 2, 3]]})
+
+
+def test_huge_disconnected_vertex_count_is_rejected_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="connected"):
+            Quiver.from_json({"vertices": 10 ** 6, "arrows": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def reference_topological_order(q):
