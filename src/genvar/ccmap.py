@@ -13,9 +13,10 @@ non-rigid vectors additionally require three independently accepted
 samples to agree. den(X_d) = d is asserted on every result.
 
 A sample is a direct sum of one sampled module per summand instance.
-Its certificates are taken on the whole direct sum, but its character
-is assembled summand by summand, since X_{M+N} = X_M * X_N for every
-direct sum (Caldero-Chapoton 2006, Prop. 3.6).
+Its certificates read the Hom dimensions between its blocks, since
+Hom(+P_i, +P_j) = +Hom(P_i, P_j), and its character is assembled summand
+by summand, since X_{M+N} = X_M * X_N for every direct sum
+(Caldero-Chapoton 2006, Prop. 3.6).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import (DEFAULT_BUDGET, DEFAULT_PRIMES, Representation, chi_all,
-                    direct_sum, ext_dim, hom_dim, sample_integer_rep, zero_rep)
+                    direct_sum, hom_dim, sample_integer_rep, zero_rep)
 
 GENERIC_RETRIES = 12
 
@@ -119,15 +120,19 @@ def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     Negative coordinates contribute shifted projectives (plain variable
     factors); the positive part is evaluated on a certified generic
     module. That module is sampled as a direct sum of one part per
-    summand instance of the canonical decomposition, and certified as a
-    whole; its character is the product of the parts' characters
+    summand instance of the canonical decomposition, and certified from
+    the Hom dimensions between its parts; its character is the product of
+    the parts' characters
     (X_{M+N} = X_M * X_N, Caldero-Chapoton 2006, Prop. 3.6), each part
     counted at primes good for that part. The denominator vector of the
     result must equal d exactly. Values are cached on every argument,
     so a cached value never outlives the caller's budget or retries.
+    InputError unless `seed` is an int.
     """
     d = q.check_dim(d)
-    return _generic_variable(q, d, int(seed), tuple(pool), budget, retries)
+    if type(seed) is not int:
+        raise InputError("seed %r must be an integer" % (seed,))
+    return _generic_variable(q, d, seed, tuple(pool), budget, retries)
 
 
 @cache
@@ -154,22 +159,25 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
     need = 1 if rigid_shape else 3
     for attempt in range(retries):
         parts = _sample_parts(q, instances, seed, attempt)
-        m = _direct_sum_all(q, parts)
-        if hom_dim(m, m) != predicted:
+        # Hom of a direct sum is the direct sum of the Homs of its blocks
+        hom = sum(hom_dim(a, b) for a in parts for b in parts)
+        if hom != predicted:
             continue
         if rigid_shape:
-            if ext_dim(m, m) != 0:
+            ext = hom - q.euler_form(dp, dp)
+            if ext < 0:
+                raise ConsistencyError("negative ext dimension computed")
+            if ext != 0:
                 continue
-        else:
-            # Guards certify that the non-rigid summands avoid the
-            # exceptional tubes; rigid summands may legitimately share a
-            # dimension vector with a guard, so they are excluded here.
-            imag = _direct_sum_all(
-                q, [part for part, t in zip(parts, tags) if t != "real_schur"])
-            if any(hom_dim(imag, g) != 0 or hom_dim(g, imag) != 0
-                   for g in guards):
-                continue
-        accepted.append(m)
+        # Guards certify that the non-rigid summands avoid the exceptional
+        # tubes; rigid summands may legitimately share a dimension vector
+        # with a guard, so they are excluded here. Hom into or out of a
+        # direct sum vanishes exactly when it vanishes on every summand.
+        elif any(hom_dim(part, g) != 0 or hom_dim(g, part) != 0
+                 for part, t in zip(parts, tags) if t != "real_schur"
+                 for g in guards):
+            continue
+        accepted.append(_direct_sum_all(q, parts))
         value = LaurentPoly.one(n)
         for part in parts:
             value = value * cc_of_module(part, pool=pool, budget=budget,
@@ -234,7 +242,7 @@ def rigid_integer_rep(q: Quiver, e, seed: int = 0,
     for attempt in range(retries):
         r = rng.make_rng(seed, "rigid", e, attempt)
         m = sample_integer_rep(q, e, r)
-        if hom_dim(m, m) == 1 and ext_dim(m, m) == 0:
+        if hom_dim(m, m) == 1:  # Ext = End - <e, e> = 0 on a real root
             return m
     raise BudgetError("no rigid representative of %r within %d attempts"
                       % (e, retries))

@@ -165,7 +165,7 @@ class LaurentPoly:
         return LaurentPoly._trusted(self.nvars, {e: c for e, c in out.items() if c})
 
     def scale(self, c: int) -> "LaurentPoly":
-        c = int(c)
+        c = _as_int(c)
         if c == 0:
             return LaurentPoly.zero(self.nvars)
         return LaurentPoly._trusted(self.nvars, {e: c * k for e, k in self.terms.items()})

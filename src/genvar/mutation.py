@@ -200,14 +200,8 @@ def cluster_monomials(table: ClusterVariableTable, q: Quiver, max_den,
     against `budget`; BudgetError past it. Each power x ** m is computed
     once per call.
     """
-    max_den = tuple(int(x) for x in max_den)
-    if len(max_den) != q.vertices:
-        raise InputError("max_den has wrong length")
-    if min_den is None:
-        min_den = tuple(-x for x in max_den)
-    min_den = tuple(int(x) for x in min_den)
-    if len(min_den) != q.vertices:
-        raise InputError("min_den has wrong length")
+    max_den = q.check_dim(max_den)
+    min_den = tuple(-x for x in max_den) if min_den is None else q.check_dim(min_den)
     n = q.vertices
     cap = sum(abs(a) + abs(b) for a, b in zip(min_den, max_den)) + 2
     found: dict[tuple, LaurentPoly] = {}

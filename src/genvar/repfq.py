@@ -25,7 +25,13 @@ of those images by Moebius inversion on the subspace lattice
 
 Euler characteristics interpolate the counts at good primes with one
 integer Lagrange basis per number of nodes, checking integrality by
-divisibility and the fit on every further prime.
+divisibility and the fit on every further prime. A prime is good when
+reduction keeps the Hom dimensions of the module (and of its guards).
+Each Hom system is eliminated once over Q: the last Bareiss pivot d is a
+nonzero minor of full rank, so every prime not dividing d keeps that Hom
+dimension, and only the primes dividing d are decided over F_p. Should a
+count still jump at one good prime, the sweep draws one more prime and
+leaves that one out.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .linalg import PackedFp, gauss_binom, image_rank_counts, rank_fraction, rank_mod_p
+from .linalg import (PackedFp, echelon, gauss_binom, image_rank_counts, interpolate,
+                     poly_eval, rank_fraction, rank_mod_p)
 from .quiver import DimVector, Quiver
 
 DEFAULT_BUDGET = 10_000_000
@@ -194,11 +201,10 @@ def sample_integer_rep(q: Quiver, d, rng: random.Random,
 
 # ------------------------------------------------------------- hom and ext
 
-def hom_dim(m: Representation, n: Representation) -> int:
-    """Dimension of the space of intertwiners m -> n: the number of
-    unknowns minus the rank of the intertwining equations, taken by the
-    packed kernel over F_p (`rank_mod_p`) and by fraction-free integer
-    elimination over Q (`rank_fraction`)."""
+def _hom_equations(m: Representation, n: Representation) -> tuple[int, list[list[int]]]:
+    """The intertwining equations phi_t * M_a = N_a * phi_s of Hom(m, n):
+    (number of unknowns, integer rows). They are linear in the matrix
+    entries, so reducing them mod p gives the equations of the reductions."""
     if m.quiver != n.quiver:
         raise InputError("hom_dim needs a common quiver")
     if m.p != n.p:
@@ -208,8 +214,6 @@ def hom_dim(m: Representation, n: Representation) -> int:
     for v in range(m.quiver.vertices):
         offs.append(total)
         total += n.dim[v] * m.dim[v]
-    if total == 0:
-        return 0
     rows = []
     for (s, t), ma, na in zip(m.quiver.arrows, m.matrices, n.matrices):
         ss, tt = s - 1, t - 1
@@ -222,10 +226,30 @@ def hom_dim(m: Representation, n: Representation) -> int:
                 for k in range(n.dim[ss]):
                     row[offs[ss] + k * m.dim[ss] + c] -= na[r][k]
                 rows.append(row)
+    return total, rows
+
+
+def hom_dim(m: Representation, n: Representation) -> int:
+    """Dimension of the space of intertwiners m -> n: the number of
+    unknowns minus the rank of the intertwining equations, taken by the
+    packed kernel over F_p (`rank_mod_p`) and by fraction-free integer
+    elimination over Q (`rank_fraction`)."""
+    total, rows = _hom_equations(m, n)
     if not rows:
         return total
-    rank = rank_mod_p(rows, m.p) if m.p else rank_fraction(rows)
-    return total - rank
+    return total - (rank_mod_p(rows, m.p) if m.p else rank_fraction(rows))
+
+
+def _hom_minor(m: Representation, n: Representation) -> tuple[int, int]:
+    """(dim Hom(m, n) over Q, d) for integer m and n, d the last Bareiss
+    pivot of the intertwining equations (1 when they have rank 0).
+
+    d is a nonzero r x r minor of the equations, r their rank over Q.
+    Reduction mod p never raises a rank, and it keeps this minor nonzero
+    when p does not divide d, so every such prime keeps the dimension."""
+    total, rows = _hom_equations(m, n)
+    _ech, pivots, d = echelon(rows)
+    return total - len(pivots), d
 
 
 def ext_dim(m: Representation, n: Representation) -> int:
@@ -252,9 +276,9 @@ def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[D
     key = m.key()
     hit = _COUNT_CACHE.get(key)
     if hit is None:
-        dual = dual_rep(m)
-        if _enum_cost(dual) < _enum_cost(m):
-            dual_counts, visits = _count_engine(dual, budget)
+        arrows = m.quiver.arrows
+        if _enum_cost(m, {t for _, t in arrows}) < _enum_cost(m, {s for s, _ in arrows}):
+            dual_counts, visits = _count_engine(dual_rep(m), budget)
             counts = {tuple(a - b for a, b in zip(m.dim, e)): c
                       for e, c in dual_counts.items()}
         else:
@@ -271,14 +295,13 @@ def count_subreps(m: Representation, e, budget: int = DEFAULT_BUDGET) -> int:
     return count_all_subreps(m, budget).get(e, 0)
 
 
-def _enum_cost(m: Representation) -> int:
-    """Upper estimate of enumerated subspace tuples: product over vertices
+def _enum_cost(m: Representation, enumerated: set) -> int:
+    """Upper estimate of enumerated subspace tuples of m, or of its dual
+    when `enumerated` holds the arrow targets: product over the vertices
     that have outgoing arrows of the total subspace counts."""
     cost = 1
-    has_out = {s for s, _ in m.quiver.arrows}
-    for v in range(1, m.quiver.vertices + 1):
-        if v in has_out:
-            cost *= sum(gauss_binom(m.dim[v - 1], k, m.p) for k in range(m.dim[v - 1] + 1))
+    for v in enumerated:
+        cost *= sum(gauss_binom(m.dim[v - 1], k, m.p) for k in range(m.dim[v - 1] + 1))
     return cost
 
 
@@ -453,80 +476,67 @@ def good_primes(m_int: Representation, pool, count: int,
     The guard comparison matters for non-rigid modules: a prime can keep
     End(m) intact while sliding a summand's isomorphism class into a
     special position mod p, which changes subrepresentation counts and
-    would poison the interpolation."""
-    target = hom_dim(m_int, m_int)
-    guard_targets = [(g, hom_dim(m_int, g), hom_dim(g, m_int)) for g in guards]
+    would poison the interpolation.
+
+    Each Hom pair is eliminated once over Q (`_hom_minor`), giving its
+    dimension and a nonzero minor d of its equations. A prime that does
+    not divide d keeps that dimension, so it passes without any reduction;
+    only when p divides d is the Hom dimension of the reductions taken
+    over F_p. The accepted primes are exactly those of a per-prime
+    comparison of every pair."""
+    if m_int.p or any(g.p for g in guards):
+        raise InputError("good primes need integer representations")
+    pairs = [(m_int, m_int)] + [pair for g in guards for pair in ((m_int, g), (g, m_int))]
+    certs = [_hom_minor(a, b) for a, b in pairs]
     good = []
     for p in pool:
-        mp = rep_mod(m_int, p)
-        if hom_dim(mp, mp) != target:
-            continue
-        ok = True
-        for g, to_g, from_g in guard_targets:
-            gp = rep_mod(g, p)
-            if hom_dim(mp, gp) != to_g or hom_dim(gp, mp) != from_g:
-                ok = False
-                break
-        if not ok:
-            continue
-        good.append(p)
-        if len(good) == count:
-            return good
+        if all(d % p or hom_dim(rep_mod(a, p), rep_mod(b, p)) == dim
+               for (a, b), (dim, d) in zip(pairs, certs)):
+            good.append(p)
+            if len(good) == count:
+                return good
     raise BudgetError("prime pool has only %d usable primes, need %d"
                       % (len(good), count))
-
-
-def _lagrange_basis(xs: list[int]) -> tuple[int, list[list[int]]]:
-    """Integer Lagrange basis through the nodes xs: (den, rows) with
-    den * L_i(x) = sum_k rows[i][k] x^k, den the lcm of the node products."""
-    nums, dens = [], []
-    for i, xi in enumerate(xs):
-        poly, d = [1], 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                poly = [a - xj * b for a, b in zip([0] + poly, poly + [0])]
-                d *= xi - xj
-        nums.append(poly)
-        dens.append(d)
-    den = lcm(*dens)
-    return den, [[c * (den // d) for c in poly] for poly, d in zip(nums, dens)]
-
-
-def _interpolate(points: list[tuple[int, int]], degree: int, bases: dict) -> list[int]:
-    """Integer coefficients (ascending degree) of the polynomial of degree
-    <= `degree` through the first degree + 1 points, checked on the rest.
-    `bases` memoises the Lagrange basis per number of nodes, so callers
-    sharing it pass points on the same nodes."""
-    n = degree + 1
-    if n not in bases:
-        bases[n] = _lagrange_basis([x for x, _ in points[:n]])
-    den, rows = bases[n]
-    num = [0] * n
-    for (_, y), row in zip(points, rows):
-        if y:
-            num = [a + y * b for a, b in zip(num, row)]
-    if any(c % den for c in num):
-        raise ConsistencyError("interpolated counting polynomial is not integral")
-    ints = [c // den for c in num]
-    for x, y in points[n:]:
-        if _poly_eval(ints, x) != y:
-            raise ConsistencyError("counting polynomial fails the extra-prime check")
-    return ints
 
 
 def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
                           guards: tuple) -> dict[DimVector, list[int]]:
     """Integer coefficients (ascending degree) of the polynomial counting
     e-dimensional subrepresentations of m_int over F_q, for every e in es:
-    one sweep of max degree + 2 good primes, each polynomial fitted through
-    its degree + 1 first primes and verified on every further one."""
-    d = m_int.dim
-    degrees = [sum(x * (dv - x) for x, dv in zip(e, d)) for e in es]
-    primes = good_primes(m_int, pool, max(degrees, default=0) + 2, guards)
-    per_prime = [count_all_subreps(rep_mod(m_int, p), budget) for p in primes]
-    bases: dict = {}
-    return {e: _interpolate([(p, c.get(e, 0)) for p, c in zip(primes, per_prime)],
-                            degree, bases) for e, degree in zip(es, degrees)}
+    one sweep of max degree D + 2 good primes, each polynomial fitted through
+    its degree + 1 first primes and verified on every further one.
+
+    A good prime can still be one at which some count jumps. When a fit
+    fails, one more good prime is drawn and each prime of the sweep is left
+    out in turn; a leave-out under which every e fits is accepted. Two
+    leave-outs share D + 1 primes, on which two polynomials of degree at
+    most D that fit agree everywhere, so if two succeeded the full sweep
+    would have fitted: at most one leave-out succeeds."""
+    degrees = [sum(x * (dv - x) for x, dv in zip(e, m_int.dim)) for e in es]
+    count = max(degrees, default=0) + 2
+    primes = good_primes(m_int, pool, count, guards)
+    counts = {p: count_all_subreps(rep_mod(m_int, p), budget) for p in primes}
+
+    def fit(skip) -> dict[DimVector, list[int]]:
+        bases: dict = {}
+        return {e: interpolate([(p, c.get(e, 0)) for p, c in counts.items() if p != skip],
+                               degree, bases) for e, degree in zip(es, degrees)}
+
+    try:
+        return fit(None)
+    except ConsistencyError as exc:
+        failure = exc
+    try:
+        extra = good_primes(m_int, pool, count + 1, guards)[-1]
+    except BudgetError:
+        raise failure from None
+    counts[extra] = count_all_subreps(rep_mod(m_int, extra), budget)
+    for skip in primes:
+        try:
+            return fit(skip)
+        except ConsistencyError:
+            pass
+    raise failure
 
 
 def _subvector(e, dim: DimVector) -> DimVector:
@@ -549,13 +559,6 @@ def counting_polynomial(m_int: Representation, e, pool=DEFAULT_PRIMES,
     return ints
 
 
-def _poly_eval(coeffs: list[int], x: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def euler_char_grassmannian(q: Quiver, m_int: Representation, e,
                             pool=DEFAULT_PRIMES, budget: int = DEFAULT_BUDGET) -> int:
     """chi of the submodule grassmannian: counting polynomial at q = 1."""
@@ -563,7 +566,7 @@ def euler_char_grassmannian(q: Quiver, m_int: Representation, e,
         raise InputError("representation does not live on the given quiver")
     if m_int.p != 0:
         raise InputError("need an integer-matrix representation")
-    return _poly_eval(counting_polynomial(m_int, e, pool, budget), 1)
+    return poly_eval(counting_polynomial(m_int, e, pool, budget), 1)
 
 
 def chi_all(m_int: Representation, pool=DEFAULT_PRIMES,
@@ -571,5 +574,5 @@ def chi_all(m_int: Representation, pool=DEFAULT_PRIMES,
             guards: tuple = ()) -> dict[DimVector, int]:
     """chi(Gr_e) for every 0 <= e <= dim at once, sharing prime sweeps."""
     es = list(product(*[range(x + 1) for x in m_int.dim]))
-    return {e: _poly_eval(ints, 1)
+    return {e: poly_eval(ints, 1)
             for e, ints in _counting_polynomials(m_int, es, pool, budget, guards).items()}

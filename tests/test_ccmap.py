@@ -118,6 +118,12 @@ def test_generic_variable_validation_and_budget(kron):
         generic_variable(kron, (1, 1), seed=1, retries=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, "0", None, True])
+def test_generic_variable_rejects_a_non_integer_seed(kron, seed):
+    with pytest.raises(InputError):
+        generic_variable(kron, (1, 1), seed=seed)
+
+
 def test_rigid_integer_rep(kron):
     from genvar.repfq import ext_dim, hom_dim
     m = rigid_integer_rep(kron, (2, 1))

@@ -190,6 +190,18 @@ def test_cc_map_with_shifts(quiver_file, tmp_path, capsys):
     assert doc["results"]["den"] == [-1, 0]
 
 
+def test_cc_map_survives_a_count_that_jumps_at_a_good_prime(tmp_path, capsys):
+    # the (1,1,1) count is 1 at p = 11 and 2 at every other pool prime
+    qpath, rpath = tmp_path / "q.json", tmp_path / "rep.json"
+    qpath.write_text(json.dumps({"vertices": 3, "arrows": [[2, 1], [3, 1], [2, 3]]}),
+                     encoding="utf-8")
+    rpath.write_text(json.dumps({"dim": [2, 2, 2], "matrices": [
+        [[0, 0], [3, 2]], [[-2, 1], [0, 1]], [[1, 3], [3, 3]]]}), encoding="utf-8")
+    rc, out, err = run_cli(capsys, ["--quiver", str(qpath), "cc-map", "--rep", str(rpath)])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["results"]["den"] == [2, 2, 2]
+
+
 def test_canonical_decomposition_document(quiver_file, capsys):
     rc, out, _err = run_cli(
         capsys, ["--quiver", quiver_file, "canonical-decomp",

@@ -212,6 +212,14 @@ def test_cancellation_leaves_no_zero_coefficients(ta):
     assert square.terms == {(0, 0, 0): 1, (2, 0, 0): -1}
 
 
+def test_scale_rejects_a_non_integral_factor():
+    one = LaurentPoly.one(2)
+    assert one.scale(2.0) == one.scale(2)
+    for c in (1.5, "2", None, float("nan")):
+        with pytest.raises(InputError):
+            one.scale(c)
+
+
 def test_public_constructor_still_validates():
     p = LaurentPoly(2, {(True, 1.0): 2.0, (0, 0): 0})
     assert p.terms == {(1, 1): 2}

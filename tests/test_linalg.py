@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_basis,
-                           rank_fraction, rank_mod_p, solve)
+from genvar.linalg import (PackedFp, echelon, gauss_binom, image_rank_counts,
+                           kernel_basis, rank_fraction, rank_mod_p, solve)
 
 # Every minor of a matrix below is at most (3 sqrt 5)^5 < 13,600 in absolute
 # value (Hadamard), so none vanishes mod 65537 and the largest rank mod p
@@ -36,6 +36,18 @@ def test_rank_is_the_largest_rank_mod_p_and_fits_the_kernel(a):
     r = rank_fraction(a)
     assert r == max(rank_mod_p(a, p) for p in PRIMES)
     assert r == len(a[0]) - len(kernel_basis(a))
+
+
+@given(matrices(), st.sampled_from((2, 3, 5, 7, 11, 13)))
+def test_a_prime_missing_the_last_pivot_keeps_the_rank(a, p):
+    # the last Bareiss pivot is a nonzero minor of full rank: the good
+    # prime certificate of `repfq.good_primes`
+    _ech, pivots, d = echelon(a)
+    assert d != 0
+    if d % p:
+        assert rank_mod_p(a, p) == rank_fraction(a) == len(pivots)
+    else:
+        assert rank_mod_p(a, p) <= rank_fraction(a)
 
 
 @given(matrices())

@@ -92,6 +92,14 @@ def test_cluster_monomials_rejects_bad_box(a2):
         cluster_monomials(table, a2, (1, 1, 1))
 
 
+@pytest.mark.parametrize("max_den,min_den", [((1.5, 1), None), ((1, 1), (0.5, 0)),
+                                             (("1", 1), None), ((True, 1), None)])
+def test_cluster_monomials_rejects_a_non_integer_box(a2, max_den, min_den):
+    table = enumerate_cluster_variables(a2, depth=4)
+    with pytest.raises(InputError):
+        cluster_monomials(table, a2, max_den, min_den)
+
+
 def exhaustive_cluster_monomials(table, q, max_den, min_den=None):
     """The plain (cap+1)^n sweep over every exponent vector of every
     cluster, kept here as the reference for the pruned walk."""

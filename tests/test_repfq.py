@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from genvar import repfq
 from genvar.errors import BudgetError, ConsistencyError, InputError
-from genvar.linalg import PackedFp, gauss_binom, image_rank_counts, rank_mod_p
+from genvar.linalg import PackedFp, gauss_binom, image_rank_counts, interpolate, rank_mod_p
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import (Representation, count_all_subreps, count_subreps,
                           counting_polynomial, direct_sum, dual_rep, ext_dim,
@@ -64,6 +64,25 @@ def test_direct_sum_hom_is_additive(kron):
     assert s.dim == (3, 2)
     total = (hom_dim(a, a) + hom_dim(a, b) + hom_dim(b, a) + hom_dim(b, b))
     assert hom_dim(s, s) == total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blockwise_hom_sum_is_the_hom_of_the_direct_sum(seed):
+    # the sample certificates of generic_variable read Hom block by block
+    rng = random.Random(seed)
+    q = (kronecker(), a_n(3), affine_a2(), _jumping_quiver())[seed % 4]
+    p = (0, 5)[seed % 2]
+    parts = [sample_integer_rep(q, tuple(rng.randint(0, 2) for _ in range(q.vertices)),
+                                rng) for _ in range(rng.randint(1, 4))]
+    if p:
+        parts = [rep_mod(part, p) for part in parts]
+    total = zero_rep(q, p)
+    for part in parts:
+        total = direct_sum(total, part)
+    g = parts[0] if p else sample_integer_rep(q, (1,) * q.vertices, rng)
+    assert hom_dim(total, total) == sum(hom_dim(a, b) for a in parts for b in parts)
+    assert hom_dim(total, g) == sum(hom_dim(a, g) for a in parts)
+    assert hom_dim(g, total) == sum(hom_dim(g, a) for a in parts)
 
 
 def test_representation_validation(kron):
@@ -331,6 +350,59 @@ def test_good_primes_guard_filter(atilde):
     assert good_primes(m, (5, 7, 11), 2, guards=(g,)) == [7, 11]
 
 
+def _old_good_primes(m, pool, guards):
+    """Every pool prime the per-prime rule accepts: reduce m and every
+    guard mod p and compare each Hom dimension with the rational one."""
+    good = []
+    for p in pool:
+        mp = rep_mod(m, p)
+        if hom_dim(mp, mp) != hom_dim(m, m):
+            continue
+        if all(hom_dim(mp, rep_mod(g, p)) == hom_dim(m, g)
+               and hom_dim(rep_mod(g, p), mp) == hom_dim(g, m) for g in guards):
+            good.append(p)
+    return good
+
+
+def test_good_primes_match_the_per_prime_rule(monkeypatch):
+    # small pools with 2 and 3 make primes that divide a certificate
+    # minor common, so the F_p fallback runs as well as the minor test
+    fallbacks = []
+
+    def spy(a, b):
+        fallbacks.append(a.p)
+        return hom_dim(a, b)
+
+    monkeypatch.setattr(repfq, "hom_dim", spy)
+    rng = random.Random(2024)
+    pool = (2, 3, 5, 7, 11, 13)
+    rejected = 0
+    for case in range(400):
+        q = (kronecker(), a_n(3), affine_a2(), _jumping_quiver())[case % 4]
+
+        def rep():
+            d = tuple(rng.randint(0, 2) for _ in range(q.vertices))
+            return sample_integer_rep(q, d, rng, lo=-6, hi=6)
+
+        m = rep()
+        guards = tuple(rep() for _ in range(rng.randint(0, 2)))
+        want = _old_good_primes(m, pool, guards)
+        rejected += len(pool) - len(want)
+        if want:
+            assert good_primes(m, pool, len(want), guards) == want
+        with pytest.raises(BudgetError):
+            good_primes(m, pool, len(want) + 1, guards)
+    assert rejected > 300 and fallbacks and all(fallbacks)
+
+
+def test_good_primes_needs_integer_representations(kron):
+    m = sample_integer_rep(kron, (1, 1), random.Random(1))
+    with pytest.raises(InputError):
+        good_primes(rep_mod(m, 5), (7,), 1)
+    with pytest.raises(InputError):
+        good_primes(m, (7,), 1, guards=(rep_mod(m, 5),))
+
+
 def test_good_primes_budget_error(kron):
     m = Representation(kron, 0, (1, 1), (((5,),), ((10,),)))
     with pytest.raises(BudgetError):
@@ -339,11 +411,11 @@ def test_good_primes_budget_error(kron):
 
 def test_interpolation_checks_integrality_and_extra_points():
     square_plus_one = [(x, x * x + 1) for x in (5, 7, 11, 13)]
-    assert repfq._interpolate(square_plus_one, 2, {}) == [1, 0, 1]
+    assert interpolate(square_plus_one, 2, {}) == [1, 0, 1]
     with pytest.raises(ConsistencyError, match="extra-prime"):
-        repfq._interpolate(square_plus_one[:3] + [(13, 171)], 2, {})
+        interpolate(square_plus_one[:3] + [(13, 171)], 2, {})
     with pytest.raises(ConsistencyError, match="not integral"):
-        repfq._interpolate([(5, 0), (7, 1)], 1, {})  # slope 1/2
+        interpolate([(5, 0), (7, 1)], 1, {})  # slope 1/2
 
 
 def test_chi_all_matches_counting_polynomial(kron):
@@ -353,6 +425,66 @@ def test_chi_all_matches_counting_polynomial(kron):
     assert chi[(0, 0)] == 1
     assert chi[(1, 0)] == 0
     assert sum(chi.values()) == 5  # 1 + 0 + 2 + 1 + 1
+
+
+def _jumping_quiver():
+    return Quiver(3, ((2, 1), (3, 1), (2, 3)))
+
+
+def _jumping_module():
+    # End and every Hom survive reduction mod 11, but the number of
+    # (1,1,1)-dimensional subrepresentations is 1 there and 2 at every
+    # other pool prime
+    return Representation(_jumping_quiver(), 0, (2, 2, 2),
+                          (((0, 0), (3, 2)), ((-2, 1), (0, 1)), ((1, 3), (3, 3))))
+
+
+def test_a_count_that_jumps_at_one_good_prime_is_left_out():
+    m = _jumping_module()
+    assert [count_subreps(rep_mod(m, p), (1, 1, 1)) for p in (7, 11, 13)] == [2, 1, 2]
+    assert good_primes(m, repfq.DEFAULT_PRIMES, 5) == [5, 7, 11, 13, 17]
+    chi = repfq.chi_all(m)
+    assert chi[(1, 1, 1)] == 2
+    assert counting_polynomial(m, (1, 1, 1)) == [2]
+    # the full fit without p = 11 agrees with the leave-out
+    assert repfq.chi_all(m, pool=(5, 7, 13, 17, 19)) == chi
+    # no prime left to draw: the failure stands
+    with pytest.raises(ConsistencyError, match="not integral"):
+        repfq.chi_all(m, pool=(5, 7, 11, 13, 17))
+
+
+def test_two_jumping_primes_still_fail(kron, monkeypatch):
+    m = Representation(kron, 0, (1, 2), (((1,), (2,)), ((0,), (1,))))
+    want = repfq.chi_all(m)
+    original = repfq.count_all_subreps
+
+    def jumping(at):
+        def counts(mp, budget):
+            c = dict(original(mp, budget))
+            if mp.p in at:
+                c[(1, 1)] = c.get((1, 1), 0) + 1
+            return c
+        return counts
+
+    monkeypatch.setattr(repfq, "count_all_subreps", jumping((7,)))
+    assert repfq.chi_all(m) == want
+    monkeypatch.setattr(repfq, "count_all_subreps", jumping((7, 13)))
+    with pytest.raises(ConsistencyError):
+        repfq.chi_all(m)
+
+
+def test_dual_is_built_only_when_it_is_cheaper(kron, monkeypatch):
+    built = []
+
+    def spy(m):
+        built.append(m.dim)
+        return dual_rep(m)
+
+    monkeypatch.setattr(repfq, "dual_rep", spy)
+    count_all_subreps(sample_representation(kron, (1, 3), 7, 5))  # enumerates F_7^1
+    assert built == []
+    count_all_subreps(sample_representation(kron, (3, 1), 7, 5))  # the dual does
+    assert built == [(3, 1)]
 
 
 def test_zero_rep_counts(kron):
