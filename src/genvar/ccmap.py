@@ -31,7 +31,8 @@ from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import (DEFAULT_BUDGET, DEFAULT_PRIMES, Representation, chi_all,
-                    direct_sum, hom_dim, sample_integer_rep, zero_rep)
+                    direct_sum, ext_from_hom, hom_dim, sample_integer_rep,
+                    zero_rep)
 
 GENERIC_RETRIES = 12
 
@@ -164,10 +165,7 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
         if hom != predicted:
             continue
         if rigid_shape:
-            ext = hom - q.euler_form(dp, dp)
-            if ext < 0:
-                raise ConsistencyError("negative ext dimension computed")
-            if ext != 0:
+            if ext_from_hom(q, dp, dp, hom) != 0:
                 continue
         # Guards certify that the non-rigid summands avoid the exceptional
         # tubes; rigid summands may legitimately share a dimension vector

@@ -30,8 +30,8 @@ reduction keeps the Hom dimensions of the module (and of its guards).
 Each Hom system is eliminated once over Q: the last Bareiss pivot d is a
 nonzero minor of full rank, so every prime not dividing d keeps that Hom
 dimension, and only the primes dividing d are decided over F_p. Should a
-count still jump at one good prime, the sweep draws one more prime and
-leaves that one out.
+count still jump at one good prime, a second sweep of fresh good primes
+must fit on its own and agree with the first at all primes but one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from math import isqrt
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .linalg import (PackedFp, echelon, gauss_binom, image_rank_counts, interpolate,
-                     poly_eval, rank_fraction, rank_mod_p)
+                     poly_eval, rank_mod_p)
 from .quiver import DimVector, Quiver
 
 DEFAULT_BUDGET = 10_000_000
@@ -232,17 +232,17 @@ def _hom_equations(m: Representation, n: Representation) -> tuple[int, list[list
 def hom_dim(m: Representation, n: Representation) -> int:
     """Dimension of the space of intertwiners m -> n: the number of
     unknowns minus the rank of the intertwining equations, taken by the
-    packed kernel over F_p (`rank_mod_p`) and by fraction-free integer
-    elimination over Q (`rank_fraction`)."""
+    packed kernel over F_p (`rank_mod_p`) and by `_hom_minor` over Q."""
+    if not m.p:
+        return _hom_minor(m, n)[0]
     total, rows = _hom_equations(m, n)
-    if not rows:
-        return total
-    return total - (rank_mod_p(rows, m.p) if m.p else rank_fraction(rows))
+    return total - rank_mod_p(rows, m.p) if rows else total
 
 
 def _hom_minor(m: Representation, n: Representation) -> tuple[int, int]:
-    """(dim Hom(m, n) over Q, d) for integer m and n, d the last Bareiss
-    pivot of the intertwining equations (1 when they have rank 0).
+    """(dim Hom(m, n) over Q, d), d the last pivot of the fraction-free
+    elimination (`linalg.echelon`) of the intertwining equations, or 1
+    when they have rank 0.
 
     d is a nonzero r x r minor of the equations, r their rank over Q.
     Reduction mod p never raises a rank, and it keeps this minor nonzero
@@ -252,13 +252,19 @@ def _hom_minor(m: Representation, n: Representation) -> tuple[int, int]:
     return total - len(pivots), d
 
 
-def ext_dim(m: Representation, n: Representation) -> int:
-    """dim Ext^1 = hom_dim - <dim m, dim n>; nonnegative for hereditary
-    path algebras, so a negative value is a bug."""
-    e = hom_dim(m, n) - m.quiver.euler_form(m.dim, n.dim)
-    if e < 0:
+def ext_from_hom(q: Quiver, d, e, hom: int) -> int:
+    """dim Ext^1(M, N) = dim Hom(M, N) - <d, e> for modules of dimension
+    vectors d and e; nonnegative for hereditary path algebras, so a
+    negative value is a bug."""
+    ext = hom - q.euler_form(d, e)
+    if ext < 0:
         raise ConsistencyError("negative ext dimension computed")
-    return e
+    return ext
+
+
+def ext_dim(m: Representation, n: Representation) -> int:
+    """dim Ext^1(m, n), from `hom_dim` by `ext_from_hom`."""
+    return ext_from_hom(m.quiver, m.dim, n.dim, hom_dim(m, n))
 
 
 # -------------------------------------------------------- subrep counting
@@ -506,37 +512,39 @@ def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
     one sweep of max degree D + 2 good primes, each polynomial fitted through
     its degree + 1 first primes and verified on every further one.
 
-    A good prime can still be one at which some count jumps. When a fit
-    fails, one more good prime is drawn and each prime of the sweep is left
-    out in turn; a leave-out under which every e fits is accepted. Two
-    leave-outs share D + 1 primes, on which two polynomials of degree at
-    most D that fit agree everywhere, so if two succeeded the full sweep
-    would have fitted: at most one leave-out succeeds."""
+    A count can still jump at one good prime. When the sweep fails, the
+    next D + 2 good primes form a second sweep that must fit on its own,
+    and its polynomials are accepted if they match the first sweep at every
+    prime but one. Such an answer is the one the single sweep gives on the
+    pool without the first sweep's primes, confirmed at D + 1 more primes.
+    A count that is not polynomial in p, such as one that follows how a
+    polynomial splits mod p, gets through only if it fools the single
+    sweep on the second sweep's primes as well. When the pool or the
+    budget cannot pay for the second sweep, the first failure stands."""
     degrees = [sum(x * (dv - x) for x, dv in zip(e, m_int.dim)) for e in es]
     count = max(degrees, default=0) + 2
-    primes = good_primes(m_int, pool, count, guards)
-    counts = {p: count_all_subreps(rep_mod(m_int, p), budget) for p in primes}
 
-    def fit(skip) -> dict[DimVector, list[int]]:
+    def fit(primes: list[int], counts: list[dict]) -> dict[DimVector, list[int]]:
         bases: dict = {}
-        return {e: interpolate([(p, c.get(e, 0)) for p, c in counts.items() if p != skip],
+        return {e: interpolate([(p, c.get(e, 0)) for p, c in zip(primes, counts)],
                                degree, bases) for e, degree in zip(es, degrees)}
 
+    first = good_primes(m_int, pool, count, guards)
+    counts = [count_all_subreps(rep_mod(m_int, p), budget) for p in first]
     try:
-        return fit(None)
+        return fit(first, counts)
     except ConsistencyError as exc:
         failure = exc
     try:
-        extra = good_primes(m_int, pool, count + 1, guards)[-1]
-    except BudgetError:
+        second = good_primes(m_int, pool, 2 * count, guards)[count:]
+        polys = fit(second, [count_all_subreps(rep_mod(m_int, p), budget) for p in second])
+    except (BudgetError, ConsistencyError):
         raise failure from None
-    counts[extra] = count_all_subreps(rep_mod(m_int, extra), budget)
-    for skip in primes:
-        try:
-            return fit(skip)
-        except ConsistencyError:
-            pass
-    raise failure
+    outliers = [p for p, c in zip(first, counts)
+                if any(poly_eval(ints, p) != c.get(e, 0) for e, ints in polys.items())]
+    if len(outliers) > 1:
+        raise failure
+    return polys
 
 
 def _subvector(e, dim: DimVector) -> DimVector:

@@ -190,16 +190,32 @@ def test_cc_map_with_shifts(quiver_file, tmp_path, capsys):
     assert doc["results"]["den"] == [-1, 0]
 
 
+def _cc_map(tmp_path, capsys, quiver, rep, *extra):
+    qpath, rpath = tmp_path / "q.json", tmp_path / "rep.json"
+    qpath.write_text(json.dumps(quiver), encoding="utf-8")
+    rpath.write_text(json.dumps(rep), encoding="utf-8")
+    return run_cli(capsys, ["--quiver", str(qpath), *extra, "cc-map", "--rep", str(rpath)])
+
+
 def test_cc_map_survives_a_count_that_jumps_at_a_good_prime(tmp_path, capsys):
     # the (1,1,1) count is 1 at p = 11 and 2 at every other pool prime
-    qpath, rpath = tmp_path / "q.json", tmp_path / "rep.json"
-    qpath.write_text(json.dumps({"vertices": 3, "arrows": [[2, 1], [3, 1], [2, 3]]}),
-                     encoding="utf-8")
-    rpath.write_text(json.dumps({"dim": [2, 2, 2], "matrices": [
-        [[0, 0], [3, 2]], [[-2, 1], [0, 1]], [[1, 3], [3, 3]]]}), encoding="utf-8")
-    rc, out, err = run_cli(capsys, ["--quiver", str(qpath), "cc-map", "--rep", str(rpath)])
+    rc, out, err = _cc_map(
+        tmp_path, capsys, {"vertices": 3, "arrows": [[2, 1], [3, 1], [2, 3]]},
+        {"dim": [2, 2, 2], "matrices": [[[0, 0], [3, 2]], [[-2, 1], [0, 1]],
+                                        [[1, 3], [3, 3]]]})
     assert rc == 0 and err == ""
     assert json.loads(out)["results"]["den"] == [2, 2, 2]
+
+
+def test_cc_map_refuses_a_count_that_follows_a_splitting(tmp_path, capsys):
+    # the (1,1) count is 1 + (33/p): 0, 0, 0, 2, 0 on this pool, whose
+    # majority value 0 is wrong (the value over C is 2)
+    rc, out, err = _cc_map(
+        tmp_path, capsys, {"vertices": 2, "arrows": [[1, 2], [1, 2]]},
+        {"dim": [2, 2], "matrices": [[[1, -3], [1, 1]], [[0, -3], [-2, -3]]]},
+        "--primes", "5,7,13,17,19")
+    assert rc == 4 and out == ""
+    assert "counting polynomial" in err
 
 
 def test_canonical_decomposition_document(quiver_file, capsys):

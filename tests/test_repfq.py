@@ -439,21 +439,43 @@ def _jumping_module():
                           (((0, 0), (3, 2)), ((-2, 1), (0, 1)), ((1, 3), (3, 3))))
 
 
-def test_a_count_that_jumps_at_one_good_prime_is_left_out():
+def test_a_count_that_jumps_at_one_good_prime_is_outvoted_by_a_second_sweep():
     m = _jumping_module()
     assert [count_subreps(rep_mod(m, p), (1, 1, 1)) for p in (7, 11, 13)] == [2, 1, 2]
-    assert good_primes(m, repfq.DEFAULT_PRIMES, 5) == [5, 7, 11, 13, 17]
+    assert good_primes(m, repfq.DEFAULT_PRIMES, 10) == list(repfq.DEFAULT_PRIMES[:10])
     chi = repfq.chi_all(m)
     assert chi[(1, 1, 1)] == 2
     assert counting_polynomial(m, (1, 1, 1)) == [2]
-    # the full fit without p = 11 agrees with the leave-out
+    # the single sweep without p = 11 agrees with the second sweep
     assert repfq.chi_all(m, pool=(5, 7, 13, 17, 19)) == chi
-    # no prime left to draw: the failure stands
+    # too few primes for a whole second sweep: the failure stands
     with pytest.raises(ConsistencyError, match="not integral"):
-        repfq.chi_all(m, pool=(5, 7, 11, 13, 17))
+        repfq.chi_all(m, pool=repfq.DEFAULT_PRIMES[:9])
 
 
-def test_two_jumping_primes_still_fail(kron, monkeypatch):
+# Kronecker modules of dimension (2, 2) whose (1,1) count follows how the
+# characteristic polynomial of A^-1 B splits mod p, so it is not a
+# polynomial in p; the value over C is 2, one per eigenline.
+# t^2 + 6t - 24 (discriminant 4 * 33): 0, 0, 1, 0, 2, 0, 0, 2 at p = 5..29
+_SPLIT_33 = (((1, -3), (1, 1)), ((0, -3), (-2, -3)))
+# a random module: 2, 0, 0, 0, 0, 0, 2, 0 at p = 5..29, and 1 at p = 41
+_SPLIT_RANDOM = (((-1, -2), (3, 1)), ((0, 2), (-2, 1)))
+
+
+@pytest.mark.parametrize("mats, pool", [
+    (_SPLIT_33, (5, 7, 13, 17, 19)),  # every count but one is 0
+    (_SPLIT_33, (5, 7, 11, 13, 19)),
+    (_SPLIT_33, repfq.DEFAULT_PRIMES),
+    (_SPLIT_RANDOM, repfq.DEFAULT_PRIMES),  # every count but the first is 0
+])
+def test_a_count_that_follows_a_splitting_is_never_fitted(mats, pool):
+    m = Representation(kronecker(), 0, (2, 2), mats)
+    assert len({count_subreps(rep_mod(m, p), (1, 1)) for p in repfq.DEFAULT_PRIMES}) == 3
+    with pytest.raises(ConsistencyError):
+        repfq.chi_all(m, pool=pool)
+
+
+def test_a_second_sweep_tolerates_one_jump_only(kron, monkeypatch):
     m = Representation(kron, 0, (1, 2), (((1,), (2,)), ((0,), (1,))))
     want = repfq.chi_all(m)
     original = repfq.count_all_subreps
@@ -466,11 +488,13 @@ def test_two_jumping_primes_still_fail(kron, monkeypatch):
             return c
         return counts
 
+    # the sweeps are (5, 7, 11) and (13, 17, 19)
     monkeypatch.setattr(repfq, "count_all_subreps", jumping((7,)))
     assert repfq.chi_all(m) == want
-    monkeypatch.setattr(repfq, "count_all_subreps", jumping((7, 13)))
-    with pytest.raises(ConsistencyError):
-        repfq.chi_all(m)
+    for at in ((7, 11), (7, 13)):  # two jumps in the first sweep, or one in each
+        monkeypatch.setattr(repfq, "count_all_subreps", jumping(at))
+        with pytest.raises(ConsistencyError):
+            repfq.chi_all(m)
 
 
 def test_dual_is_built_only_when_it_is_cheaper(kron, monkeypatch):
