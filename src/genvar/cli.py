@@ -107,18 +107,28 @@ def _pool(args):
     pool = _ints(args.primes, "prime pool")
     if not all(is_prime(p) for p in pool):
         raise InputError("prime pool entries must be primes")
+    if len(set(pool)) < len(pool):
+        raise InputError("prime pool repeats a prime")
     return pool
+
+
+def _nonnegative(value: int, what: str) -> int:
+    if value < 0:
+        raise InputError("%s must be >= 0, got %d" % (what, value))
+    return value
 
 
 def _run(args) -> dict:
     pool = _pool(args)
-    inputs = {"seed": args.seed, "primes": list(pool), "budget": args.budget}
+    inputs = {"seed": args.seed, "primes": list(pool),
+              "budget": _nonnegative(args.budget, "--budget")}
     results: dict = {}
     certificates: dict = {}
 
     if args.command == "mutate-enumerate":
         q = _load_quiver(args)
-        inputs.update(quiver=q.to_json(), depth=args.depth, sweeps=args.sweeps)
+        inputs.update(quiver=q.to_json(), depth=args.depth,
+                      sweeps=_nonnegative(args.sweeps, "--sweeps"))
         table = mutation.enumerate_cluster_variables(q, args.depth, sweeps=args.sweeps,
                                                      budget=args.budget)
         results["variables"] = [

@@ -20,8 +20,11 @@ rank, and their p^(free entries) choices are counted in closed form.
 At the last row, reduction against the fixed target states is linear,
 so the image of the row e_lead + sum x_j e_j reduces to c + sum x_j d_j
 (c, d_j the reduced matrix columns). The tails x are counted by the rank
-of those images by Moebius inversion on the subspace lattice
-(`linalg.image_rank_counts`), or by one rank per x where that is cheaper.
+of those images from the roots of their pencil when there is one tail
+and at most two arrows per target (`linalg.pencil_rank_counts`), else by
+Moebius inversion on the subspace lattice (`linalg.image_rank_counts`),
+or by one rank per x where that is cheaper. Rows are walked fewer tails
+first, so the closed forms get the row with the most tails.
 
 Euler characteristics interpolate the counts at good primes with one
 integer Lagrange basis per number of nodes, checking integrality by
@@ -43,7 +46,7 @@ from math import isqrt
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .linalg import (PackedFp, echelon, gauss_binom, image_rank_counts, interpolate,
-                     poly_eval, rank_mod_p)
+                     pencil_rank_counts, poly_eval, rank_mod_p)
 from .quiver import DimVector, Quiver
 
 DEFAULT_BUDGET = 10_000_000
@@ -163,12 +166,9 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
 def dual_rep(m: Representation) -> Representation:
     """Linear dual over the opposite quiver; subreps become quotients."""
     qop = m.quiver.opposite()
-    mats = []
-    for mat, (s, t) in zip(m.matrices, m.quiver.arrows):
-        rows = tuple(tuple(mat[r][c] for r in range(m.dim[t - 1]))
-                     for c in range(m.dim[s - 1]))
-        mats.append(rows)
-    return Representation(qop, m.p, m.dim, tuple(mats))
+    mats = tuple(tuple(tuple(mat[r][c] for r in range(m.dim[t - 1])) for c in range(m.dim[s - 1]))
+                 for mat, (s, t) in zip(m.matrices, m.quiver.arrows))
+    return Representation(qop, m.p, m.dim, mats)
 
 
 def rep_mod(m: Representation, p: int) -> Representation:
@@ -181,22 +181,18 @@ def sample_representation(q: Quiver, d, p: int, rng_seed: int) -> Representation
     """Uniformly random arrow matrices over F_p, deterministic in rng_seed."""
     d = q.check_dim(d)
     rng = random.Random(rng_seed)
-    mats = []
-    for s, t in q.arrows:
-        mats.append(tuple(tuple(rng.randrange(p) for _ in range(d[s - 1]))
-                          for _ in range(d[t - 1])))
-    return Representation(q, p, d, tuple(mats))
+    mats = tuple(tuple(tuple(rng.randrange(p) for _ in range(d[s - 1])) for _ in range(d[t - 1]))
+                 for s, t in q.arrows)
+    return Representation(q, p, d, mats)
 
 
 def sample_integer_rep(q: Quiver, d, rng: random.Random,
                        lo: int = -3, hi: int = 3) -> Representation:
     """Random integer representation with entries in [lo, hi], over Q."""
     d = q.check_dim(d)
-    mats = []
-    for s, t in q.arrows:
-        mats.append(tuple(tuple(rng.randint(lo, hi) for _ in range(d[s - 1]))
-                          for _ in range(d[t - 1])))
-    return Representation(q, 0, d, tuple(mats))
+    mats = tuple(tuple(tuple(rng.randint(lo, hi) for _ in range(d[s - 1])) for _ in range(d[t - 1]))
+                 for s, t in q.arrows)
+    return Representation(q, 0, d, mats)
 
 
 # ------------------------------------------------------------- hom and ext
@@ -373,8 +369,9 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
             against a fixed echelon basis is linear, so each target's image
             of the row lead + sum x_j e_j, reduced against the state, is
             c + sum x_j d_j with c, d_j the reduced columns. The tails x are
-            counted by the ranks of those images in closed form, or by one
-            rank per x where `image_rank_counts` finds that cheaper."""
+            counted by the ranks of those images in closed form (a pencil's
+            roots or Moebius inversion), or by one rank per x where neither
+            applies."""
             pairs = []  # (reduced lead column, reduced tail columns), grouped by target
             spans = []
             for b, (_, arrows) in zip(tstates, targets):
@@ -386,8 +383,9 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
             if not any(any(ds) for _, ds in pairs):
                 acc = {tuple(rank([c for c, _ in pairs[lo:hi]]) for lo, hi in spans): leaves}
             else:
-                acc = image_rank_counts(kern, [(n, pairs[lo:hi]) for n, (lo, hi)
-                                               in zip(full, spans)], len(tails))
+                groups = [(n, pairs[lo:hi]) for n, (lo, hi) in zip(full, spans)]
+                acc = pencil_rank_counts(kern, groups) or image_rank_counts(
+                    kern, groups, len(tails))
             if acc is None:
                 acc = {}
                 steps = [[x * ds[-1] for x in range(p)] for _, ds in pairs]
@@ -435,7 +433,7 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
         for k in range(len(free) + 1):
             for leads in combinations(range(len(free)), k):
                 walk([(free[a], [free[b] for b in range(a + 1, len(free)) if b not in leads])
-                      for a in leads], 0, top)
+                      for a in reversed(leads)], 0, top)  # fewest tails first
 
     if enum_verts:
         vertex(0, (), tuple(() for _ in range(q.vertices)))
@@ -492,6 +490,8 @@ def good_primes(m_int: Representation, pool, count: int,
     comparison of every pair."""
     if m_int.p or any(g.p for g in guards):
         raise InputError("good primes need integer representations")
+    if len(set(pool)) < len(pool):
+        raise InputError("prime pool repeats a prime")
     pairs = [(m_int, m_int)] + [pair for g in guards for pair in ((m_int, g), (g, m_int))]
     certs = [_hom_minor(a, b) for a, b in pairs]
     good = []

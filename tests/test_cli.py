@@ -70,6 +70,29 @@ def test_composite_prime_pool_exits_2(quiver_file, capsys):
     assert rc == 2 and "input error" in err and out == ""
 
 
+@pytest.mark.parametrize("primes", ["5,7,11,11", "5,5,7,7,11,11,13,13,17,17,19,19"])
+def test_repeated_prime_pool_exits_2(quiver_file, capsys, primes):
+    # the first would re-check at 11 and never fail, the second divided by zero
+    rc, out, err = run_cli(
+        capsys, ["--quiver", quiver_file, "--primes", primes, "generic-var", "--d", "2,1"])
+    assert rc == 2 and "input error" in err and out == ""
+
+
+def test_negative_budget_exits_2_and_zero_budget_exits_3(quiver_file, capsys):
+    argv = ["--quiver", quiver_file, "--budget", "-5", "generic-var", "--d", "2,1"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and "input error" in err and out == ""
+    argv[3] = "0"
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 3 and "budget exceeded" in err and out == ""
+
+
+def test_negative_sweeps_exits_2(quiver_file, capsys):
+    rc, out, err = run_cli(capsys, ["--quiver", quiver_file, "mutate-enumerate",
+                                    "--depth", "2", "--sweeps", "-4"])
+    assert rc == 2 and "input error" in err and out == ""
+
+
 @pytest.mark.parametrize("entries", [(1.7, 2.9), (True, 2)])
 def test_non_integer_matrix_entries_exit_2(quiver_file, tmp_path, capsys, entries):
     rep = {"dim": [1, 1], "matrices": [[[entries[0]]], [[entries[1]]]]}

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from genvar import repfq
 from genvar.errors import BudgetError, ConsistencyError, InputError
-from genvar.linalg import PackedFp, gauss_binom, image_rank_counts, interpolate, rank_mod_p
+from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, interpolate,
+                           pencil_rank_counts, rank_mod_p)
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import (Representation, count_all_subreps, count_subreps,
                           counting_polynomial, direct_sum, dual_rep, ext_dim,
@@ -191,18 +192,25 @@ def test_counts_match_brute_force(builder, d, p, seed):
 
 
 def test_brute_force_cases_reach_every_last_row_path(monkeypatch):
-    # closed form with one target, with several targets, and the loop
+    # the pencil, the lattice with one target and with several, and the loop
     seen = set()
 
-    def spy(kern, targets, ntails):
+    def pencil_spy(kern, targets):
+        out = pencil_rank_counts(kern, targets)
+        if out is not None:
+            seen.add("pencil")
+        return out
+
+    def lattice_spy(kern, targets, ntails):
         out = image_rank_counts(kern, targets, ntails)
         seen.add("loop" if out is None else min(len(targets), 2))
         return out
 
-    monkeypatch.setattr(repfq, "image_rank_counts", spy)
+    monkeypatch.setattr(repfq, "pencil_rank_counts", pencil_spy)
+    monkeypatch.setattr(repfq, "image_rank_counts", lattice_spy)
     for builder, d, p, seed in BRUTE_FORCE_CASES:
         _engine_both_ways(sample_representation(builder(), d, p, seed))
-    assert seen == {1, 2, "loop"}
+    assert seen == {"pencil", 1, 2, "loop"}
 
 
 @pytest.mark.parametrize("p", [2, 3, 43, 10007])
@@ -269,6 +277,8 @@ def test_budget_error_on_tiny_budget(kron):
     (kronecker, (3, 3), 3, 15, sum(gauss_binom(3, k, 3) for k in range(4))),
     # general engine: subspaces at vertex 1, then superspaces at vertex 2
     (lambda: affine_a2(), (2, 2, 2), 3, 5, 26),
+    # rows walked fewer tails first: still one visit per subspace of F_3^4
+    (kronecker, (4, 3), 3, 26, sum(gauss_binom(4, k, 3) for k in range(5))),
 ])
 def test_budget_boundary_is_the_visit_count(builder, d, p, seed, visits):
     m = sample_representation(builder(), d, p, seed)
@@ -401,6 +411,16 @@ def test_good_primes_needs_integer_representations(kron):
         good_primes(rep_mod(m, 5), (7,), 1)
     with pytest.raises(InputError):
         good_primes(m, (7,), 1, guards=(rep_mod(m, 5),))
+
+
+def test_good_primes_rejects_a_repeated_prime(kron):
+    # a repeated node would make the extra-prime check vacuous, or the
+    # Lagrange basis divide by zero
+    m = sample_integer_rep(kron, (2, 1), random.Random(1))
+    with pytest.raises(InputError):
+        good_primes(m, (5, 7, 11, 11), 3)
+    with pytest.raises(InputError):
+        repfq.chi_all(m, pool=(5, 5, 7, 7, 11, 11, 13, 13, 17, 17, 19, 19))
 
 
 def test_good_primes_budget_error(kron):
