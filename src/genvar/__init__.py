@@ -13,10 +13,10 @@ from .quiver import (AffineData, Quiver, WildTypeError, a_n, affine_a2,
                      positive_part)
 from .mutation import (ClusterVariableTable, Seed, cluster_monomials,
                        enumerate_cluster_variables, initial_seed, mutate)
-from .repfq import (Representation, chi_all, counting_polynomial, direct_sum,
-                    dual_rep, ext_dim, euler_char_grassmannian, good_primes,
-                    hom_dim, projective_rep, sample_representation,
-                    simple_rep, zero_rep)
+from .reps import (Representation, direct_sum, dual_rep, ext_dim, hom_dim,
+                   projective_rep, sample_representation, simple_rep, zero_rep)
+from .repfq import (chi_all, counting_polynomial, euler_char_grassmannian,
+                    good_primes)
 from .ccmap import (DecoratedRep, GenericValue, cc_of_module, cc_of_object,
                     express_in_basis, generic_variable, rigid_integer_rep)
 from .candecomp import (CanonicalDecomposition, canonical_decomposition,

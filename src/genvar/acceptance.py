@@ -16,7 +16,7 @@ from .errors import ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .quiver import (a_n, affine_a2, kronecker as kronecker_quiver,
                      negative_part, positive_part)
-from .repfq import Representation, hom_dim
+from .reps import Representation, hom_dim
 
 # Frozen 7x7 base-change matrices between the power family and the
 # trace-normalized family (columns expand z^j over 1, F_1, F_2, ...).

@@ -21,7 +21,8 @@ from . import ccmap, mutation
 from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .quiver import DimVector, Quiver, negative_part, positive_part
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, Representation, ext_dim
+from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES
+from .reps import Representation, ext_dim
 from . import candecomp
 
 
@@ -73,9 +74,9 @@ def tube_module_kronecker(q: Quiver, lam: int, length: int) -> Representation:
     second a single Jordan block with eigenvalue lam."""
     if q.arrows != ((1, 2), (1, 2)):
         raise InputError("tube modules are built on the double-arrow quiver")
-    n = int(length)
-    if n < 1:
-        raise InputError("quasi-length must be positive")
+    n = length
+    if type(n) is not int or n < 1:
+        raise InputError("quasi-length must be a positive integer")
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     jordan = tuple(tuple(lam if i == j else (1 if j == i + 1 else 0)
                          for j in range(n)) for i in range(n))

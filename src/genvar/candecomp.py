@@ -5,9 +5,9 @@ Schofield's recursion (General representations of quivers, 1992,
 Thm 3.3, 5.4 and 6.1): generic Ext and generic subdimension vectors are
 decided from the Euler form alone, memoised on the quiver and the two
 vectors. Every decomposition returned here carries sampled witness
-representations as its certificate, and is re-verified against them
-exactly (each summand Schur, all ordered pairs of distinct summand
-instances with vanishing Ext).
+representations as its certificate, checked exactly when they are drawn
+(each summand Schur, all ordered pairs of distinct summand instances with
+vanishing Ext); `verify_certificate` re-checks a stored one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import mul, sub
 from . import rng
 from .errors import BudgetError, ConsistencyError, InputError
 from .quiver import DimVector, Quiver, positive_part
-from .repfq import (Representation, ext_dim, hom_dim, sample_representation)
+from .reps import Representation, ext_dim, hom_dim, sample_representation
 
 
 def _proper_subvectors(e: DimVector):
@@ -142,9 +142,9 @@ def canonical_decomposition(q: Quiver, d, method: str = "auto",
     method 'search' splits recursively; 'structural' uses the affine
     shapes (multiples of delta; real non-Schur roots split as
     delta^k + minimal-height real root) before searching; 'auto' picks
-    'structural' on affine quivers. The result always re-verifies the
-    full pairwise witness certificate; seed picks the witnesses and does
-    not change the summands.
+    'structural' on affine quivers. The result always carries a full
+    pairwise witness certificate that passed the exact check; seed picks
+    the witnesses and does not change the summands.
     """
     d = q.check_dim(d)
     if any(x < 0 for x in d):
@@ -154,7 +154,7 @@ def canonical_decomposition(q: Quiver, d, method: str = "auto",
     summands = _summands(q, d, method)
     witnesses = _find_witnesses(q, [e for e, m, _t in summands for _ in range(m)], seed)
     out = CanonicalDecomposition(vector=d, summands=summands, witnesses=witnesses)
-    verify_certificate(q, out)
+    _witness_reps(q, out)  # the witnesses themselves passed `_witness_fault` when drawn
     return out
 
 
@@ -234,6 +234,16 @@ def _minimal_height_real(q: Quiver, delta: DimVector, d: DimVector) -> DimVector
     return best
 
 
+def _witness_fault(reps: list[Representation]) -> str | None:
+    """The certificate test the witnesses fail, or None when each is Schur
+    and every ordered pair of distinct ones has Ext = 0."""
+    if any(hom_dim(m, m) != 1 for m in reps):
+        return "witness is not a Schur representation"
+    if any(i != j and ext_dim(a, b) != 0 for i, a in enumerate(reps) for j, b in enumerate(reps)):
+        return "witness pair has nonvanishing Ext"
+    return None
+
+
 def _find_witnesses(q: Quiver, instances: list[DimVector], seed: int) -> tuple:
     """Sample one representation per summand instance so that every
     instance is Schur and all ordered pairs have Ext = 0."""
@@ -243,15 +253,14 @@ def _find_witnesses(q: Quiver, instances: list[DimVector], seed: int) -> tuple:
         for attempt in range(24):
             reps = [sample_representation(q, e, p, rng.derive(seed, "wit", tuple(e), p, attempt, i))
                     for i, e in enumerate(instances)]
-            if all(hom_dim(m, m) == 1 for m in reps) and all(
-                    ext_dim(reps[i], reps[j]) == 0
-                    for i in range(len(reps)) for j in range(len(reps)) if i != j):
+            if _witness_fault(reps) is None:
                 return tuple((p, m.dim, m.matrices) for m in reps)
     raise BudgetError("no witness tuple found within the sampling budget")
 
 
-def verify_certificate(q: Quiver, dec: CanonicalDecomposition) -> bool:
-    """Exactly re-check the stored witnesses; ConsistencyError on failure."""
+def _witness_reps(q: Quiver, dec: CanonicalDecomposition) -> list[Representation]:
+    """The witnesses of `dec` as representations, once the summands sum to
+    its vector and each summand instance has one witness of its dimension."""
     total = [0] * q.vertices
     for e, mult, _tag_ in dec.summands:
         for i, x in enumerate(e):
@@ -266,11 +275,12 @@ def verify_certificate(q: Quiver, dec: CanonicalDecomposition) -> bool:
         if tuple(dim) != e:
             raise ConsistencyError("witness dimension mismatch")
         reps.append(Representation(q, p, tuple(dim), mats))
-    for m in reps:
-        if hom_dim(m, m) != 1:
-            raise ConsistencyError("witness is not a Schur representation")
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            if i != j and ext_dim(reps[i], reps[j]) != 0:
-                raise ConsistencyError("witness pair has nonvanishing Ext")
+    return reps
+
+
+def verify_certificate(q: Quiver, dec: CanonicalDecomposition) -> bool:
+    """Exactly re-check the stored witnesses; ConsistencyError on failure."""
+    fault = _witness_fault(_witness_reps(q, dec))
+    if fault:
+        raise ConsistencyError(fault)
     return True

@@ -30,9 +30,9 @@ from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
-from .repfq import (DEFAULT_BUDGET, DEFAULT_PRIMES, Representation, chi_all,
-                    direct_sum, ext_from_hom, hom_dim, sample_integer_rep,
-                    zero_rep)
+from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, chi_all
+from .reps import (Representation, direct_sum, ext_from_hom, hom_dim, sample_integer_rep,
+                   zero_rep)
 
 GENERIC_RETRIES = 12
 

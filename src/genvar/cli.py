@@ -17,7 +17,8 @@ import sys
 from . import acceptance, affine, candecomp, ccmap, kronecker, mutation
 from .errors import BudgetError, ConsistencyError, InputError
 from .quiver import Quiver
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, Representation, is_prime
+from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES
+from .reps import Representation, is_prime
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,12 +212,11 @@ def _run(args) -> dict:
         selected = None
         if args.criteria:
             selected = set(_ints(args.criteria, "criteria selection"))
-        lines: list[str] = []
-        ok, reports = acceptance.run_all(selected, echo=lines.append)
-        for line in lines:
-            print(line)
+        ok, reports = acceptance.run_all(
+            selected, echo=lambda line: print(line, file=sys.stderr))
         results["passed"] = ok
-        results["reports"] = reports
+        # timings go to stderr only, so the document stays deterministic
+        results["reports"] = [{k: v for k, v in r.items() if k != "seconds"} for r in reports]
 
     return {"command": args.command, "inputs": inputs,
             "results": results, "certificates": certificates}

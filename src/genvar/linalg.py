@@ -1,9 +1,9 @@
 """Exact linear algebra: one fraction-free elimination over the integers,
-integer Lagrange interpolation, one packed reduction kernel over F_p,
-Gaussian binomials, the definiteness class of a symmetric form, and two
-closed-form counts of affine families of vectors by the rank of their
-span: one parameter from the roots of a pencil (`pencil_rank_counts`),
-several by Moebius inversion on the subspace lattice (`image_rank_counts`).
+one packed reduction kernel over F_p, Gaussian binomials, the
+definiteness class of a symmetric form, and two closed-form counts of
+affine families of vectors by the rank of their span: one parameter from
+the roots of a pencil (`pencil_rank_counts`), several by Moebius
+inversion on the subspace lattice (`image_rank_counts`).
 
 Over Q, `echelon` is the only elimination: rank (`rank_fraction`), the
 primitive integer kernel (`kernel_basis`) and exact solving (`solve`)
@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Sequence
 
 from .errors import ConsistencyError
@@ -91,51 +91,6 @@ def solve(cols: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction] | N
     if pivots != list(range(n)):
         return None
     return [Fraction(row[n], d) for row in ech]
-
-
-def _lagrange_basis(xs: list[int]) -> tuple[int, list[list[int]]]:
-    """Integer Lagrange basis through the nodes xs: (den, rows) with
-    den * L_i(x) = sum_k rows[i][k] x^k, den the lcm of the node products."""
-    nums, dens = [], []
-    for i, xi in enumerate(xs):
-        poly, d = [1], 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                poly = [a - xj * b for a, b in zip([0] + poly, poly + [0])]
-                d *= xi - xj
-        nums.append(poly)
-        dens.append(d)
-    den = lcm(*dens)
-    return den, [[c * (den // d) for c in poly] for poly, d in zip(nums, dens)]
-
-
-def interpolate(points: list[tuple[int, int]], degree: int, bases: dict) -> list[int]:
-    """Integer coefficients (ascending degree) of the polynomial of degree
-    <= `degree` through the first degree + 1 points, checked on the rest.
-    `bases` memoises the Lagrange basis per number of nodes, so callers
-    sharing it pass points on the same nodes."""
-    n = degree + 1
-    if n not in bases:
-        bases[n] = _lagrange_basis([x for x, _ in points[:n]])
-    den, rows = bases[n]
-    num = [0] * n
-    for (_, y), row in zip(points, rows):
-        if y:
-            num = [a + y * b for a, b in zip(num, row)]
-    if any(c % den for c in num):
-        raise ConsistencyError("interpolated counting polynomial is not integral")
-    ints = [c // den for c in num]
-    for x, y in points[n:]:
-        if poly_eval(ints, x) != y:
-            raise ConsistencyError("counting polynomial fails the extra-prime check")
-    return ints
-
-
-def poly_eval(coeffs: list[int], x: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 def classify_gram(s: Sequence[Sequence[int]]) -> str:

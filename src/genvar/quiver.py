@@ -40,7 +40,10 @@ class Quiver:
         n = self.vertices
         if not isinstance(n, int) or n <= 0:
             raise InputError("vertex count must be a positive integer")
-        object.__setattr__(self, "arrows", tuple((int(s), int(t)) for s, t in self.arrows))
+        if not all(isinstance(a, (tuple, list)) and len(a) == 2
+                   and all(type(x) is int for x in a) for a in self.arrows):
+            raise InputError("arrows must be (source, target) pairs of integers")
+        object.__setattr__(self, "arrows", tuple((s, t) for s, t in self.arrows))
         for s, t in self.arrows:
             if not (1 <= s <= n and 1 <= t <= n):
                 raise InputError("arrow (%d,%d) out of range" % (s, t))
@@ -239,9 +242,7 @@ class Quiver:
         arrows = doc["arrows"]
         if type(doc["vertices"]) is not int:
             raise InputError("vertex count must be a positive integer")
-        if not isinstance(arrows, list) or not all(
-                isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)
-                for a in arrows):
+        if not isinstance(arrows, list) or not all(isinstance(a, list) for a in arrows):
             raise InputError("arrows must be [source, target] integer pairs")
         return cls(doc["vertices"], tuple(tuple(a) for a in arrows))
 

@@ -1,5 +1,5 @@
-"""Quiver representations over F_p or Q: Hom/Ext dimensions, sampling,
-subrepresentation counting and Euler characteristics by interpolation.
+"""Subrepresentation counting over F_p and Euler characteristics of
+quiver grassmannians by interpolation over good primes.
 
 The counting engine enumerates subspace tuples vertex-by-vertex in
 topological order. The subspace at a vertex must contain the images of
@@ -27,240 +27,35 @@ or by one rank per x where that is cheaper. Rows are walked fewer tails
 first, so the closed forms get the row with the most tails.
 
 Euler characteristics interpolate the counts at good primes with one
-integer Lagrange basis per number of nodes, checking integrality by
-divisibility and the fit on every further prime. A prime is good when
-reduction keeps the Hom dimensions of the module (and of its guards).
-Each Hom system is eliminated once over Q: the last Bareiss pivot d is a
-nonzero minor of full rank, so every prime not dividing d keeps that Hom
-dimension, and only the primes dividing d are decided over F_p. Should a
-count still jump at one good prime, a second sweep of fresh good primes
-must fit on its own and agree with the first at all primes but one.
+integer Lagrange basis per tuple of nodes (`interpolate`), checking
+integrality by divisibility and the fit on every further prime. A prime
+is good when reduction keeps the Hom dimensions of the module (and of
+its guards). Each Hom system is eliminated once over Q: the last Bareiss
+pivot d is a nonzero minor of full rank, so every prime not dividing d
+keeps that Hom dimension, and only the primes dividing d are decided
+over F_p. Should a count still jump at one good prime, a second sweep of
+fresh good primes must fit on its own and agree with the first at all
+primes but one.
+
+Representations, sampling, Hom and Ext live in `reps`; their public
+names are re-exported here.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
-from math import isqrt
+from math import lcm
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .linalg import (PackedFp, echelon, gauss_binom, image_rank_counts, interpolate,
-                     pencil_rank_counts, poly_eval, rank_mod_p)
+from .linalg import PackedFp, gauss_binom, image_rank_counts, pencil_rank_counts
 from .quiver import DimVector, Quiver
+from .reps import (Representation, _hom_minor, direct_sum, dual_rep, ext_dim,  # noqa: F401
+                   ext_from_hom, hom_dim, is_prime, projective_rep, rep_mod,
+                   sample_integer_rep, sample_representation, simple_rep, zero_rep)
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
-
-
-@dataclass(frozen=True)
-class Representation:
-    quiver: Quiver
-    p: int  # prime field characteristic, or 0 for the rationals
-    dim: DimVector
-    matrices: tuple  # per arrow: rows (length dim[target]) of tuples (length dim[source])
-
-    def __post_init__(self):
-        q, p = self.quiver, self.p
-        d = q.check_dim(self.dim)
-        if any(x < 0 for x in d):
-            raise InputError("bad dimension vector %r" % (self.dim,))
-        if p != 0 and not is_prime(p):
-            raise InputError("field characteristic must be 0 or a prime")
-        if len(self.matrices) != len(q.arrows):
-            raise InputError("expected %d arrow matrices" % len(q.arrows))
-        mats = []
-        for (s, t), m in zip(q.arrows, self.matrices):
-            rows = tuple([tuple([(x % p if p else x) if type(x) is int else _not_int(x)
-                                 for x in row]) for row in m])
-            if len(rows) != d[t - 1] or any(len(r) != d[s - 1] for r in rows):
-                raise InputError("matrix shape mismatch on arrow (%d,%d)" % (s, t))
-            mats.append(rows)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "matrices", tuple(mats))
-
-    def key(self) -> tuple:
-        return (self.quiver.vertices, self.quiver.arrows, self.p, self.dim, self.matrices)
-
-    def to_json(self) -> dict:
-        return {"dim": list(self.dim),
-                "matrices": [[list(r) for r in m] for m in self.matrices]}
-
-    @classmethod
-    def from_json(cls, q: Quiver, doc: dict, p: int = 0) -> "Representation":
-        if not isinstance(doc, dict) or "dim" not in doc or "matrices" not in doc:
-            raise InputError("representation document needs 'dim' and 'matrices'")
-        dim, mats = doc["dim"], doc["matrices"]
-        if not (isinstance(dim, list) and all(type(x) is int for x in dim)
-                and isinstance(mats, list) and all(isinstance(m, list) and all(
-                    isinstance(r, list) and all(type(x) is int for x in r) for r in m)
-                    for m in mats)):
-            raise InputError("'dim' and 'matrices' must hold integers only")
-        return cls(q, p, tuple(dim), tuple(tuple(tuple(r) for r in m) for m in mats))
-
-
-def _not_int(x):
-    raise InputError("matrix entry %r is not an integer" % (x,))
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
-
-
-# ------------------------------------------------------------ constructors
-
-def zero_rep(q: Quiver, p: int = 0) -> Representation:
-    return Representation(q, p, (0,) * q.vertices, tuple(() for _ in q.arrows))
-
-
-def simple_rep(q: Quiver, i: int, p: int = 0) -> Representation:
-    d = [0] * q.vertices
-    d[i - 1] = 1
-    mats = []
-    for s, t in q.arrows:
-        mats.append(tuple(tuple(0 for _ in range(d[s - 1])) for _ in range(d[t - 1])))
-    return Representation(q, p, tuple(d), tuple(mats))
-
-
-def projective_rep(q: Quiver, i: int, p: int = 0) -> Representation:
-    """Indecomposable projective at vertex i: basis = paths starting at i,
-    arrows act by path concatenation."""
-    paths: list[tuple] = [()]  # path = tuple of arrow indices, start fixed at i
-    frontier = [((), i)]
-    ends = {(): i}
-    while frontier:
-        path, v = frontier.pop()
-        for idx, (s, t) in enumerate(q.arrows):
-            if s == v:
-                new = path + (idx,)
-                paths.append(new)
-                ends[new] = t
-                frontier.append((new, t))
-    by_vertex: dict[int, list[tuple]] = {v: [] for v in range(1, q.vertices + 1)}
-    for path in sorted(paths):
-        by_vertex[ends[path]].append(path)
-    d = tuple(len(by_vertex[v]) for v in range(1, q.vertices + 1))
-    mats = []
-    for idx, (s, t) in enumerate(q.arrows):
-        src = by_vertex[s]
-        tgt = by_vertex[t]
-        rows = [[0] * len(src) for _ in range(len(tgt))]
-        for c, path in enumerate(src):
-            rows[tgt.index(path + (idx,))][c] = 1
-        mats.append(tuple(tuple(r) for r in rows))
-    return Representation(q, p, d, tuple(mats))
-
-
-def direct_sum(a: Representation, b: Representation) -> Representation:
-    if a.quiver != b.quiver or a.p != b.p:
-        raise InputError("direct sum needs matching quiver and field")
-    d = tuple(x + y for x, y in zip(a.dim, b.dim))
-    mats = []
-    for (s, _t), ma, mb in zip(a.quiver.arrows, a.matrices, b.matrices):
-        # block diagonal: rows of ma padded right, rows of mb padded left
-        mats.append(tuple(r + (0,) * b.dim[s - 1] for r in ma)
-                    + tuple((0,) * a.dim[s - 1] + r for r in mb))
-    return Representation(a.quiver, a.p, d, tuple(mats))
-
-
-def dual_rep(m: Representation) -> Representation:
-    """Linear dual over the opposite quiver; subreps become quotients."""
-    qop = m.quiver.opposite()
-    mats = tuple(tuple(tuple(mat[r][c] for r in range(m.dim[t - 1])) for c in range(m.dim[s - 1]))
-                 for mat, (s, t) in zip(m.matrices, m.quiver.arrows))
-    return Representation(qop, m.p, m.dim, mats)
-
-
-def rep_mod(m: Representation, p: int) -> Representation:
-    if m.p != 0:
-        raise InputError("can only reduce an integer representation")
-    return Representation(m.quiver, p, m.dim, m.matrices)
-
-
-def sample_representation(q: Quiver, d, p: int, rng_seed: int) -> Representation:
-    """Uniformly random arrow matrices over F_p, deterministic in rng_seed."""
-    d = q.check_dim(d)
-    rng = random.Random(rng_seed)
-    mats = tuple(tuple(tuple(rng.randrange(p) for _ in range(d[s - 1])) for _ in range(d[t - 1]))
-                 for s, t in q.arrows)
-    return Representation(q, p, d, mats)
-
-
-def sample_integer_rep(q: Quiver, d, rng: random.Random,
-                       lo: int = -3, hi: int = 3) -> Representation:
-    """Random integer representation with entries in [lo, hi], over Q."""
-    d = q.check_dim(d)
-    mats = tuple(tuple(tuple(rng.randint(lo, hi) for _ in range(d[s - 1])) for _ in range(d[t - 1]))
-                 for s, t in q.arrows)
-    return Representation(q, 0, d, mats)
-
-
-# ------------------------------------------------------------- hom and ext
-
-def _hom_equations(m: Representation, n: Representation) -> tuple[int, list[list[int]]]:
-    """The intertwining equations phi_t * M_a = N_a * phi_s of Hom(m, n):
-    (number of unknowns, integer rows). They are linear in the matrix
-    entries, so reducing them mod p gives the equations of the reductions."""
-    if m.quiver != n.quiver:
-        raise InputError("hom_dim needs a common quiver")
-    if m.p != n.p:
-        raise InputError("hom_dim needs a common field")
-    offs = []
-    total = 0
-    for v in range(m.quiver.vertices):
-        offs.append(total)
-        total += n.dim[v] * m.dim[v]
-    rows = []
-    for (s, t), ma, na in zip(m.quiver.arrows, m.matrices, n.matrices):
-        ss, tt = s - 1, t - 1
-        # phi_t * M_a - N_a * phi_s = 0, one equation per (r, c)
-        for r in range(n.dim[tt]):
-            for c in range(m.dim[ss]):
-                row = [0] * total
-                for k in range(m.dim[tt]):
-                    row[offs[tt] + r * m.dim[tt] + k] += ma[k][c]
-                for k in range(n.dim[ss]):
-                    row[offs[ss] + k * m.dim[ss] + c] -= na[r][k]
-                rows.append(row)
-    return total, rows
-
-
-def hom_dim(m: Representation, n: Representation) -> int:
-    """Dimension of the space of intertwiners m -> n: the number of
-    unknowns minus the rank of the intertwining equations, taken by the
-    packed kernel over F_p (`rank_mod_p`) and by `_hom_minor` over Q."""
-    if not m.p:
-        return _hom_minor(m, n)[0]
-    total, rows = _hom_equations(m, n)
-    return total - rank_mod_p(rows, m.p) if rows else total
-
-
-def _hom_minor(m: Representation, n: Representation) -> tuple[int, int]:
-    """(dim Hom(m, n) over Q, d), d the last pivot of the fraction-free
-    elimination (`linalg.echelon`) of the intertwining equations, or 1
-    when they have rank 0.
-
-    d is a nonzero r x r minor of the equations, r their rank over Q.
-    Reduction mod p never raises a rank, and it keeps this minor nonzero
-    when p does not divide d, so every such prime keeps the dimension."""
-    total, rows = _hom_equations(m, n)
-    _ech, pivots, d = echelon(rows)
-    return total - len(pivots), d
-
-
-def ext_from_hom(q: Quiver, d, e, hom: int) -> int:
-    """dim Ext^1(M, N) = dim Hom(M, N) - <d, e> for modules of dimension
-    vectors d and e; nonnegative for hereditary path algebras, so a
-    negative value is a bug."""
-    ext = hom - q.euler_form(d, e)
-    if ext < 0:
-        raise ConsistencyError("negative ext dimension computed")
-    return ext
-
-
-def ext_dim(m: Representation, n: Representation) -> int:
-    """dim Ext^1(m, n), from `hom_dim` by `ext_from_hom`."""
-    return ext_from_hom(m.quiver, m.dim, n.dim, hom_dim(m, n))
 
 
 # -------------------------------------------------------- subrep counting
@@ -471,6 +266,49 @@ def _hist_to_counts(m: Representation, enum_verts, sink_verts,
 
 # --------------------------------------------- Euler characteristic by chi
 
+@cache
+def _lagrange_basis(xs: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+    """Integer Lagrange basis through the nodes xs: (den, rows) with
+    den * L_i(x) = sum_k rows[i][k] x^k, den the lcm of the node products.
+    Cached per node tuple: a sweep fits every e on the same primes."""
+    nums, dens = [], []
+    for i, xi in enumerate(xs):
+        poly, d = [1], 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                poly = [a - xj * b for a, b in zip([0] + poly, poly + [0])]
+                d *= xi - xj
+        nums.append(poly)
+        dens.append(d)
+    den = lcm(*dens)
+    return den, [[c * (den // d) for c in poly] for poly, d in zip(nums, dens)]
+
+
+def interpolate(points: list[tuple[int, int]], degree: int) -> list[int]:
+    """Integer coefficients (ascending degree) of the polynomial of degree
+    <= `degree` through the first degree + 1 points, checked on the rest."""
+    n = degree + 1
+    den, rows = _lagrange_basis(tuple(x for x, _ in points[:n]))
+    num = [0] * n
+    for (_, y), row in zip(points, rows):
+        if y:
+            num = [a + y * b for a, b in zip(num, row)]
+    if any(c % den for c in num):
+        raise ConsistencyError("interpolated counting polynomial is not integral")
+    ints = [c // den for c in num]
+    for x, y in points[n:]:
+        if poly_eval(ints, x) != y:
+            raise ConsistencyError("counting polynomial fails the extra-prime check")
+    return ints
+
+
+def poly_eval(coeffs: list[int], x: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
 def good_primes(m_int: Representation, pool, count: int,
                 guards: tuple = ()) -> list[int]:
     """First `count` primes from the pool whose reduction preserves the
@@ -525,9 +363,8 @@ def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
     count = max(degrees, default=0) + 2
 
     def fit(primes: list[int], counts: list[dict]) -> dict[DimVector, list[int]]:
-        bases: dict = {}
-        return {e: interpolate([(p, c.get(e, 0)) for p, c in zip(primes, counts)],
-                               degree, bases) for e, degree in zip(es, degrees)}
+        return {e: interpolate([(p, c.get(e, 0)) for p, c in zip(primes, counts)], degree)
+                for e, degree in zip(es, degrees)}
 
     first = good_primes(m_int, pool, count, guards)
     counts = [count_all_subreps(rep_mod(m_int, p), budget) for p in first]

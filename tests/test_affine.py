@@ -84,6 +84,13 @@ def test_tube_modules(kron):
     assert quasi_simple_kronecker(kron, 5).dim == (1, 1)
 
 
+@pytest.mark.parametrize("length", [2.7, True, 0, "2"])
+def test_tube_length_must_be_a_positive_integer(kron, length):
+    # 2.7 was truncated to quasi-length 2 and True read as quasi-length 1
+    with pytest.raises(InputError):
+        tube_module_kronecker(kron, 1, length)
+
+
 def test_tube_modules_are_not_rigid(kron):
     t1 = tube_module_kronecker(kron, 1, 1)
     assert ext_dim(t1, t1) == 1

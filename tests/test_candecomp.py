@@ -111,6 +111,35 @@ def test_certificate_rejects_tampering(kron):
         verify_certificate(kron, wrong_sum)
 
 
+@pytest.mark.parametrize("qname, d, k", [("a3", (2, 0, 2), 4), ("atilde", (3, 3, 3), 3)])
+def test_each_witness_tuple_is_checked_once(request, monkeypatch, qname, d, k):
+    # the first sampled tuple is accepted on these vectors, so drawing it
+    # takes k samples and one Ext per ordered pair, and nothing re-checks it
+    q = request.getfixturevalue(qname)
+    calls = {"sample": 0, "ext": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(candecomp, "sample_representation",
+                        counted("sample", sample_representation))
+    monkeypatch.setattr(candecomp, "ext_dim", counted("ext", ext_dim))
+    dec = canonical_decomposition(q, d)
+    assert len(dec.expanded()) == k
+    assert calls == {"sample": k, "ext": k * (k - 1)}
+    assert verify_certificate(q, dec)
+    assert calls["ext"] == 2 * k * (k - 1)
+
+
+def test_every_decomposition_keeps_its_shape_checks(kron, monkeypatch):
+    monkeypatch.setattr(candecomp, "_find_witnesses", lambda q, instances, seed: ())
+    with pytest.raises(ConsistencyError, match="witness count mismatch"):
+        canonical_decomposition(kron, (2, 2))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4)))
 def test_decomposition_partitions_the_vector(d):

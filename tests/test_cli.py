@@ -156,14 +156,13 @@ def test_unwritable_out_file_exits_2(tmp_path, capsys):
 
 
 def test_selftest_single_criterion(capsys):
-    rc, out, _err = run_cli(capsys, ["selftest", "--criteria", "9"])
+    rc, out, err = run_cli(capsys, ["selftest", "--criteria", "9"])
     assert rc == 0
-    lines = out.splitlines()
-    assert any(line.startswith("criterion 09 PASS") for line in lines)
-    start = next(i for i, line in enumerate(lines) if line.startswith("{"))
-    doc = json.loads("\n".join(lines[start:]))
+    assert any(line.startswith("criterion 09 PASS") for line in err.splitlines())
+    doc = json.loads(out)  # stdout is the document alone
     assert doc["results"]["passed"] is True
     assert [r["criterion"] for r in doc["results"]["reports"]] == [9]
+    assert all("seconds" not in r for r in doc["results"]["reports"])
 
 
 def test_selftest_failure_exits_1(capsys, monkeypatch):

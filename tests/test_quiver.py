@@ -36,6 +36,13 @@ def test_validation_rejects_bad_quivers():
         Quiver(0, ())
 
 
+@pytest.mark.parametrize("arrows", [((1, 2, 3), (1, 2)), ((1,), (1, 2)), (1, 2)])
+def test_arrows_must_be_pairs(arrows):
+    # each of these raised a raw ValueError or TypeError from unpacking
+    with pytest.raises(InputError):
+        Quiver(2, arrows)
+
+
 def test_euler_form_hand_values(kron, a3):
     # <e,f> = sum e_i f_i - sum over arrows e_source f_target
     assert kron.euler_form((1, 0), (0, 1)) == -2
@@ -69,6 +76,9 @@ NON_INTEGER_INPUTS = {
     "rep_dim": lambda: Representation(kronecker(), 0, (1.0, 1), (((1,),), ((1,),))),
     "rep_entry": lambda: Representation(kronecker(), 5, (1, 1), (((1.5,),), ((1,),))),
     "sample": lambda: sample_integer_rep(kronecker(), (2, 1.5), random.Random(0)),
+    "arrow": lambda: Quiver(2, ((1.9, 2), (1, 2))),
+    "arrow_bool": lambda: Quiver(2, ((True, 2), (1, 2))),
+    "arrow_str": lambda: Quiver(2, (("1", 2), (1, 2))),
 }
 
 

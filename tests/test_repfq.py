@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from genvar import repfq
 from genvar.errors import BudgetError, ConsistencyError, InputError
-from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, interpolate,
+from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts,
                            pencil_rank_counts, rank_mod_p)
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import (Representation, count_all_subreps, count_subreps,
                           counting_polynomial, direct_sum, dual_rep, ext_dim,
                           euler_char_grassmannian, good_primes, hom_dim,
-                          projective_rep, rep_mod, sample_integer_rep,
+                          interpolate, projective_rep, rep_mod, sample_integer_rep,
                           sample_representation, simple_rep, zero_rep)
 
 
@@ -431,11 +431,11 @@ def test_good_primes_budget_error(kron):
 
 def test_interpolation_checks_integrality_and_extra_points():
     square_plus_one = [(x, x * x + 1) for x in (5, 7, 11, 13)]
-    assert interpolate(square_plus_one, 2, {}) == [1, 0, 1]
+    assert interpolate(square_plus_one, 2) == [1, 0, 1]
     with pytest.raises(ConsistencyError, match="extra-prime"):
-        interpolate(square_plus_one[:3] + [(13, 171)], 2, {})
+        interpolate(square_plus_one[:3] + [(13, 171)], 2)
     with pytest.raises(ConsistencyError, match="not integral"):
-        interpolate([(5, 0), (7, 1)], 1, {})  # slope 1/2
+        interpolate([(5, 0), (7, 1)], 1)  # slope 1/2
 
 
 def test_chi_all_matches_counting_polynomial(kron):
