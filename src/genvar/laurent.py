@@ -17,7 +17,8 @@ their term map as built.
 
 from __future__ import annotations
 
-from operator import add
+from heapq import heappop, heappush
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import ConsistencyError, InputError
@@ -193,13 +194,16 @@ class LaurentPoly:
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; ConsistencyError if inexact.
 
-        Leading-term elimination under lex order. If self = q * other, then
-        in every coordinate the exponents of q lie between min(self) -
-        min(other) and max(self) - max(other) (the extreme parts of a
-        product are the products of the extreme parts), so a quotient term
-        outside that box proves the division inexact. Exactness of every
-        mutation-step division is a structural guarantee, so failure here
-        means an implementation bug, not bad input.
+        Each step eliminates the lex-least remainder term, popped from a
+        heap: lex order is compatible with multiplication, so a step adds
+        only greater terms. If self = q * other, then in every coordinate
+        the exponents of q lie between min(self) - min(other) and max(self)
+        - max(other) (the extreme parts of a product are the products of
+        the extreme parts), so a quotient term outside that box proves the
+        division inexact. Exactness of every mutation-step division is a
+        structural guarantee, so failure here means an implementation bug,
+        not bad input; `mutation.mutate` memoizes its steps, so a process
+        divides each distinct exchange once.
         """
         self._check(other)
         if other.is_zero():
@@ -209,32 +213,32 @@ class LaurentPoly:
         box = [(min(e[i] for e in self.terms) - min(e[i] for e in other.terms),
                 max(e[i] for e in self.terms) - max(e[i] for e in other.terms))
                for i in range(self.nvars)]
-        lead_exp = max(other.terms)
+        lead_exp = min(other.terms)
         lead_coef = other.terms[lead_exp]
         rem = dict(self.terms)
+        heap = sorted(rem)  # every key of rem, pushed once; a sorted list is a heap
         quot: dict[tuple[int, ...], int] = {}
         steps = 0
-        while rem:
+        while heap:
+            rexp = heappop(heap)
+            rcoef = rem[rexp]
+            if not rcoef:
+                continue  # cancelled after it was pushed
             steps += 1
             if steps > _DIV_STEP_CAP:
                 raise ConsistencyError("laurent division did not terminate")
-            rexp = max(rem)
-            rcoef = rem[rexp]
             if rcoef % lead_coef != 0:
                 raise ConsistencyError("inexact laurent division (coefficient)")
             qc = rcoef // lead_coef
-            qe = tuple(a - b for a, b in zip(rexp, lead_exp))
+            qe = tuple(map(sub, rexp, lead_exp))
             if any(not lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
                 raise ConsistencyError("inexact laurent division (exponent)")
-            quot[qe] = quot.get(qe, 0) + qc
+            quot[qe] = qc  # rexp strictly increases, so qe is new
             for oexp, ocoef in other.terms.items():
-                exp = tuple(a + b for a, b in zip(qe, oexp))
-                c = rem.get(exp, 0) - qc * ocoef
-                if c:
-                    rem[exp] = c
-                else:
-                    rem.pop(exp, None)
-        # rexp strictly decreases, so each quotient term is set once, nonzero
+                exp = tuple(map(add, qe, oexp))
+                if exp not in rem:
+                    heappush(heap, exp)
+                rem[exp] = rem.get(exp, 0) - qc * ocoef
         q = LaurentPoly._trusted(self.nvars, quot)
         if q * other != self:
             raise ConsistencyError("inexact laurent division (remainder)")

@@ -3,12 +3,15 @@
 A seed is a skew-symmetric exchange matrix plus a cluster of Laurent
 polynomials written in the initial variables. The exchange step divides
 exactly in the Laurent ring; an inexact division is an implementation
-bug and raises ConsistencyError.
+bug and raises ConsistencyError. A mutation is a function of its seed and
+vertex, so `mutate` keeps every result for the life of the process; the
+enumeration BFS's still charge each step against their budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 
 from .errors import BudgetError, ConsistencyError, InputError
@@ -37,11 +40,14 @@ def initial_seed(q: Quiver) -> Seed:
     return Seed(tuple(tuple(r) for r in b), cluster)
 
 
+@lru_cache(maxsize=None, typed=True)
 def mutate(seed: Seed, k: int) -> Seed:
-    """Mutate at vertex k (1-based)."""
+    """Mutate at vertex k (1-based int). Memoized per (seed, k), unbounded
+    like the subrepresentation count cache; `mutate.cache_info()` counts
+    hits. Typed keys keep 1.0 and True from hitting the entry of 1."""
     n = len(seed.b)
-    if not 1 <= k <= n:
-        raise InputError("mutation vertex %d out of range" % k)
+    if type(k) is not int or not 1 <= k <= n:
+        raise InputError("mutation vertex %r out of range" % (k,))
     kk = k - 1
     nv = seed.cluster[0].nvars
     m_plus = LaurentPoly.one(nv)
@@ -54,19 +60,14 @@ def mutate(seed: Seed, k: int) -> Seed:
             m_minus = m_minus * seed.cluster[i] ** (-bik)
     new_var = (m_plus + m_minus).divide_exact(seed.cluster[kk])
     cluster = tuple(new_var if i == kk else seed.cluster[i] for i in range(n))
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == kk or j == kk:
-                b[i][j] = -seed.b[i][j]
-            else:
-                b[i][j] = seed.b[i][j] + (abs(seed.b[i][kk]) * seed.b[kk][j]
-                                          + seed.b[i][kk] * abs(seed.b[kk][j])) // 2
+    rk = seed.b[kk]
+    b = tuple(tuple(-x if kk in (i, j) else x + (abs(r[kk]) * rk[j] + r[kk] * abs(rk[j])) // 2
+                    for j, x in enumerate(r)) for i, r in enumerate(seed.b))
     for i in range(n):
         for j in range(n):
             if b[i][j] != -b[j][i]:
                 raise ConsistencyError("mutated matrix lost skew-symmetry")
-    return Seed(tuple(tuple(r) for r in b), cluster)
+    return Seed(b, cluster)
 
 
 @dataclass
@@ -102,8 +103,8 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
     preinjective chains without exploring the whole exchange graph.
 
     Before each mutation its exchange work (`_exchange_terms`) counts
-    against `budget`; BudgetError past it, so no step starts whose work
-    would pass the budget.
+    against `budget`, cached in `mutate` or not; BudgetError past it, so
+    no step starts whose work would pass the budget.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
@@ -168,15 +169,8 @@ def _exchange_terms(seed: Seed, k: int) -> int:
 
 def _boundary_vertices(seed: Seed, direction: str) -> list[int]:
     """Current sinks (no arrow out, b[k][j] <= 0) or sources of the seed quiver."""
-    n = len(seed.b)
-    out = []
-    for k in range(n):
-        row = seed.b[k]
-        if direction == "sink" and all(v <= 0 for v in row):
-            out.append(k + 1)
-        elif direction == "source" and all(v >= 0 for v in row):
-            out.append(k + 1)
-    return out
+    sign = 1 if direction == "source" else -1
+    return [k + 1 for k, row in enumerate(seed.b) if all(sign * v >= 0 for v in row)]
 
 
 def cluster_monomials(table: ClusterVariableTable, q: Quiver, max_den,

@@ -38,11 +38,12 @@ class Quiver:
 
     def __post_init__(self):
         n = self.vertices
-        if not isinstance(n, int) or n <= 0:
+        if type(n) is not int or n <= 0:
             raise InputError("vertex count must be a positive integer")
-        if not all(isinstance(a, (tuple, list)) and len(a) == 2
-                   and all(type(x) is int for x in a) for a in self.arrows):
-            raise InputError("arrows must be (source, target) pairs of integers")
+        if not isinstance(self.arrows, (tuple, list)) or not all(
+                isinstance(a, (tuple, list)) and len(a) == 2
+                and all(type(x) is int for x in a) for a in self.arrows):
+            raise InputError("arrows must be a sequence of (source, target) integer pairs")
         object.__setattr__(self, "arrows", tuple((s, t) for s, t in self.arrows))
         for s, t in self.arrows:
             if not (1 <= s <= n and 1 <= t <= n):

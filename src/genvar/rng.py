@@ -10,10 +10,14 @@ from __future__ import annotations
 import hashlib
 import random
 
+from .errors import InputError
+
 
 def derive(seed: int, *tags) -> int:
-    """Derive a child seed from a root seed and a tag path."""
-    material = repr((int(seed),) + tags).encode()
+    """Derive a child seed from a root int seed (InputError otherwise) and a tag path."""
+    if type(seed) is not int:
+        raise InputError("seed %r must be an integer" % (seed,))
+    material = repr((seed,) + tags).encode()
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 

@@ -11,7 +11,7 @@ from genvar.candecomp import (CanonicalDecomposition, canonical_decomposition,
                               exceptional_regular_dims, generic_ext_vanishes,
                               generic_ext_vanishes_cluster, is_schur_root,
                               verify_certificate)
-from genvar.errors import ConsistencyError
+from genvar.errors import ConsistencyError, InputError
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import Representation, ext_dim, hom_dim, sample_representation
 
@@ -288,3 +288,12 @@ def test_oracles_build_no_representation(monkeypatch):
         is_schur_root(q, d)
         for e in grid:
             generic_ext_vanishes(q, d, e)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1", None])
+def test_decomposition_seed_must_be_an_int(kron, seed):
+    # `rng.derive` truncated 1.5 and True to the witnesses of seed 1
+    with pytest.raises(InputError):
+        canonical_decomposition(kron, (2, 2), seed=seed)
+    with pytest.raises(InputError):
+        rng.derive(seed, "wit")

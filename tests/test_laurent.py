@@ -229,3 +229,31 @@ def test_public_constructor_still_validates():
     with pytest.raises(InputError):
         LaurentPoly.variable(2, 1).shift((1, 2, 3))
     assert LaurentPoly.variable(2, 1).shift([0, -1]).terms == {(1, -1): 1}
+
+
+def nonzero_terms(min_size):
+    return st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+        st.integers(-3, 3).filter(bool), min_size=min_size, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(three_var_terms, nonzero_terms(1))
+def test_divide_exact_recovers_every_factor(ta, tb):
+    a, b = LaurentPoly(3, ta), LaurentPoly(3, tb)
+    q = (a * b).divide_exact(b)
+    assert q == a
+    assert_canonical(q, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(three_var_terms, nonzero_terms(2),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+       st.integers(-3, 3).filter(bool))
+def test_divide_exact_rejects_a_product_plus_a_monomial(ta, tb, exp, coef):
+    # a monomial is a unit times an integer, so a divisor of two or more
+    # terms never divides a * b + m
+    b = LaurentPoly(3, tb)
+    m = LaurentPoly.monomial(3, exp, coef)
+    with pytest.raises(ConsistencyError):
+        (LaurentPoly(3, ta) * b + m).divide_exact(b)

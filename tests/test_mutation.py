@@ -175,3 +175,47 @@ def test_enumeration_budget_boundary(a2):
     assert len(table.entries) == 5
     with pytest.raises(BudgetError):
         enumerate_cluster_variables(a2, 8, budget=charge - 1)
+
+
+def test_budget_boundary_holds_with_a_warm_mutation_cache(a2):
+    # every step is charged whether or not `mutate` has it cached
+    enumerate_cluster_variables(a2, 8)
+    charge = 30
+    assert len(enumerate_cluster_variables(a2, 8, budget=charge).entries) == 5
+    with pytest.raises(BudgetError):
+        enumerate_cluster_variables(a2, 8, budget=charge - 1)
+
+
+def snapshot(table):
+    return (table.entries, table.provenance, table.clusters)
+
+
+@pytest.mark.parametrize("name, depth, sweeps", [("a3", 10, 0), ("kron", 4, 3),
+                                                 ("atilde", 4, 2)])
+def test_repeated_enumeration_reuses_every_mutation(request, monkeypatch, name,
+                                                    depth, sweeps):
+    q = request.getfixturevalue(name)
+    first = snapshot(enumerate_cluster_variables(q, depth, sweeps))
+    divisions = []
+    divide = LaurentPoly.divide_exact
+
+    def spy(self, other):
+        divisions.append(other)
+        return divide(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "divide_exact", spy)
+    assert snapshot(enumerate_cluster_variables(q, depth, sweeps)) == first
+    assert divisions == []
+    mutate.cache_clear()
+    assert snapshot(enumerate_cluster_variables(q, depth, sweeps)) == first
+    assert divisions
+
+
+def test_mutate_returns_the_cached_seed(a2):
+    seed = initial_seed(a2)
+    assert mutate(seed, 1) is mutate(initial_seed(a2), 1)
+    assert mutate(mutate(seed, 2), 2) == seed
+    # 1.0 == True == 1, but neither may hit the cached entry of vertex 1
+    for k in (1.0, True):
+        with pytest.raises(InputError):
+            mutate(seed, k)

@@ -43,6 +43,14 @@ def test_arrows_must_be_pairs(arrows):
         Quiver(2, arrows)
 
 
+@pytest.mark.parametrize("n, arrows", [(True, ()), (2.0, ((1, 2),)), (2, None), (2, 12),
+                                       (2, ((1, 2) for _ in range(1)))])
+def test_vertex_count_and_arrow_sequence_are_checked(n, arrows):
+    # a bool vertex count built a one-vertex quiver; None raised a raw TypeError
+    with pytest.raises(InputError):
+        Quiver(n, arrows)
+
+
 def test_euler_form_hand_values(kron, a3):
     # <e,f> = sum e_i f_i - sum over arrows e_source f_target
     assert kron.euler_form((1, 0), (0, 1)) == -2
