@@ -12,13 +12,15 @@ of `nvars` ints, coefficients become ints, a value that is not integral
 coefficients are dropped; `shift` checks its exponent the same way.
 Results of arithmetic on polynomials that are already valid (`+`, `-`,
 `*`, `scale`, `shift`, powers and quotients) skip that pass and store
-their term map as built.
+their term map as built. Every term map is read-only, so a polynomial
+that a cache hands out cannot be changed through it.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from operator import add, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ConsistencyError, InputError
@@ -54,7 +56,7 @@ class LaurentPoly:
             if coef:
                 clean[exp] = coef
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "_hash", None)
 
     @classmethod
@@ -63,7 +65,7 @@ class LaurentPoly:
         length nvars, nonzero int values) without copying or checking it."""
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
         object.__setattr__(self, "_hash", None)
         return self
 

@@ -1,7 +1,8 @@
 """Exact linear algebra: one fraction-free elimination over the integers,
 one packed reduction kernel over F_p, Gaussian binomials, the
-definiteness class of a symmetric form, and two closed-form counts of
-affine families of vectors by the rank of their span: one parameter from
+definiteness class of a symmetric form, and three closed-form counts:
+subspaces by the rank of one map on them (`kernel_meet_counts`), and
+affine families of vectors by the rank of their span, one parameter from
 the roots of a pencil (`pencil_rank_counts`), several by Moebius
 inversion on the subspace lattice (`image_rank_counts`).
 
@@ -11,7 +12,7 @@ all read its result. Over F_p, `PackedFp` is the only one: the counting
 engine uses it directly, `rank_mod_p` takes the rank of a plain integer
 matrix with it, `image_rank_counts` solves its affine systems with it
 and `pencil_rank_counts` takes its ranks at the roots. Everything here
-is deterministic; `PackedFp` and both closed forms sit inside the
+is deterministic; `PackedFp` and the closed forms sit inside the
 grassmannian point-counting hot loop.
 """
 
@@ -144,6 +145,19 @@ def gauss_binom(n: int, k: int, q: int) -> int:
     return num // den
 
 
+@cache
+def kernel_meet_counts(n: int, rho: int, q: int) -> tuple[tuple, int]:
+    """Subspaces W of F_q^n as (dim W, dim A(W), count) rows, A linear of
+    rank rho, and their total sum_k [n k]_q: the k-dimensional W meeting
+    ker A (dimension kappa = n - rho) in s dimensions number [kappa s]_q
+    [rho k-s]_q q^((kappa-s)(k-s)) (Andrews 1976, ch. 13)."""
+    kappa = n - rho
+    table = tuple((k, k - s, gauss_binom(kappa, s, q) * gauss_binom(rho, k - s, q)
+                   * q ** ((kappa - s) * (k - s)))
+                  for k in range(n + 1) for s in range(max(0, k - rho), min(k, kappa) + 1))
+    return table, sum(gauss_binom(n, k, q) for k in range(n + 1))
+
+
 class PackedFp:
     """One reduction kernel for vectors of F_p^n packed into Python ints.
 
@@ -224,7 +238,7 @@ class PackedFp:
 
 
 @cache
-def _lattice_size(ks: tuple, p: int) -> int:
+def lattice_size(ks: tuple, p: int) -> int:
     """Number of tuples of subspaces of F_p^k, one k per entry of ks."""
     return prod(sum(gauss_binom(k, j, p) for j in range(k + 1)) for k in ks)
 
@@ -265,7 +279,7 @@ def image_rank_counts(kern: PackedFp, targets: Sequence, ntails: int) -> dict[tu
     """
     p = kern.p
     ks = tuple(len(cols) for _, cols in targets)
-    if _lattice_size(ks, p) >= p ** ntails:
+    if lattice_size(ks, p) >= p ** ntails:
         return None
     pack, coords, red, extend = kern.pack, kern.coords, kern.reduce, kern.extend
     systems = []  # per target, per nonzero fibre coordinate i: per arrow (d_a1[i], .., c_a[i])

@@ -13,18 +13,22 @@ Each subspace is built row by row in reduced echelon form, and each
 row's images are merged into the states of the arrow targets once, so
 every subspace below that row shares the work. All F_p arithmetic goes
 through one kernel, `linalg.PackedFp`: vectors are packed into Python
-ints and reduced mod p field by field. Two shortcuts apply at the last
-enumerated vertex, where only the ranks of the target states matter.
-Once every target state spans its fibre, the remaining rows change no
-rank, and their p^(free entries) choices are counted in closed form.
-At the last row, reduction against the fixed target states is linear,
-so the image of the row e_lead + sum x_j e_j reduces to c + sum x_j d_j
-(c, d_j the reduced matrix columns). The tails x are counted by the rank
-of those images from the roots of their pencil when there is one tail
-and at most two arrows per target (`linalg.pencil_rank_counts`), else by
-Moebius inversion on the subspace lattice (`linalg.image_rank_counts`),
-or by one rank per x where that is cheaper. Rows are walked fewer tails
-first, so the closed forms get the row with the most tails.
+ints and reduced mod p field by field. At the last enumerated vertex
+only the ranks of the target states matter. When one arrow leaves it,
+the image rank of U = F + W (F forced, W on the free coordinates) is
+dim W - dim(W meet K), K the kernel of the induced map, so the vertex is
+counted whole from the rank of that map (`linalg.kernel_meet_counts`).
+Otherwise two shortcuts apply. Once every target state spans its fibre,
+the remaining rows change no rank, and their p^(free entries) choices
+are counted in closed form. At the last row, reduction against the
+fixed target states is linear, so the image of the row e_lead + sum x_j
+e_j reduces to c + sum x_j d_j (c, d_j the reduced matrix columns). The
+tails x are counted by the rank of those images from the roots of their
+pencil when there is one tail and at most two arrows per target
+(`linalg.pencil_rank_counts`), else by Moebius inversion on the subspace
+lattice (`linalg.image_rank_counts`), or by one rank per x where that is
+cheaper. Rows are walked fewer tails first, so the closed forms get the
+row with the most tails.
 
 Euler characteristics interpolate the counts at good primes with one
 integer Lagrange basis per tuple of nodes (`interpolate`), checking
@@ -48,7 +52,8 @@ from itertools import combinations, product
 from math import lcm
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .linalg import PackedFp, gauss_binom, image_rank_counts, pencil_rank_counts
+from .linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
+                     lattice_size, pencil_rank_counts)
 from .quiver import DimVector, Quiver
 from .reps import (Representation, _hom_minor, direct_sum, dual_rep, ext_dim,  # noqa: F401
                    ext_from_hom, hom_dim, is_prime, projective_rep, rep_mod,
@@ -73,8 +78,10 @@ def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[D
     key = m.key()
     hit = _COUNT_CACHE.get(key)
     if hit is None:
-        arrows = m.quiver.arrows
-        if _enum_cost(m, {t for _, t in arrows}) < _enum_cost(m, {s for s, _ in arrows}):
+        # subspace tuples at the arrow sources, and at the targets, which the dual enumerates
+        cost = [lattice_size(tuple(m.dim[v - 1] for v in {a[i] for a in m.quiver.arrows}), m.p)
+                for i in (0, 1)]
+        if cost[1] < cost[0]:
             dual_counts, visits = _count_engine(dual_rep(m), budget)
             counts = {tuple(a - b for a, b in zip(m.dim, e)): c
                       for e, c in dual_counts.items()}
@@ -83,23 +90,13 @@ def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[D
         hit = _COUNT_CACHE[key] = (counts, visits)
     if hit[1] > budget:
         raise BudgetError("subspace enumeration budget exceeded")
-    return hit[0]
+    return dict(hit[0])
 
 
 def count_subreps(m: Representation, e, budget: int = DEFAULT_BUDGET) -> int:
     """Number of subspace tuples of dimension e stable under all arrows."""
     e = _subvector(e, m.dim)
     return count_all_subreps(m, budget).get(e, 0)
-
-
-def _enum_cost(m: Representation, enumerated: set) -> int:
-    """Upper estimate of enumerated subspace tuples of m, or of its dual
-    when `enumerated` holds the arrow targets: product over the vertices
-    that have outgoing arrows of the total subspace counts."""
-    cost = 1
-    for v in enumerated:
-        cost *= sum(gauss_binom(m.dim[v - 1], k, m.p) for k in range(m.dim[v - 1] + 1))
-    return cost
 
 
 def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int], int]:
@@ -158,6 +155,15 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
             key = (dims + (dim_v,),
                    tuple(ranks[tpos[u]] if u in tpos else r for u, r in zip(sink_verts, fixed)))
             hist[key] = hist.get(key, 0) + count
+
+        if last and len(targets) == 1 and len(targets[0][1]) == 1:
+            cols = targets[0][1][0]  # one arrow: U = forced + W adds rank dim A(W) mod top
+            table, total = kernel_meet_counts(
+                len(free), rank([residue(top[0], cols[j]) for j in free]), p)
+            tick(total)
+            for k, r, count in table:
+                record(len(forced) + k, [len(top[0]) + r], count)
+            return
 
         def last_row(dim_v: int, lead: int, tails: list, tstates: list) -> None:
             """The last echelon row at the last enumerated vertex. Reduction

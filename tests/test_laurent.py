@@ -31,6 +31,17 @@ def test_constructors():
     assert LaurentPoly.monomial(2, (-1, 3), 4).terms == {(-1, 3): 4}
 
 
+def test_term_maps_are_read_only():
+    # built by the checking constructor and by trusted arithmetic alike
+    for p in (lp({(1, 0): 2}), lp({(1, 0): 2}) * lp({(0, 1): 3}), lp({(1, 0): 1}) + lp({})):
+        before, h = dict(p.terms), hash(p)
+        with pytest.raises(TypeError):
+            p.terms[(5, 5)] = 7
+        with pytest.raises(TypeError):
+            del p.terms[next(iter(p.terms))]
+        assert p.terms == before and hash(p) == h
+
+
 def test_equality_ignores_term_order_and_hash_agrees():
     a = lp({(1, 0): 1, (0, 1): 2})
     b = lp({(0, 1): 2, (1, 0): 1})

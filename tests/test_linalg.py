@@ -12,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genvar.linalg import (PackedFp, _roots, echelon, gauss_binom, image_rank_counts,
-                           kernel_basis, pencil_rank_counts, rank_fraction, rank_mod_p,
-                           solve)
+                           kernel_basis, kernel_meet_counts, pencil_rank_counts,
+                           rank_fraction, rank_mod_p, solve)
 
 # Every minor of a matrix below is at most (3 sqrt 5)^5 < 13,600 in absolute
 # value (Hadamard), so none vanishes mod 65537 and the largest rank mod p
@@ -73,6 +73,43 @@ def test_solve_is_exact_or_none(a, data):
         assert all(isinstance(c, Fraction) for c in x)
     else:
         assert x is None
+
+
+# ------------------------------------ subspaces counted by their image rank
+
+def _echelon_subspaces(n, p):
+    """Every subspace of F_p^n once, as the rows of its reduced echelon
+    basis: pivot columns, then every value of the entries right of a
+    pivot that sit in no pivot column."""
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, n)
+                    if j not in pivots]
+            for vals in itertools.product(range(p), repeat=len(free)):
+                rows = [[int(j == c) for j in range(n)] for c in pivots]
+                for (i, j), x in zip(free, vals):
+                    rows[i][j] = x
+                yield rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_meet_counts_match_enumeration(p):
+    rng = random.Random(p)
+    for n in range(5):
+        for kappa in range(n + 1):
+            kernel = []  # a random kappa-dimensional K in F_p^n
+            while rank_mod_p(kernel, p) < kappa:
+                kernel = [[rng.randrange(p) for _ in range(n)] for _ in range(kappa)]
+            got, total = kernel_meet_counts(n, n - kappa, p)
+            want, seen = {}, 0
+            for rows in _echelon_subspaces(n, p):
+                meet = len(rows) + kappa - rank_mod_p(rows + kernel, p)
+                key = (len(rows), len(rows) - meet)  # (dim W, dim W - dim(W meet K))
+                want[key] = want.get(key, 0) + 1
+                seen += 1
+            assert {(k, r): c for k, r, c in got} == want
+            assert len(got) == len(want)
+            assert total == seen == sum(gauss_binom(n, k, p) for k in range(n + 1))
 
 
 # --------------------------------------------- tails counted by image rank

@@ -219,3 +219,12 @@ def test_mutate_returns_the_cached_seed(a2):
     for k in (1.0, True):
         with pytest.raises(InputError):
             mutate(seed, k)
+
+
+def test_a_cached_mutation_cannot_be_changed_by_its_caller(a2):
+    seed = initial_seed(a2)
+    want = mutate(seed, 1).cluster[0]
+    with pytest.raises(TypeError):
+        mutate(seed, 1).cluster[0].terms[(5, 5)] = 7
+    got = mutate(initial_seed(a2), 1).cluster[0]
+    assert got.terms == want.terms == {(-1, 0): 1, (-1, 1): 1}

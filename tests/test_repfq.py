@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from genvar import repfq
 from genvar.errors import BudgetError, ConsistencyError, InputError
-from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts,
+from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
                            pencil_rank_counts, rank_mod_p)
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import (Representation, count_all_subreps, count_subreps,
@@ -192,8 +192,14 @@ def test_counts_match_brute_force(builder, d, p, seed):
 
 
 def test_brute_force_cases_reach_every_last_row_path(monkeypatch):
-    # the pencil, the lattice with one target and with several, and the loop
+    # the whole last vertex in closed form (one arrow leaves it: type A,
+    # affine A2), else at its last row the pencil, the lattice with one
+    # target and with several, and the loop (Kronecker, the two sinks)
     seen = set()
+
+    def vertex_spy(n, rho, p):
+        seen.add("vertex")
+        return kernel_meet_counts(n, rho, p)
 
     def pencil_spy(kern, targets):
         out = pencil_rank_counts(kern, targets)
@@ -208,9 +214,10 @@ def test_brute_force_cases_reach_every_last_row_path(monkeypatch):
 
     monkeypatch.setattr(repfq, "pencil_rank_counts", pencil_spy)
     monkeypatch.setattr(repfq, "image_rank_counts", lattice_spy)
+    monkeypatch.setattr(repfq, "kernel_meet_counts", vertex_spy)
     for builder, d, p, seed in BRUTE_FORCE_CASES:
         _engine_both_ways(sample_representation(builder(), d, p, seed))
-    assert seen == {"pencil", 1, 2, "loop"}
+    assert seen == {"vertex", "pencil", 1, 2, "loop"}
 
 
 @pytest.mark.parametrize("p", [2, 3, 43, 10007])
@@ -279,6 +286,10 @@ def test_budget_error_on_tiny_budget(kron):
     (lambda: affine_a2(), (2, 2, 2), 3, 5, 26),
     # rows walked fewer tails first: still one visit per subspace of F_3^4
     (kronecker, (4, 3), 3, 26, sum(gauss_binom(4, k, 3) for k in range(5))),
+    # 1 -> 2 -> 3, seed 0 draws an invertible first map: the 1 + 4 + 1
+    # subspaces of F_3^2 at vertex 1, then at vertex 2 the subspaces holding
+    # their image: 6 over the zero space, 2 over each of 4 lines, 1 over F_3^2
+    (lambda: a_n(3), (2, 2, 2), 3, 0, 6 + 6 + 4 * 2 + 1),
 ])
 def test_budget_boundary_is_the_visit_count(builder, d, p, seed, visits):
     m = sample_representation(builder(), d, p, seed)
@@ -295,6 +306,15 @@ def test_count_cache_keeps_the_budget(kron):
     with pytest.raises(BudgetError):
         count_all_subreps(m, budget=1)  # warm cache, same verdict
     assert count_all_subreps(m, budget=8) == counts  # 1 + [2 1]_5 + 1 visits
+
+
+def test_count_cache_hands_out_copies(kron):
+    m = sample_representation(kron, (2, 2), 5, 42)
+    counts = count_all_subreps(m)
+    want = dict(counts)
+    counts.clear()
+    assert count_all_subreps(m) == want
+    assert count_subreps(m, (2, 2)) == 1
 
 
 # ------------------------------------------------------- chi interpolation
