@@ -28,14 +28,14 @@ from . import candecomp
 
 def chebyshev_s(n: int) -> list[int]:
     """Coefficient list (ascending) of S_n."""
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise InputError("S_n needs n >= 0")
     return _three_term([1], n)
 
 
 def chebyshev_f(n: int) -> list[int]:
     """Coefficient list (ascending) of F_n, with F_0 = 2."""
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise InputError("F_n needs n >= 0")
     return _three_term([2], n)
 
@@ -55,7 +55,7 @@ def s_as_f_sum(n: int) -> list[int]:
     """Coefficients c_k with S_n = sum_k c_k F_k (F_0 meaning 1 here, the
     basis normalization used by the double-arrow families): S_n = F_n +
     F_{n-2} + ... ending in F_1 or F_0 = 1."""
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise InputError("n >= 0 required")
     out = [0] * (n + 1)
     k = n

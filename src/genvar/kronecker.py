@@ -52,7 +52,7 @@ def family_element(kind: str, n: int, pool=DEFAULT_PRIMES,
     """n-th imaginary-layer element of a family (index 0 is 1)."""
     if kind not in KINDS:
         raise InputError("unknown family %r" % (kind,))
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise InputError("layer index must be nonnegative")
     return _combine(_coeffs(kind, n), _powers(n + 1, pool, budget))
 
@@ -122,7 +122,7 @@ def expand_in_S(n: int) -> list[int]:
 
 
 def _expand(target: str, n: int) -> list[int]:
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise InputError("n >= 0 required")
     col = _column("G", target, n)
     _verify("G", target, {n: col})
@@ -152,7 +152,7 @@ def base_change(source: str, target: str, size: int) -> BaseChangeMatrix:
     for kind in (source, target):
         if kind not in KINDS:
             raise InputError("unknown family %r" % (kind,))
-    if size < 1:
+    if type(size) is not int or size < 1:
         raise InputError("size must be positive")
     mat = _square(source, target, size)
     inv = _square(target, source, size)
@@ -221,7 +221,7 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
     bound = q.check_dim(monomial_bound)
     if any(x < 0 for x in bound):
         raise InputError("monomial bound must be a nonnegative pair")
-    if n_max < 0:
+    if type(n_max) is not int or n_max < 0:
         raise InputError("n_max must be nonnegative")
     table = mutation.enumerate_cluster_variables(q, max(bound) + 3, budget=budget)
     monos = mutation.cluster_monomials(table, q, bound, budget=budget)

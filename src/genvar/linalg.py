@@ -10,10 +10,11 @@ Over Q, `echelon` is the only elimination: rank (`rank_fraction`), the
 primitive integer kernel (`kernel_basis`) and exact solving (`solve`)
 all read its result. Over F_p, `PackedFp` is the only one: the counting
 engine uses it directly, `rank_mod_p` takes the rank of a plain integer
-matrix with it, `image_rank_counts` solves its affine systems with it
-and `pencil_rank_counts` takes its ranks at the roots. Everything here
-is deterministic; `PackedFp` and the closed forms sit inside the
-grassmannian point-counting hot loop.
+matrix with it, `image_rank_counts` solves its affine systems with it,
+`pencil_rank_counts` takes its ranks at the roots, and
+`pencil.pencil_layer_counts` takes a pencil's ranks and the kernel of
+[A B] with it. Everything here is deterministic; `PackedFp` and the
+closed forms sit inside the grassmannian point-counting hot loop.
 """
 
 from __future__ import annotations

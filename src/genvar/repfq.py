@@ -14,21 +14,20 @@ row's images are merged into the states of the arrow targets once, so
 every subspace below that row shares the work. All F_p arithmetic goes
 through one kernel, `linalg.PackedFp`: vectors are packed into Python
 ints and reduced mod p field by field. At the last enumerated vertex
-only the ranks of the target states matter. When one arrow leaves it,
-the image rank of U = F + W (F forced, W on the free coordinates) is
-dim W - dim(W meet K), K the kernel of the induced map, so the vertex is
-counted whole from the rank of that map (`linalg.kernel_meet_counts`).
-Otherwise two shortcuts apply. Once every target state spans its fibre,
-the remaining rows change no rank, and their p^(free entries) choices
-are counted in closed form. At the last row, reduction against the
-fixed target states is linear, so the image of the row e_lead + sum x_j
-e_j reduces to c + sum x_j d_j (c, d_j the reduced matrix columns). The
-tails x are counted by the rank of those images from the roots of their
-pencil when there is one tail and at most two arrows per target
-(`linalg.pencil_rank_counts`), else by Moebius inversion on the subspace
-lattice (`linalg.image_rank_counts`), or by one rank per x where that is
-cheaper. Rows are walked fewer tails first, so the closed forms get the
-row with the most tails.
+only the ranks of the target states matter: U = F + W (F forced, W on
+the N free coordinates) adds dim(A(W) + B(W)) at a target reached by
+arrows A, B. With one arrow that is dim W - dim(W meet ker A), so the
+vertex is counted whole from rank A (`linalg.kernel_meet_counts`). With
+two into one target, the W of dimension 0, 1, N - 1 and N are counted
+from the ranks of the pencil xA + yB (`pencil.pencil_layer_counts`), and
+the layers between are walked. In a walk, once every target state spans
+its fibre, the remaining rows' p^(free entries) choices are counted in
+closed form. At the last row the tails x are counted by the rank of
+their images (linear in x): from the roots of their pencil for one tail
+and at most two arrows per target (`linalg.pencil_rank_counts`), else by
+Moebius inversion on the subspace lattice (`linalg.image_rank_counts`),
+or by one rank per x where that is cheaper. Rows are walked fewer tails
+first, so the closed forms get the row with the most tails.
 
 Euler characteristics interpolate the counts at good primes with one
 integer Lagrange basis per tuple of nodes (`interpolate`), checking
@@ -49,11 +48,12 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
                      lattice_size, pencil_rank_counts)
+from .pencil import pencil_layer_counts
 from .quiver import DimVector, Quiver
 from .reps import (Representation, _hom_minor, direct_sum, dual_rep, ext_dim,  # noqa: F401
                    ext_from_hom, hom_dim, is_prime, projective_rep, rep_mod,
@@ -110,15 +110,11 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
     has_out = {s for s, _ in q.arrows}
     enum_verts = [v for v in order if v in has_out]
     sink_verts = [v for v in order if v not in has_out]
-    # per vertex: (target, packed columns of each arrow from the vertex to it)
-    outs: dict[int, list] = {v: [] for v in enum_verts}
+    # per vertex: target -> packed columns of each arrow from the vertex to it
+    outs = {v: {} for v in enum_verts}
     for (s, t), mat in zip(q.arrows, m.matrices):
-        cols = [kern.pack([row[j] for row in mat]) for j in range(m.dim[s - 1])]
-        group = next((g for g in outs[s] if g[0] == t), None)
-        if group is None:
-            outs[s].append((t, [cols]))
-        else:
-            group[1].append(cols)
+        outs[s].setdefault(t, []).append(
+            [kern.pack([row[j] for row in mat]) for j in range(m.dim[s - 1])])
     hist: dict[tuple, int] = {}
     visits = 0
 
@@ -136,9 +132,9 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
         v = enum_verts[idx]
         n = m.dim[v - 1]
         forced = states[v - 1]
-        targets = outs[v]
+        targets = list(outs[v].items())
         top = [states[t - 1] for t, _ in targets]
-        for (off, r) in forced:
+        for _, r in forced:
             rc = kern.coords(r, n)
             for ti, (_, arrows) in enumerate(targets):
                 for cols in arrows:
@@ -156,14 +152,18 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
                    tuple(ranks[tpos[u]] if u in tpos else r for u, r in zip(sink_verts, fixed)))
             hist[key] = hist.get(key, 0) + count
 
-        if last and len(targets) == 1 and len(targets[0][1]) == 1:
-            cols = targets[0][1][0]  # one arrow: U = forced + W adds rank dim A(W) mod top
-            table, total = kernel_meet_counts(
-                len(free), rank([residue(top[0], cols[j]) for j in free]), p)
+        layers = range(len(free) + 1)
+        arrows = targets[0][1] if last and len(targets) == 1 else ()
+        if 0 < len(arrows) <= min(2, len(free)):
+            # U = forced + W adds dim(A(W) + B(W)) mod top: all W for one arrow,
+            # for two the W of dimension 0, 1, N - 1 and N (N = len(free))
+            maps = [[residue(top[0], cols[j]) for j in free] for cols in arrows]
+            table, total = (pencil_layer_counts(kern, full[0], *maps) if len(maps) == 2
+                            else kernel_meet_counts(len(free), rank(maps[0]), p))
+            layers = range(2, len(free) - 1) if len(maps) == 2 else ()
             tick(total)
             for k, r, count in table:
                 record(len(forced) + k, [len(top[0]) + r], count)
-            return
 
         def last_row(dim_v: int, lead: int, tails: list, tstates: list) -> None:
             """The last echelon row at the last enumerated vertex. Reduction
@@ -190,13 +190,11 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
             if acc is None:
                 acc = {}
                 steps = [[x * ds[-1] for x in range(p)] for _, ds in pairs]
-                one = len(spans) == 1
                 for head in product(range(p), repeat=len(tails) - 1):
                     bases = [red(c + sum(x * d for x, d in zip(head, ds))) for c, ds in pairs]
                     for step in zip(*steps):
                         vals = [red(b + s) for b, s in zip(bases, step)]
-                        key = (rank(vals),) if one else tuple(
-                            [rank(vals[lo:hi]) for lo, hi in spans])
+                        key = tuple([rank(vals[lo:hi]) for lo, hi in spans])
                         acc[key] = acc.get(key, 0) + 1
             for ranks, count in acc.items():
                 record(dim_v, [len(b) + r for b, r in zip(tstates, ranks)], count)
@@ -231,15 +229,17 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
                     new.append(b)
                 walk(rows, i + 1, new)
 
-        for k in range(len(free) + 1):
+        for k in layers:
             for leads in combinations(range(len(free)), k):
                 walk([(free[a], [free[b] for b in range(a + 1, len(free)) if b not in leads])
                       for a in reversed(leads)], 0, top)  # fewest tails first
+        del walk  # a cycle (walk calls itself): free it without the collector
 
     if enum_verts:
         vertex(0, (), tuple(() for _ in range(q.vertices)))
     else:
         hist[((), tuple(0 for _ in sink_verts))] = 1
+    del vertex  # likewise
     return _hist_to_counts(m, enum_verts, sink_verts, hist), visits
 
 
@@ -250,23 +250,15 @@ def _hist_to_counts(m: Representation, enum_verts, sink_verts,
     factor counting subspaces between the forced image and the full fibre."""
     q, p = m.quiver, m.p
     counts: dict[DimVector, int] = {}
-    sink_ranges = [range(m.dim[w - 1] + 1) for w in sink_verts]
     for (dims, fs), mult in hist.items():
-        for sink_dims in product(*sink_ranges):
-            factor = mult
-            for w, ew, fw in zip(sink_verts, sink_dims, fs):
-                factor *= gauss_binom(m.dim[w - 1] - fw, ew - fw, p)
-                if not factor:
-                    break
-            if not factor:
-                continue
+        for sink_dims in product(*[range(f, m.dim[w - 1] + 1) for w, f in zip(sink_verts, fs)]):
             e = [0] * q.vertices
-            for v, ev in zip(enum_verts, dims):
+            for v, ev in zip(enum_verts + sink_verts, dims + sink_dims):
                 e[v - 1] = ev
-            for w, ew in zip(sink_verts, sink_dims):
-                e[w - 1] = ew
             e = tuple(e)
-            counts[e] = counts.get(e, 0) + factor
+            counts[e] = counts.get(e, 0) + mult * prod(
+                gauss_binom(m.dim[w - 1] - fw, ew - fw, p)
+                for w, ew, fw in zip(sink_verts, sink_dims, fs))
     return counts
 
 
@@ -294,6 +286,8 @@ def interpolate(points: list[tuple[int, int]], degree: int) -> list[int]:
     """Integer coefficients (ascending degree) of the polynomial of degree
     <= `degree` through the first degree + 1 points, checked on the rest."""
     n = degree + 1
+    if len(points) < n:
+        raise InputError("too few points for the degree")
     den, rows = _lagrange_basis(tuple(x for x, _ in points[:n]))
     num = [0] * n
     for (_, y), row in zip(points, rows):

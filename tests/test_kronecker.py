@@ -190,6 +190,22 @@ def test_build_basis_window():
             assert name == "mono:%d,%d" % poly.denominator_vector()
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: kb.base_change("G", "SZ", x),
+    lambda x: kb.family_element("CZ", x),
+    lambda x: kb.build_basis("G", x),
+    kb.expand_in_S,
+    kb.expand_in_F,
+    chebyshev_s,
+    chebyshev_f,
+    s_as_f_sum,
+])
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5])
+def test_family_integer_arguments_must_be_ints(call, bad):
+    with pytest.raises(InputError):
+        call(bad)
+
+
 def test_build_basis_validation():
     with pytest.raises(InputError):
         kb.build_basis("nope", n_max=2)

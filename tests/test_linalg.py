@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from genvar.linalg import (PackedFp, _roots, echelon, gauss_binom, image_rank_counts,
                            kernel_basis, kernel_meet_counts, pencil_rank_counts,
                            rank_fraction, rank_mod_p, solve)
+from genvar.pencil import pencil_layer_counts
 
 # Every minor of a matrix below is at most (3 sqrt 5)^5 < 13,600 in absolute
 # value (Hadamard), so none vanishes mod 65537 and the largest rank mod p
@@ -110,6 +111,67 @@ def test_kernel_meet_counts_match_enumeration(p):
             assert {(k, r): c for k, r, c in got} == want
             assert len(got) == len(want)
             assert total == seen == sum(gauss_binom(n, k, p) for k in range(n + 1))
+
+
+def _two_map_cases(p):
+    """Named pairs of maps F_p^N -> F_p^n as column lists (a, b): degenerate
+    pencils, then pairs with every kappa = dim ker[A B] from 0 to 2N for
+    N = 2..4, then random pairs with degenerate columns."""
+    rng = random.Random(100 + p)
+    eye = [[int(i == j) for i in range(3)] for j in range(3)]
+    shift = [[int(i == j + 1) for i in range(3)] for j in range(3)]  # nilpotent, rank 2
+
+    def rank_one(n, size):
+        u, v = [rng.randrange(1, p) for _ in range(n)], [rng.randrange(1, p) for _ in range(size)]
+        return [[x * y % p for x in u] for y in v]
+
+    rand = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+    cases = {
+        "A = B": (rand, rand),
+        "A = 0": ([[0] * 3] * 3, rand),
+        "B = 0": (rand, [[0] * 3] * 3),
+        "both zero": ([[0] * 2] * 4, [[0] * 2] * 4),
+        "rank one each": (rank_one(3, 4), rank_one(3, 4)),
+        "drops at (0:1) only": (eye, shift),  # x I + y J is singular only at x = 0
+        "drops at (1:0) only": (shift, eye),
+        "rank[A B] < n": ([[x % p, 2 * x % p, 0, 0, 1] for x in range(2)],
+                          [[1, 2 % p, 0, 0, 1], [0, 0, 0, 0, 0]]),
+    }
+    for size in range(2, 5):
+        for kappa in range(2 * size + 1):
+            n = max(2 * size - kappa, 1)
+            cols = None
+            while cols is None or rank_mod_p(cols, p) != 2 * size - kappa:
+                basis = [[rng.randrange(p) for _ in range(n)] for _ in range(2 * size - kappa)]
+                cols = [[sum(rng.randrange(p) * v[i] for v in basis) % p for i in range(n)]
+                        for _ in range(2 * size)]
+            cases["N = %d, kappa = %d" % (size, kappa)] = (cols[:size], cols[size:])
+    for i in range(40):
+        size, n, earlier = rng.randint(2, 4), rng.randint(1, 4), []
+        for _ in range(2 * size):
+            earlier.append(_column(rng, p, n, earlier))
+        cases["random %d" % i] = (earlier[:size], earlier[size:])
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pencil_layer_counts_match_enumeration(p):
+    for name, (a, b) in _two_map_cases(p).items():
+        size, n = len(a), len(a[0])
+        kern = PackedFp(p, max(n, size))
+        got, total = pencil_layer_counts(kern, n, [kern.pack(u) for u in a],
+                                         [kern.pack(u) for u in b])
+        closed = {0, 1, size - 1, size}
+        want = {}
+        for rows in _echelon_subspaces(size, p):
+            if len(rows) in closed:
+                images = [[sum(x * col[i] for x, col in zip(row, m)) % p for i in range(n)]
+                          for m in (a, b) for row in rows]
+                key = (len(rows), rank_mod_p(images, p))
+                want[key] = want.get(key, 0) + 1
+        assert {(k, r): c for k, r, c in got} == want, name
+        assert len(got) == len(want), name
+        assert total == sum(want.values()) == sum(gauss_binom(size, k, p) for k in closed)
 
 
 # --------------------------------------------- tails counted by image rank

@@ -11,6 +11,7 @@ from genvar import repfq
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
                            pencil_rank_counts, rank_mod_p)
+from genvar.pencil import pencil_layer_counts
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import (Representation, count_all_subreps, count_subreps,
                           counting_polynomial, direct_sum, dual_rep, ext_dim,
@@ -193,13 +194,19 @@ def test_counts_match_brute_force(builder, d, p, seed):
 
 def test_brute_force_cases_reach_every_last_row_path(monkeypatch):
     # the whole last vertex in closed form (one arrow leaves it: type A,
-    # affine A2), else at its last row the pencil, the lattice with one
-    # target and with several, and the loop (Kronecker, the two sinks)
+    # affine A2), its ends, lines and hyperplanes from the pencil of two
+    # arrows into one target (Kronecker), else at its last row the pencil,
+    # the lattice with one target and with several, and the loop (the
+    # middle layer of Kronecker N = 4, the two sinks, three arrows)
     seen = set()
 
     def vertex_spy(n, rho, p):
         seen.add("vertex")
         return kernel_meet_counts(n, rho, p)
+
+    def layers_spy(kern, n, a, b):
+        seen.add("layers")
+        return pencil_layer_counts(kern, n, a, b)
 
     def pencil_spy(kern, targets):
         out = pencil_rank_counts(kern, targets)
@@ -215,9 +222,10 @@ def test_brute_force_cases_reach_every_last_row_path(monkeypatch):
     monkeypatch.setattr(repfq, "pencil_rank_counts", pencil_spy)
     monkeypatch.setattr(repfq, "image_rank_counts", lattice_spy)
     monkeypatch.setattr(repfq, "kernel_meet_counts", vertex_spy)
+    monkeypatch.setattr(repfq, "pencil_layer_counts", layers_spy)
     for builder, d, p, seed in BRUTE_FORCE_CASES:
         _engine_both_ways(sample_representation(builder(), d, p, seed))
-    assert seen == {"vertex", "pencil", 1, 2, "loop"}
+    assert seen == {"vertex", "layers", "pencil", 1, 2, "loop"}
 
 
 @pytest.mark.parametrize("p", [2, 3, 43, 10007])
@@ -456,6 +464,12 @@ def test_interpolation_checks_integrality_and_extra_points():
         interpolate(square_plus_one[:3] + [(13, 171)], 2)
     with pytest.raises(ConsistencyError, match="not integral"):
         interpolate([(5, 0), (7, 1)], 1)  # slope 1/2
+
+
+@pytest.mark.parametrize("points,degree", [([(5, 26), (7, 50)], 2), ([], 0), ([], 1)])
+def test_interpolation_needs_degree_plus_one_points(points, degree):
+    with pytest.raises(InputError, match="points"):
+        interpolate(points, degree)
 
 
 def test_chi_all_matches_counting_polynomial(kron):
