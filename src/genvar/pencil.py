@@ -5,9 +5,7 @@ vertex with two arrows into one target. All F_p arithmetic goes through
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .linalg import PackedFp, gauss_binom, pencil_rank_counts
+from .linalg import PackedFp, gauss_binom
 
 
 def pencil_layer_counts(kern: PackedFp, n: int, a: list, b: list) -> tuple[list, int]:
@@ -25,11 +23,8 @@ def pencil_layer_counts(kern: PackedFp, n: int, a: list, b: list) -> tuple[list,
     R - rho(y:-x), and any two of those spaces meet in the annihilator of
     pi1 K + pi2 K (dimension z, g = 0). K comes from the echelon basis of
     [a_j | e_j] in a kernel wide enough for n + 2N fields."""
-    p, red, rank, size = kern.p, kern.reduce, kern.rank, len(a)
-    # rho at every (x:1), from the roots of a minor when there are two columns
-    rhos = pencil_rank_counts(kern, [(n, [(v, [u]) for u, v in zip(a, b)])]) or Counter(
-        (rank([red(x * u + v) for u, v in zip(a, b)]),) for x in range(p))
-    rhos = list(rhos.items()) + [((rank(a),), 1)]  # and at (1:0)
+    p, rank, size = kern.p, kern.rank, len(a)
+    rhos = [rank(a)] + [rank([kern.reduce(x * u + v) for u, v in zip(a, b)]) for x in range(p)]
     wide = PackedFp(p, n + 2 * size)
     cols = [kern.coords(u, n) for u in a + b]
     basis = ()
@@ -47,7 +42,7 @@ def pencil_layer_counts(kern: PackedFp, n: int, a: list, b: list) -> tuple[list,
     table = [(0, 0, 1), (size, rk, 1)]
     # per layer: rank r0 + g with g = 0, 1, 2; at N = 2 the hyperplanes are the lines
     for k, r0, zero, top in [(1, 0, z1, size), (size - 1, rk - 2, z, rk)][:size - 1]:
-        counts = [lines(zero), sum(c * (lines(top - r) - lines(zero)) for (r,), c in rhos)]
+        counts = [lines(zero), sum(lines(top - r) - lines(zero) for r in rhos)]
         counts.append(lines(size) - sum(counts))
         table += [(k, r0 + g, c) for g, c in enumerate(counts) if c]
     return table, sum(gauss_binom(size, k, p) for k in {0, 1, size - 1, size})
