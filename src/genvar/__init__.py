@@ -6,6 +6,8 @@ characteristics by exact interpolation, exact decomposition oracles,
 and sampled witnesses that make every certificate re-checkable.
 """
 
+import sys
+
 from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .quiver import (AffineData, Quiver, WildTypeError, a_n, affine_a2,
@@ -41,8 +43,8 @@ __all__ = [
     "ConsistencyError", "DecoratedRep", "GenericValue", "InputError",
     "LaurentPoly", "Quiver", "Representation", "Seed", "WildTypeError",
     "a_n", "affine_a2", "base_change", "build_basis",
-    "canonical_decomposition", "cc_of_module", "cc_of_object", "chi_all",
-    "chebyshev_f", "chebyshev_s", "cluster_monomials",
+    "cache_stats", "canonical_decomposition", "cc_of_module", "cc_of_object",
+    "chi_all", "chebyshev_f", "chebyshev_s", "clear_caches", "cluster_monomials",
     "counting_polynomial", "delta_character", "direct_sum", "dual_rep",
     "enumerate_cluster_variables", "euler_char_grassmannian",
     "exceptional_regular_dims", "expand_in_F", "expand_in_S",
@@ -57,3 +59,28 @@ __all__ = [
     "simple_rep", "tube_module_kronecker", "verify_certificate",
     "z_character", "zero_rep",
 ]
+
+
+def _caches() -> dict:
+    """Every module-level cache by name: functools caches and `*_CACHE` dicts."""
+    return dict(sorted((name.partition(".")[2] + "." + attr, obj)
+                       for name, mod in list(sys.modules.items()) if name.startswith("genvar.")
+                       for attr, obj in vars(mod).items()
+                       if (attr.endswith("_CACHE") and isinstance(obj, dict))
+                       or (hasattr(obj, "cache_clear") and obj.__module__ == name)))
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache; no answer or budget verdict changes."""
+    for c in _caches().values():
+        (c.clear if isinstance(c, dict) else c.cache_clear)()
+
+
+def cache_stats() -> dict:
+    """{name: {hits, misses, size}} for every cache; a dict counts no hits (None)."""
+    stats = {}
+    for name, c in _caches().items():
+        hits, misses, _max, size = ((None, None, None, len(c)) if isinstance(c, dict)
+                                    else c.cache_info())
+        stats[name] = {"hits": hits, "misses": misses, "size": size}
+    return stats

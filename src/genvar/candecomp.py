@@ -7,13 +7,15 @@ decided from the Euler form alone, memoised on the quiver and the two
 vectors. Every decomposition returned here carries sampled witness
 representations as its certificate, checked exactly when they are drawn
 (each summand Schur, all ordered pairs of distinct summand instances with
-vanishing Ext); `verify_certificate` re-checks a stored one.
+vanishing Ext); `verify_certificate` re-checks a stored one. Draws are a
+function of (quiver, instances, seed), so `_find_witnesses` is memoised:
+each witness tuple is drawn once per process (a failure is not cached).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from operator import mul, sub
 
@@ -152,7 +154,7 @@ def canonical_decomposition(q: Quiver, d, method: str = "auto",
     if method not in ("auto", "search", "structural"):
         raise InputError("unknown method %r" % (method,))
     summands = _summands(q, d, method)
-    witnesses = _find_witnesses(q, [e for e, m, _t in summands for _ in range(m)], seed)
+    witnesses = _find_witnesses(q, tuple(e for e, m, _t in summands for _ in range(m)), seed)
     out = CanonicalDecomposition(vector=d, summands=summands, witnesses=witnesses)
     _witness_reps(q, out)  # the witnesses themselves passed `_witness_fault` when drawn
     return out
@@ -244,7 +246,8 @@ def _witness_fault(reps: list[Representation]) -> str | None:
     return None
 
 
-def _find_witnesses(q: Quiver, instances: list[DimVector], seed: int) -> tuple:
+@lru_cache(maxsize=None, typed=True)  # typed: seed True must not hit seed 1
+def _find_witnesses(q: Quiver, instances: tuple, seed: int) -> tuple:
     """Sample one representation per summand instance so that every
     instance is Schur and all ordered pairs have Ext = 0."""
     if not instances:

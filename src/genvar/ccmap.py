@@ -16,7 +16,8 @@ A sample is a direct sum of one sampled module per summand instance.
 Its certificates read the Hom dimensions between its blocks, since
 Hom(+P_i, +P_j) = +Hom(P_i, P_j), and its character is assembled summand
 by summand, since X_{M+N} = X_M * X_N for every direct sum
-(Caldero-Chapoton 2006, Prop. 3.6).
+(Caldero-Chapoton 2006, Prop. 3.6). Module characters are memoised on
+every argument, budget included, so budget verdicts do not move.
 """
 
 from __future__ import annotations
@@ -63,10 +64,15 @@ def cc_of_module(m: Representation, pool=DEFAULT_PRIMES,
     `guards` are passed through to the prime filter: reductions must
     preserve Hom against them, keeping subrepresentation counts on the
     polynomial branch the rational module certifies."""
-    q = m.quiver
-    n = q.vertices
     if m.p != 0:
         raise InputError("character evaluation needs an integer module")
+    return _cc_of_module(m, tuple(pool), budget, tuple(guards))
+
+
+@cache
+def _cc_of_module(m: Representation, pool: tuple, budget: int, guards: tuple) -> LaurentPoly:
+    q = m.quiver
+    n = q.vertices
     if not any(m.dim):
         return LaurentPoly.one(n)
     chi = chi_all(m, pool=pool, budget=budget, guards=guards)

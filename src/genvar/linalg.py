@@ -6,11 +6,12 @@ affine families of vectors by the rank of their span, one parameter from
 the roots of a pencil (`pencil_rank_counts`), several by Moebius
 inversion on the subspace lattice (`image_rank_counts`).
 
-Over Q, `echelon` is the only elimination: rank (`rank_fraction`), the
-primitive integer kernel (`kernel_basis`) and exact solving (`solve`)
-all read its result. Over F_p, `PackedFp` is the only one: the counting
-engine uses it directly, `rank_mod_p` takes the rank of a plain integer
-matrix with it, `image_rank_counts` solves its affine systems with it,
+Over Q, `echelon` is the only elimination: rank (`rank_fraction`, which
+first counts rows with distinct leading columns), the primitive integer
+kernel (`kernel_basis`) and exact solving (`solve`) all read its result.
+Over F_p, `PackedFp` is the only one: the counting engine uses it
+directly, `rank_mod_p` takes the rank of a plain integer matrix with it,
+`image_rank_counts` solves its affine systems with it,
 `pencil_rank_counts` takes its ranks at the roots, and
 `pencil.pencil_layer_counts` takes a pencil's ranks and the kernel of
 [A B] with it. Everything here is deterministic; `PackedFp` and the
@@ -66,7 +67,11 @@ def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
 
 
 def rank_fraction(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q (the field of fractions) of an integer matrix, exact."""
+    """Rank over Q of an integer matrix, exact. Rows with pairwise distinct
+    leading columns (zero rows aside) are counted, not eliminated."""
+    leads = [next(c for c, x in enumerate(row) if x) for row in rows if any(row)]
+    if len(set(leads)) == len(leads):
+        return len(leads)
     return len(echelon(rows)[1])
 
 

@@ -284,10 +284,11 @@ def _lagrange_basis(xs: tuple[int, ...]) -> tuple[int, list[list[int]]]:
 
 def interpolate(points: list[tuple[int, int]], degree: int) -> list[int]:
     """Integer coefficients (ascending degree) of the polynomial of degree
-    <= `degree` through the first degree + 1 points, checked on the rest."""
+    <= `degree` through the first degree + 1 points, checked on the rest.
+    InputError for a negative degree, too few points or a repeated node."""
     n = degree + 1
-    if len(points) < n:
-        raise InputError("too few points for the degree")
+    if n < 1 or len(points) < n or len(dict(points)) < len(points):  # dict: one key per node
+        raise InputError("interpolation needs degree + 1 >= 1 points at distinct nodes")
     den, rows = _lagrange_basis(tuple(x for x, _ in points[:n]))
     num = [0] * n
     for (_, y), row in zip(points, rows):

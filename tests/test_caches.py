@@ -1,0 +1,99 @@
+"""The package's module-level caches: one reset, one stats view, and no
+cache that changes an answer or a budget verdict."""
+
+import importlib
+import pkgutil
+
+import genvar
+from genvar import cache_stats, clear_caches
+from genvar.candecomp import canonical_decomposition
+from genvar.ccmap import cc_of_module, generic_variable
+from genvar.errors import BudgetError
+from genvar.quiver import affine_a2, kronecker
+from genvar.reps import Representation
+
+KRON, ATILDE = kronecker(), affine_a2()
+# A tube module of length 2 at lambda = 1. Its character is fitted at the
+# good primes 5, 7, 11 and 13; at each the two-arrow source F_p^2 is
+# counted whole, one visit per subspace, so the last count visits
+# sum_k [2 k]_13 = 1 + 14 + 1 = 16 subspaces.
+TUBE = Representation(KRON, 0, (2, 2), (((1, 0), (0, 1)), ((1, 1), (0, 1))))
+TUBE_VISITS = 16
+
+CALLS = [
+    ("generic", KRON, (2, 2)),
+    ("generic", KRON, (2, 1)),
+    ("generic", ATILDE, (1, 1, 1)),
+    ("decomp", KRON, (3, 3), "structural"),
+    ("decomp", KRON, (3, 3), "search"),
+    ("decomp", ATILDE, (2, 3, 2), "structural"),
+    ("decomp", ATILDE, (2, 3, 2), "search"),
+    ("module", TUBE_VISITS),
+    ("module", TUBE_VISITS - 1),
+]
+
+
+def _answer(call):
+    kind = call[0]
+    try:
+        if kind == "generic":
+            v = generic_variable(call[1], call[2])
+            return v.poly, v.samples, v.summands
+        if kind == "decomp":
+            dec = canonical_decomposition(call[1], call[2], method=call[3])
+            return dec.summands, dec.witnesses
+        return cc_of_module(TUBE, budget=call[1])
+    except BudgetError as exc:
+        return "BudgetError", str(exc)
+
+
+def test_answers_do_not_depend_on_what_is_cached():
+    for c in CALLS:
+        _answer(c)
+    warm = [_answer(c) for c in CALLS]  # every answer from a cache
+    clear_caches()
+    cold = [_answer(c) for c in CALLS]
+    clear_caches()
+    backwards = [_answer(c) for c in reversed(CALLS)][::-1]
+    assert warm == cold == backwards
+    assert warm[-1][0] == "BudgetError" and not isinstance(warm[-2], tuple)
+
+
+def _module_level_caches():
+    """Every functools cache and every module-level dict, list or set in
+    the package, found without asking the package which ones it has."""
+    found = {}
+    for info in pkgutil.iter_modules(genvar.__path__):
+        mod = importlib.import_module("genvar." + info.name)
+        for attr, obj in vars(mod).items():
+            mine = getattr(obj, "__module__", mod.__name__) == mod.__name__
+            if attr.startswith("__") or not mine:
+                continue
+            if hasattr(obj, "cache_clear") or isinstance(obj, (dict, list, set)):
+                found["%s.%s" % (info.name, attr)] = obj
+    return found
+
+
+def test_clear_caches_empties_every_module_level_cache():
+    found = _module_level_caches()
+    assert set(found) == set(cache_stats())
+    generic_variable(ATILDE, (1, 1, 1))
+    canonical_decomposition(KRON, (3, 3))
+    cc_of_module(TUBE)
+    assert sum(s["size"] for s in cache_stats().values()) > 0
+    clear_caches()
+    for name, obj in found.items():
+        size = obj.cache_info().currsize if hasattr(obj, "cache_clear") else len(obj)
+        assert size == 0, name
+
+
+def test_cache_stats_counts_one_witness_hit_on_a_repeated_decomposition():
+    clear_caches()
+    first = canonical_decomposition(KRON, (3, 3))
+    second = canonical_decomposition(KRON, (3, 3))
+    stats = cache_stats()
+    assert stats["candecomp._find_witnesses"] == {"hits": 1, "misses": 1, "size": 1}
+    assert stats["repfq._COUNT_CACHE"] == {"hits": None, "misses": None, "size": 0}
+    assert list(stats) == sorted(stats)
+    assert second.witnesses == first.witnesses
+    assert cache_stats() == stats  # reading the stats changes none of them

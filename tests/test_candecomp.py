@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genvar import candecomp, rng
+from genvar import candecomp, clear_caches, rng
 from genvar.candecomp import (CanonicalDecomposition, canonical_decomposition,
                               exceptional_regular_dims, generic_ext_vanishes,
                               generic_ext_vanishes_cluster, is_schur_root,
@@ -114,7 +114,9 @@ def test_certificate_rejects_tampering(kron):
 @pytest.mark.parametrize("qname, d, k", [("a3", (2, 0, 2), 4), ("atilde", (3, 3, 3), 3)])
 def test_each_witness_tuple_is_checked_once(request, monkeypatch, qname, d, k):
     # the first sampled tuple is accepted on these vectors, so drawing it
-    # takes k samples and one Ext per ordered pair, and nothing re-checks it
+    # takes k samples and one Ext per ordered pair, and nothing re-checks it;
+    # the witness memo may already hold it, so start from cold caches
+    clear_caches()
     q = request.getfixturevalue(qname)
     calls = {"sample": 0, "ext": 0}
 
@@ -132,6 +134,36 @@ def test_each_witness_tuple_is_checked_once(request, monkeypatch, qname, d, k):
     assert calls == {"sample": k, "ext": k * (k - 1)}
     assert verify_certificate(q, dec)
     assert calls["ext"] == 2 * k * (k - 1)
+    # a repeated decomposition draws nothing, but its witnesses are still
+    # re-checked by `verify_certificate`
+    again = canonical_decomposition(q, d)
+    assert again == dec and calls["sample"] == k
+    assert verify_certificate(q, again)
+    assert calls["ext"] == 3 * k * (k - 1)
+
+
+@pytest.mark.parametrize("qname, d", [("kron", (3, 3)), ("atilde", (2, 3, 2)),
+                                      ("atilde", (3, 2, 3))])
+def test_a_repeated_decomposition_draws_no_witness(request, monkeypatch, qname, d):
+    q = request.getfixturevalue(qname)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_representation(*args)
+
+    monkeypatch.setattr(candecomp, "sample_representation", counted)
+    for method in ("structural", "search"):
+        clear_caches()
+        calls.clear()
+        first = canonical_decomposition(q, d, method=method, seed=3)
+        drawn = len(calls)
+        assert drawn >= len(first.expanded())
+        assert canonical_decomposition(q, d, method=method, seed=3) == first
+        assert len(calls) == drawn
+    # another seed draws its own tuple
+    other = canonical_decomposition(q, d, method="search", seed=4)
+    assert len(calls) > drawn and other.witnesses != first.witnesses
 
 
 def test_every_decomposition_keeps_its_shape_checks(kron, monkeypatch):
@@ -280,8 +312,7 @@ def test_oracles_build_no_representation(monkeypatch):
 
     for name in ("sample_representation", "hom_dim", "ext_dim"):
         monkeypatch.setattr(candecomp, name, boom)
-    candecomp._ext_zero.cache_clear()
-    candecomp._is_schur.cache_clear()
+    clear_caches()
     q = affine_a2()
     grid = _grid((3, 3, 3))
     for d in grid:

@@ -230,3 +230,6 @@ def test_independence_negative_control(z_closed_form):
     rep = kb.independence_check(fam, extra=[extra])
     assert rep["independent"] is False
     assert rep["rank"] == rep["elements"] - 1
+    # a duplicated element repeats a leading monomial, so the rank is eliminated
+    dup = kb.independence_check(fam, extra=[fam.elements[-1][1]])
+    assert (dup["rank"], dup["independent"]) == (len(fam.elements), False)

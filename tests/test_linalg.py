@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genvar.linalg import (PackedFp, _roots, echelon, gauss_binom, image_rank_counts,
@@ -38,6 +38,33 @@ def test_rank_is_the_largest_rank_mod_p_and_fits_the_kernel(a):
     r = rank_fraction(a)
     assert r == max(rank_mod_p(a, p) for p in PRIMES)
     assert r == len(a[0]) - len(kernel_basis(a))
+
+
+@st.composite
+def led_matrices(draw):
+    """Rows with drawn leading columns: zero rows, distinct leads and
+    repeated leads all common; possibly no rows or no columns."""
+    cols = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        lead = draw(st.integers(0, cols))  # cols: a zero row
+        tail = draw(st.lists(st.integers(-3, 3), min_size=max(cols - lead - 1, 0),
+                             max_size=max(cols - lead - 1, 0)))
+        head = [draw(st.sampled_from((-2, -1, 1, 3)))] if lead < cols else []
+        rows.append([0] * lead + head + tail)
+    return rows
+
+
+@given(st.one_of(led_matrices(), matrices()))
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[0, 2, 1], [0, 0, 0], [5, 0, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 1], [1, 0], [1, 1]])
+def test_rank_certificate_agrees_with_elimination(a):
+    # `rank_fraction` counts rows with distinct leads without eliminating;
+    # zero rows and repeated leads must not be counted that way
+    assert rank_fraction(a) == len(echelon(a)[1])
 
 
 @given(matrices(), st.sampled_from((2, 3, 5, 7, 11, 13)))

@@ -466,7 +466,9 @@ def test_interpolation_checks_integrality_and_extra_points():
         interpolate([(5, 0), (7, 1)], 1)  # slope 1/2
 
 
-@pytest.mark.parametrize("points,degree", [([(5, 26), (7, 50)], 2), ([], 0), ([], 1)])
+@pytest.mark.parametrize("points,degree", [
+    ([(5, 26), (7, 50)], 2), ([], 0), ([], 1), ([], -1),  # too few, a negative degree
+    ([(5, 1), (5, 1)], 1), ([(5, 1), (7, 2), (5, 1)], 1)])  # a repeated node
 def test_interpolation_needs_degree_plus_one_points(points, degree):
     with pytest.raises(InputError, match="points"):
         interpolate(points, degree)
