@@ -349,6 +349,9 @@ def run_criterion(k: int) -> dict:
 
 
 def run_all(selected=None, echo=print) -> tuple[bool, list[dict]]:
+    unknown = sorted(set(selected or ()) - {c[0] for c in CRITERIA})
+    if unknown:
+        raise InputError("no criterion %s" % ", ".join(map(str, unknown)))
     results = []
     for k, _name, _fn in CRITERIA:
         if selected is not None and k not in selected:

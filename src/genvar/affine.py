@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import ccmap, mutation
-from .errors import BudgetError, ConsistencyError, InputError
+from .errors import ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES

@@ -1,9 +1,8 @@
 """Exact linear algebra: one fraction-free elimination over the integers,
 one packed reduction kernel over F_p, Gaussian binomials, the
-definiteness class of a symmetric form, and three closed-form counts:
+definiteness class of a symmetric form, and two closed-form counts:
 subspaces by the rank of one map on them (`kernel_meet_counts`), and
-affine families of vectors by the rank of their span, one parameter from
-the roots of a pencil (`pencil_rank_counts`), several by Moebius
+affine families of vectors by the rank of their span, by Moebius
 inversion on the subspace lattice (`image_rank_counts`).
 
 Over Q, `echelon` is the only elimination: rank (`rank_fraction`, which
@@ -11,8 +10,7 @@ first counts rows with distinct leading columns), the primitive integer
 kernel (`kernel_basis`) and exact solving (`solve`) all read its result.
 Over F_p, `PackedFp` is the only one: the counting engine uses it
 directly, `rank_mod_p` takes the rank of a plain integer matrix with it,
-`image_rank_counts` solves its affine systems with it,
-`pencil_rank_counts` takes its ranks at the roots, and
+`image_rank_counts` solves its affine systems with it, and
 `pencil.pencil_layer_counts` takes a pencil's ranks and the kernel of
 [A B] with it. Everything here is deterministic; `PackedFp` and the
 closed forms sit inside the grassmannian point-counting hot loop.
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 from math import gcd, prod
 from typing import Sequence
 
@@ -324,67 +322,3 @@ def image_rank_counts(kern: PackedFp, targets: Sequence, ntails: int) -> dict[tu
     if min(out.values()) < 0:
         raise ConsistencyError("negative count of tails by image rank")
     return {r: c for r, c in out.items() if c}
-
-
-@cache
-def _square_root(a: int, p: int) -> int | None:
-    """A square root of a in F_p, or None. Found by search and cached, so
-    each prime's table holds only the squares asked for: memory grows with
-    the calls, not with p."""
-    return next((x for x in range(p // 2 + 1) if x * x % p == a), None)
-
-
-def _roots(c0: int, c1: int, c2: int, p: int) -> set[int]:
-    """Roots in F_p of c0 + c1 x + c2 x^2, not the zero polynomial: at
-    p = 2 by evaluation, else by the discriminant for degree 2."""
-    if p == 2:
-        return {x for x in (0, 1) if (c0 + (c1 + c2) * x) % 2 == 0}
-    if c2:
-        r = _square_root((c1 * c1 - 4 * c0 * c2) % p, p)
-        inv = pow(2 * c2, -1, p)
-        return set() if r is None else {(r - c1) * inv % p, (-r - c1) * inv % p}
-    return {-c0 * pow(c1, -1, p) % p} if c1 else set()
-
-
-def _pencil_poly(n: int, cols: list, coords, p: int) -> tuple:
-    """Coefficients (ascending) of a polynomial in x off whose roots the
-    rank of the images c_a + x d_a is constant: their first 2x2 minor that
-    is not the zero polynomial, else their first nonzero coordinate (rank
-    <= 1, and 0 only at its roots), else zero (rank 0 everywhere)."""
-    vecs = [(coords(c, n), coords(ds[0], n)) for c, ds in cols]
-    if len(vecs) == 2:
-        (c, d), (e, f) = vecs
-        for i, j in combinations(range(n), 2):
-            minor = ((c[i] * e[j] - e[i] * c[j]) % p,
-                     (c[i] * f[j] + d[i] * e[j] - e[i] * d[j] - f[i] * c[j]) % p,
-                     (d[i] * f[j] - f[i] * d[j]) % p)
-            if any(minor):
-                return minor
-    return next(((ci, di, 0) for c, d in vecs for ci, di in zip(c, d) if ci or di), (0, 0, 0))
-
-
-def pencil_rank_counts(kern: PackedFp, targets: Sequence) -> dict[tuple, int] | None:
-    """Number of tails x in F_p by the rank of their images at each target,
-    for one tail and at most two arrows into each target; None otherwise.
-
-    `targets` is laid out as for `image_rank_counts`, with one d_a per
-    arrow. The images c_a + x d_a at one target form a pencil, whose rank
-    can drop only at the roots of one of its maximal minors (Gantmacher
-    1959, ch. XII), at most two here; `_pencil_poly` picks that minor. So
-    the ranks are taken at the union of those roots, and at one other x
-    that stands for the p - #roots tails off it.
-    """
-    if any(len(cols) > 2 or len(ds) != 1 for _, cols in targets for _, ds in cols):
-        return None
-    p, red, rank = kern.p, kern.reduce, kern.rank
-    roots: set[int] = set()
-    for n, cols in targets:
-        poly = _pencil_poly(n, cols, kern.coords, p)
-        if any(poly):
-            roots |= _roots(*poly, p)
-    rest = next((x for x in range(p) if x not in roots), None)
-    out: dict[tuple, int] = {}
-    for x in sorted(roots) + ([] if rest is None else [rest]):
-        key = tuple(rank([red(c + x * ds[0]) for c, ds in cols]) for _, cols in targets)
-        out[key] = out.get(key, 0) + (1 if x in roots else p - len(roots))
-    return out

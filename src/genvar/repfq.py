@@ -23,11 +23,10 @@ from the ranks of the pencil xA + yB (`pencil.pencil_layer_counts`), and
 the layers between are walked. In a walk, once every target state spans
 its fibre, the remaining rows' p^(free entries) choices are counted in
 closed form. At the last row the tails x are counted by the rank of
-their images (linear in x): from the roots of their pencil for one tail
-and at most two arrows per target (`linalg.pencil_rank_counts`), else by
-Moebius inversion on the subspace lattice (`linalg.image_rank_counts`),
-or by one rank per x where that is cheaper. Rows are walked fewer tails
-first, so the closed forms get the row with the most tails.
+their images (linear in x): by Moebius inversion on the subspace lattice
+(`linalg.image_rank_counts`), or by one rank per x where that is
+cheaper. Rows are walked fewer tails first, so the closed form gets the
+row with the most tails.
 
 Euler characteristics interpolate the counts at good primes with one
 integer Lagrange basis per tuple of nodes (`interpolate`), checking
@@ -51,8 +50,7 @@ from itertools import combinations, product
 from math import lcm, prod
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
-                     lattice_size, pencil_rank_counts)
+from .linalg import PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts, lattice_size
 from .pencil import pencil_layer_counts
 from .quiver import DimVector, Quiver
 from .reps import (Representation, _hom_minor, direct_sum, dual_rep, ext_dim,  # noqa: F401
@@ -170,9 +168,8 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
             against a fixed echelon basis is linear, so each target's image
             of the row lead + sum x_j e_j, reduced against the state, is
             c + sum x_j d_j with c, d_j the reduced columns. The tails x are
-            counted by the ranks of those images in closed form (a pencil's
-            roots or Moebius inversion), or by one rank per x where neither
-            applies."""
+            counted by the ranks of those images in closed form (Moebius
+            inversion), or by one rank per x where that is cheaper."""
             pairs = []  # (reduced lead column, reduced tail columns), grouped by target
             spans = []
             for b, (_, arrows) in zip(tstates, targets):
@@ -185,8 +182,7 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
                 acc = {tuple(rank([c for c, _ in pairs[lo:hi]]) for lo, hi in spans): leaves}
             else:
                 groups = [(n, pairs[lo:hi]) for n, (lo, hi) in zip(full, spans)]
-                acc = pencil_rank_counts(kern, groups) or image_rank_counts(
-                    kern, groups, len(tails))
+                acc = image_rank_counts(kern, groups, len(tails))
             if acc is None:
                 acc = {}
                 steps = [[x * ds[-1] for x in range(p)] for _, ds in pairs]

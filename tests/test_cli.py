@@ -165,6 +165,15 @@ def test_selftest_single_criterion(capsys):
     assert all("seconds" not in r for r in doc["results"]["reports"])
 
 
+@pytest.mark.parametrize("criteria", ["99", "9,99"])
+def test_selftest_unknown_criterion_exits_2(capsys, monkeypatch, criteria):
+    ran = []
+    monkeypatch.setattr(cli.acceptance, "run_criterion", ran.append)
+    rc, out, err = run_cli(capsys, ["selftest", "--criteria", criteria])
+    assert (rc, out, ran) == (2, "", [])  # refused before any criterion runs
+    assert "no criterion 99" in err
+
+
 def test_selftest_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         cli.acceptance, "run_all",

@@ -1,6 +1,6 @@
 """The exact elimination kernels: fraction-free integer elimination over Q
-(rank, primitive kernel, solve) against the packed F_p rank, and the two
-closed-form counts of tails by image rank against enumerating the tails."""
+(rank, primitive kernel, solve) against the packed F_p rank, and the
+closed-form counts of subspaces and of tails by rank against enumeration."""
 
 import itertools
 import random
@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genvar.linalg import (PackedFp, _roots, echelon, gauss_binom, image_rank_counts,
-                           kernel_basis, kernel_meet_counts, pencil_rank_counts,
-                           rank_fraction, rank_mod_p, solve)
+from genvar.linalg import (PackedFp, echelon, gauss_binom, image_rank_counts,
+                           kernel_basis, kernel_meet_counts, rank_fraction, rank_mod_p,
+                           solve)
 from genvar.pencil import pencil_layer_counts
 
 # Every minor of a matrix below is at most (3 sqrt 5)^5 < 13,600 in absolute
@@ -269,64 +269,3 @@ def test_image_rank_counts_match_enumeration(p, ntargets):
             # one tail fewer and the subspace tuples are too many to pay off
             assert image_rank_counts(kern, [(n, [(c, ds[1:]) for c, ds in arrows])
                                             for n, arrows in packed], ntails - 1) is None
-
-
-# ------------------------------------------- one tail, counted by its pencil
-
-def _non_square(p):
-    return next(a for a in range(1, p) if all(x * x % p != a for x in range(p)))
-
-
-def _pencil_cases(p):
-    """Named systems (per target, per arrow (c, [d]) as plain lists) for the
-    degenerate pencils, then random ones of one or two targets and arrows."""
-    m = p - 1  # -1 mod p
-
-    def quadratic(a):  # columns (x, 1) and (a, x): det x^2 - a
-        return [([0, 1], [[1, 0]]), ([a % p, 0], [[0, 1]])]
-
-    cases = {
-        "all-zero tails": [[([1, 2 % p], [[0, 0]]), ([0, 1], [[0, 0]])], [([0, 0], [[0, 0]])]],
-        "c parallel to d": [[([2 % p, 4 % p], [[1, 2 % p]])],
-                            [([3 % p, 0, 3 % p], [[1, 0, 1]]), ([m, 0, m], [[1, 0, 1]])]],
-        "double root": [quadratic(0)],
-        "two roots": [quadratic(1)],
-        "shared root": [quadratic(1), [([m, 0], [[1, 0]])]],  # x^2 - 1 and x - 1
-    }
-    if p > 2:
-        cases["no square root"] = [quadratic(_non_square(p)), quadratic(1)]
-    rng = random.Random(p)
-    for i in range(150):
-        systems = [_system(rng, p, rng.randint(1, 3), rng.randint(1, 2), 1)
-                   for _ in range(rng.randint(1, 2))]
-        cases["random %d" % i] = systems
-    return cases
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 43])
-def test_pencil_rank_counts_match_enumeration(p):
-    for name, systems in _pencil_cases(p).items():
-        kern = PackedFp(p, max(len(c) for arrows in systems for c, _ in arrows))
-        packed = [(len(arrows[0][0]), [(kern.pack(c), [kern.pack(d) for d in ds])
-                                       for c, ds in arrows]) for arrows in systems]
-        assert pencil_rank_counts(kern, packed) == _ranks_by_enumeration(p, systems, 1), name
-
-
-def test_pencil_rank_counts_decline_other_rows():
-    # three arrows into one target, or two tails: not a pencil of two columns
-    kern = PackedFp(5, 3)
-    c, d = kern.pack([1, 2, 3]), kern.pack([0, 1, 4])
-    assert pencil_rank_counts(kern, [(3, [(c, [d])] * 3)]) is None
-    assert pencil_rank_counts(kern, [(3, [(c, [d, d])])]) is None
-    assert pencil_rank_counts(kern, [(3, [(c, [d])]), (3, [(c, [d])] * 3)]) is None
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 43])
-def test_roots_are_every_zero_of_the_polynomial(p):
-    # every quadratic over F_p for small p: the discriminant and the square roots
-    coeffs = itertools.product(range(p), repeat=3) if p < 10 else (
-        tuple(random.Random(i).randrange(p) for _ in range(3)) for i in range(3000))
-    for c0, c1, c2 in coeffs:
-        if c0 or c1 or c2:
-            assert _roots(c0, c1, c2, p) == {x for x in range(p)
-                                              if (c0 + c1 * x + c2 * x * x) % p == 0}

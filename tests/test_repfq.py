@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from genvar import repfq
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
-                           pencil_rank_counts, rank_mod_p)
+                           rank_mod_p)
 from genvar.pencil import pencil_layer_counts
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import (Representation, count_all_subreps, count_subreps,
@@ -195,9 +195,9 @@ def test_counts_match_brute_force(builder, d, p, seed):
 def test_brute_force_cases_reach_every_last_row_path(monkeypatch):
     # the whole last vertex in closed form (one arrow leaves it: type A,
     # affine A2), its ends, lines and hyperplanes from the pencil of two
-    # arrows into one target (Kronecker), else at its last row the pencil,
-    # the lattice with one target and with several, and the loop (the
-    # middle layer of Kronecker N = 4, the two sinks, three arrows)
+    # arrows into one target (Kronecker), else at its last row the lattice
+    # with one target and with several, and the loop (the middle layer of
+    # Kronecker N = 4, the two sinks, three arrows)
     seen = set()
 
     def vertex_spy(n, rho, p):
@@ -208,24 +208,17 @@ def test_brute_force_cases_reach_every_last_row_path(monkeypatch):
         seen.add("layers")
         return pencil_layer_counts(kern, n, a, b)
 
-    def pencil_spy(kern, targets):
-        out = pencil_rank_counts(kern, targets)
-        if out is not None:
-            seen.add("pencil")
-        return out
-
     def lattice_spy(kern, targets, ntails):
         out = image_rank_counts(kern, targets, ntails)
         seen.add("loop" if out is None else min(len(targets), 2))
         return out
 
-    monkeypatch.setattr(repfq, "pencil_rank_counts", pencil_spy)
     monkeypatch.setattr(repfq, "image_rank_counts", lattice_spy)
     monkeypatch.setattr(repfq, "kernel_meet_counts", vertex_spy)
     monkeypatch.setattr(repfq, "pencil_layer_counts", layers_spy)
     for builder, d, p, seed in BRUTE_FORCE_CASES:
         _engine_both_ways(sample_representation(builder(), d, p, seed))
-    assert seen == {"vertex", "layers", "pencil", 1, 2, "loop"}
+    assert seen == {"vertex", "layers", 1, 2, "loop"}
 
 
 @pytest.mark.parametrize("p", [2, 3, 43, 10007])
