@@ -92,7 +92,7 @@ def generic_ext_vanishes_cluster(q: Quiver, d, e, seed: int = 0) -> bool:
         if (di < 0 and ei > 0) or (di > 0 and ei < 0):
             return False
     dp, ep = positive_part(d), positive_part(e)
-    return generic_ext_vanishes(q, dp, ep) and generic_ext_vanishes(q, ep, dp)
+    return _ext_zero(q, dp, ep) and _ext_zero(q, ep, dp)
 
 
 def exceptional_regular_dims(q: Quiver) -> list[DimVector]:
@@ -156,7 +156,7 @@ def canonical_decomposition(q: Quiver, d, method: str = "auto",
     summands = _summands(q, d, method)
     witnesses = _find_witnesses(q, tuple(e for e, m, _t in summands for _ in range(m)), seed)
     out = CanonicalDecomposition(vector=d, summands=summands, witnesses=witnesses)
-    _witness_reps(q, out)  # the witnesses themselves passed `_witness_fault` when drawn
+    _check_shape(q, out)  # the witnesses themselves passed `_witness_fault` when drawn
     return out
 
 
@@ -202,12 +202,12 @@ def _decompose(q: Quiver, d: DimVector, method: str) -> list[DimVector]:
             b = _minus(d, a)
             if not any(b):
                 continue
-            if generic_ext_vanishes(q, a, b) and generic_ext_vanishes(q, b, a):
+            if _ext_zero(q, a, b) and _ext_zero(q, b, a):
                 return _decompose(q, a, method) + _decompose(q, b, method)
     if is_schur_root(q, d):
         return [d]
     for a, b in _splittings(d):
-        if generic_ext_vanishes(q, a, b) and generic_ext_vanishes(q, b, a):
+        if _ext_zero(q, a, b) and _ext_zero(q, b, a):
             return _decompose(q, a, method) + _decompose(q, b, method)
     raise BudgetError("canonical decomposition search exhausted for %r" % (d,))
 
@@ -261,29 +261,22 @@ def _find_witnesses(q: Quiver, instances: tuple, seed: int) -> tuple:
     raise BudgetError("no witness tuple found within the sampling budget")
 
 
-def _witness_reps(q: Quiver, dec: CanonicalDecomposition) -> list[Representation]:
-    """The witnesses of `dec` as representations, once the summands sum to
-    its vector and each summand instance has one witness of its dimension."""
-    total = [0] * q.vertices
-    for e, mult, _tag_ in dec.summands:
-        for i, x in enumerate(e):
-            total[i] += mult * x
-    if tuple(total) != dec.vector:
-        raise ConsistencyError("summands do not sum to the input vector")
+def _check_shape(q: Quiver, dec: CanonicalDecomposition) -> None:
+    """ConsistencyError unless the summands of `dec` sum to its vector and
+    each summand instance has one witness of its dimension; builds nothing."""
     expanded = dec.expanded()
+    if tuple(map(sum, zip((0,) * q.vertices, *expanded))) != dec.vector:
+        raise ConsistencyError("summands do not sum to the input vector")
     if len(dec.witnesses) != len(expanded):
         raise ConsistencyError("witness count mismatch")
-    reps = []
-    for (p, dim, mats), e in zip(dec.witnesses, expanded):
-        if tuple(dim) != e:
-            raise ConsistencyError("witness dimension mismatch")
-        reps.append(Representation(q, p, tuple(dim), mats))
-    return reps
+    if any(tuple(dim) != e for (_p, dim, _mats), e in zip(dec.witnesses, expanded)):
+        raise ConsistencyError("witness dimension mismatch")
 
 
 def verify_certificate(q: Quiver, dec: CanonicalDecomposition) -> bool:
     """Exactly re-check the stored witnesses; ConsistencyError on failure."""
-    fault = _witness_fault(_witness_reps(q, dec))
+    _check_shape(q, dec)
+    fault = _witness_fault([Representation(q, p, tuple(d), m) for p, d, m in dec.witnesses])
     if fault:
         raise ConsistencyError(fault)
     return True

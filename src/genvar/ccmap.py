@@ -32,8 +32,7 @@ from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, chi_all
-from .reps import (Representation, direct_sum, ext_from_hom, hom_dim, sample_integer_rep,
-                   zero_rep)
+from .reps import Representation, direct_sum, ext_from_hom, hom_dim, sample_integer_rep
 
 GENERIC_RETRIES = 12
 
@@ -181,7 +180,7 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
                  for part, t in zip(parts, tags) if t != "real_schur"
                  for g in guards):
             continue
-        accepted.append(_direct_sum_all(q, parts))
+        accepted.append(direct_sum(*parts))
         value = LaurentPoly.one(n)
         for part in parts:
             value = value * cc_of_module(part, pool=pool, budget=budget,
@@ -227,13 +226,6 @@ def _sample_parts(q: Quiver, instances, seed: int,
                                rng.make_rng(seed, "generic", tuple(e), attempt, i),
                                lo=-bound, hi=bound)
             for i, e in enumerate(instances)]
-
-
-def _direct_sum_all(q: Quiver, parts) -> Representation:
-    total = zero_rep(q, 0)
-    for part in parts:
-        total = direct_sum(total, part)
-    return total
 
 
 def rigid_integer_rep(q: Quiver, e, seed: int = 0,

@@ -103,6 +103,10 @@ class Quiver:
         return tuple(order)
 
     def opposite(self) -> "Quiver":
+        return self._opposite
+
+    @cached_property
+    def _opposite(self) -> "Quiver":
         return Quiver(self.vertices, tuple((t, s) for s, t in self.arrows))
 
     def sinks(self) -> list[int]:

@@ -322,7 +322,8 @@ def good_primes(m_int: Representation, pool, count: int,
     not divide d keeps that dimension, so it passes without any reduction;
     only when p divides d is the Hom dimension of the reductions taken
     over F_p. The accepted primes are exactly those of a per-prime
-    comparison of every pair."""
+    comparison of every pair. InputError on a repeated prime, or on a
+    non-prime among the entries the search reaches."""
     if m_int.p or any(g.p for g in guards):
         raise InputError("good primes need integer representations")
     if len(set(pool)) < len(pool):
@@ -330,7 +331,9 @@ def good_primes(m_int: Representation, pool, count: int,
     pairs = [(m_int, m_int)] + [pair for g in guards for pair in ((m_int, g), (g, m_int))]
     certs = [_hom_minor(a, b) for a, b in pairs]
     good = []
-    for p in pool:
+    for p in pool:  # checked as reached: most calls read only the head of the pool
+        if not is_prime(p):
+            raise InputError("prime pool holds %r, not a prime" % (p,))
         if all(d % p or hom_dim(rep_mod(a, p), rep_mod(b, p)) == dim
                for (a, b), (dim, d) in zip(pairs, certs)):
             good.append(p)

@@ -32,10 +32,8 @@ class Representation:
 
     def __post_init__(self):
         q, p = self.quiver, self.p
-        d = q.check_dim(self.dim)
-        if any(x < 0 for x in d):
-            raise InputError("bad dimension vector %r" % (self.dim,))
-        if p != 0 and not is_prime(p):
+        d = _nonnegative_dim(q, self.dim)
+        if type(p) is not int or p and not is_prime(p):
             raise InputError("field characteristic must be 0 or a prime")
         if len(self.matrices) != len(q.arrows):
             raise InputError("expected %d arrow matrices" % len(q.arrows))
@@ -48,6 +46,16 @@ class Representation:
             mats.append(rows)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "matrices", tuple(mats))
+
+    @classmethod
+    def _trusted(cls, q: Quiver, p: int, dim: DimVector, matrices: tuple) -> "Representation":
+        """Wrap parts already in the form `__post_init__` leaves, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "quiver", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "matrices", matrices)
+        return self
 
     def key(self) -> tuple:
         return (self.quiver.vertices, self.quiver.arrows, self.p, self.dim, self.matrices)
@@ -73,8 +81,21 @@ def _not_int(x):
     raise InputError("matrix entry %r is not an integer" % (x,))
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
+def is_prime(n) -> bool:
+    return type(n) is int and n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
+def _nonnegative_dim(q: Quiver, d) -> DimVector:
+    d = q.check_dim(d)
+    if any(x < 0 for x in d):
+        raise InputError("bad dimension vector %r" % (d,))
+    return d
+
+
+def _vertex(q: Quiver, i) -> int:
+    if type(i) is not int or not 1 <= i <= q.vertices:
+        raise InputError("vertex %r is not one of 1..%d" % (i, q.vertices))
+    return i
 
 
 # ------------------------------------------------------------ constructors
@@ -85,18 +106,16 @@ def zero_rep(q: Quiver, p: int = 0) -> Representation:
 
 def simple_rep(q: Quiver, i: int, p: int = 0) -> Representation:
     d = [0] * q.vertices
-    d[i - 1] = 1
-    mats = []
-    for s, t in q.arrows:
-        mats.append(tuple(tuple(0 for _ in range(d[s - 1])) for _ in range(d[t - 1])))
-    return Representation(q, p, tuple(d), tuple(mats))
+    d[_vertex(q, i) - 1] = 1
+    # no loops: an arrow into vertex i has a zero-dimensional source
+    return Representation(q, p, tuple(d), tuple(((),) * d[t - 1] for _s, t in q.arrows))
 
 
 def projective_rep(q: Quiver, i: int, p: int = 0) -> Representation:
     """Indecomposable projective at vertex i: basis = paths starting at i,
     arrows act by path concatenation."""
     paths: list[tuple] = [()]  # path = tuple of arrow indices, start fixed at i
-    frontier = [((), i)]
+    frontier = [((), _vertex(q, i))]
     ends = {(): i}
     while frontier:
         path, v = frontier.pop()
@@ -121,48 +140,57 @@ def projective_rep(q: Quiver, i: int, p: int = 0) -> Representation:
     return Representation(q, p, d, tuple(mats))
 
 
-def direct_sum(a: Representation, b: Representation) -> Representation:
-    if a.quiver != b.quiver or a.p != b.p:
+def direct_sum(first: Representation, *rest: Representation) -> Representation:
+    """Block-diagonal direct sum of representations over one quiver and field."""
+    q, p, summands = first.quiver, first.p, (first,) + rest
+    if any(m.quiver != q or m.p != p for m in rest):
         raise InputError("direct sum needs matching quiver and field")
-    d = tuple(x + y for x, y in zip(a.dim, b.dim))
+    d = tuple(map(sum, zip(*[m.dim for m in summands])))
     mats = []
-    for (s, _t), ma, mb in zip(a.quiver.arrows, a.matrices, b.matrices):
-        # block diagonal: rows of ma padded right, rows of mb padded left
-        mats.append(tuple(r + (0,) * b.dim[s - 1] for r in ma)
-                    + tuple((0,) * a.dim[s - 1] + r for r in mb))
-    return Representation(a.quiver, a.p, d, tuple(mats))
+    for a, (s, _t) in enumerate(q.arrows):
+        rows, before = [], 0  # before: columns of the summands already placed
+        for m in summands:
+            after = (0,) * (d[s - 1] - before - m.dim[s - 1])
+            rows.extend((0,) * before + r + after for r in m.matrices[a])
+            before += m.dim[s - 1]
+        mats.append(tuple(rows))
+    return Representation._trusted(q, p, d, tuple(mats))
 
 
 def dual_rep(m: Representation) -> Representation:
     """Linear dual over the opposite quiver; subreps become quotients."""
-    qop = m.quiver.opposite()
     mats = tuple(tuple(tuple(mat[r][c] for r in range(m.dim[t - 1])) for c in range(m.dim[s - 1]))
                  for mat, (s, t) in zip(m.matrices, m.quiver.arrows))
-    return Representation(qop, m.p, m.dim, mats)
+    return Representation._trusted(m.quiver.opposite(), m.p, m.dim, mats)
 
 
 def rep_mod(m: Representation, p: int) -> Representation:
-    if m.p != 0:
-        raise InputError("can only reduce an integer representation")
-    return Representation(m.quiver, p, m.dim, m.matrices)
+    if m.p != 0 or not is_prime(p):
+        raise InputError("can only reduce an integer representation modulo a prime")
+    mats = tuple([tuple([tuple([x % p for x in r]) for r in mat]) for mat in m.matrices])
+    return Representation._trusted(m.quiver, p, m.dim, mats)
 
 
 def sample_representation(q: Quiver, d, p: int, rng_seed: int) -> Representation:
     """Uniformly random arrow matrices over F_p, deterministic in rng_seed."""
-    d = q.check_dim(d)
+    d = _nonnegative_dim(q, d)
+    if not is_prime(p):
+        raise InputError("sampling needs a prime field, not p = %r" % (p,))
     rng = random.Random(rng_seed)
     mats = tuple(tuple(tuple(rng.randrange(p) for _ in range(d[s - 1])) for _ in range(d[t - 1]))
                  for s, t in q.arrows)
-    return Representation(q, p, d, mats)
+    return Representation._trusted(q, p, d, mats)
 
 
 def sample_integer_rep(q: Quiver, d, rng: random.Random,
                        lo: int = -3, hi: int = 3) -> Representation:
     """Random integer representation with entries in [lo, hi], over Q."""
-    d = q.check_dim(d)
+    d = _nonnegative_dim(q, d)
+    if type(lo) is not int or type(hi) is not int or lo > hi:
+        raise InputError("entry bounds %r, %r must be integers with lo <= hi" % (lo, hi))
     mats = tuple(tuple(tuple(rng.randint(lo, hi) for _ in range(d[s - 1])) for _ in range(d[t - 1]))
                  for s, t in q.arrows)
-    return Representation(q, 0, d, mats)
+    return Representation._trusted(q, 0, d, mats)
 
 
 # ------------------------------------------------------------- hom and ext
@@ -222,7 +250,7 @@ def ext_from_hom(q: Quiver, d, e, hom: int) -> int:
     """dim Ext^1(M, N) = dim Hom(M, N) - <d, e> for modules of dimension
     vectors d and e; nonnegative for hereditary path algebras, so a
     negative value is a bug."""
-    ext = hom - q.euler_form(d, e)
+    ext = hom - sum(c * x for c, x in zip(q.euler_coefficients(d)[0], e))
     if ext < 0:
         raise ConsistencyError("negative ext dimension computed")
     return ext

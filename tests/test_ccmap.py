@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from genvar import ccmap
+from genvar import ccmap, clear_caches
+from genvar.candecomp import canonical_decomposition, verify_certificate
 from genvar.ccmap import (DecoratedRep, cc_of_module, cc_of_object,
                           express_in_basis, generic_variable,
                           rigid_integer_rep)
 from genvar.errors import BudgetError, InputError
 from genvar.laurent import LaurentPoly
 from genvar.mutation import enumerate_cluster_variables
+from genvar.quiver import affine_a2, kronecker
 from genvar.repfq import Representation
 
 
@@ -152,3 +154,23 @@ def test_express_in_basis_outside_span(z_closed_form):
 
 def test_express_in_basis_zero_target(z_closed_form):
     assert express_in_basis(LaurentPoly.zero(2), [z_closed_form]) == [Fraction(0)]
+
+
+def test_only_outside_parts_are_checked(monkeypatch):
+    # a generic value derives every module it uses from checked parts, so
+    # none is re-validated; verify_certificate rebuilds each witness checked
+    runs = []
+    checked = Representation.__post_init__
+
+    def counted(self):
+        runs.append(self.dim)
+        checked(self)
+
+    monkeypatch.setattr(Representation, "__post_init__", counted)
+    clear_caches()
+    generic_variable(kronecker(), (2, 2))
+    generic_variable(affine_a2(), (1, 1, 1))
+    dec = canonical_decomposition(affine_a2(), (2, 3, 2))
+    assert runs == []
+    assert verify_certificate(affine_a2(), dec)
+    assert runs == [dim for _p, dim, _mats in dec.witnesses]

@@ -10,6 +10,7 @@ Sizes stay small (at most 5 vertices, entries in [-3, 3], a work budget of
 import io
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -17,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genvar import cli
-from genvar.errors import InputError
+from genvar.candecomp import canonical_decomposition
+from genvar.errors import BudgetError, InputError
 from genvar.quiver import Quiver, affine_a2, kronecker
-from genvar.repfq import Representation
+from genvar.repfq import (Representation, direct_sum, dual_rep, rep_mod, sample_integer_rep,
+                          sample_representation, zero_rep)
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
                 database=None)
@@ -107,6 +110,40 @@ def test_representation_documents_parse_or_raise_input_error(case):
     except InputError:
         return
     assert Representation.from_json(q, m.to_json(), p) == m
+
+
+def _parsed(data, q):
+    """A drawn representation document over Q, or the zero representation
+    when the document does not parse."""
+    try:
+        return Representation.from_json(q, data.draw(rep_docs(q)))
+    except InputError:
+        return zero_rep(q)
+
+
+@FUZZ
+@given(st.data())
+def test_derived_representations_equal_their_checked_rebuild(data):
+    # they are built without Representation.__post_init__, which must
+    # therefore have nothing left to normalise
+    q = _valid_quiver(data.draw(quiver_docs())) or kronecker()
+    m, n, k = (_parsed(data, q) for _ in range(3))
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    derived = [rep_mod(m, p), dual_rep(m), dual_rep(rep_mod(n, p)), direct_sum(m, n),
+               direct_sum(m, n, k), direct_sum(rep_mod(m, p), rep_mod(k, p)),
+               sample_representation(q, m.dim, p, seed),
+               sample_integer_rep(q, m.dim, random.Random(seed))]
+    for r in derived:
+        assert r == Representation(r.quiver, r.p, r.dim, r.matrices)
+    assert dual_rep(dual_rep(m)) == m
+    try:
+        dec = canonical_decomposition(q, m.dim, seed=seed)
+    except BudgetError:
+        return
+    for wp, dim, mats in dec.witnesses:
+        w = Representation(q, wp, dim, mats)
+        assert (w.dim, w.matrices) == (dim, mats)
 
 
 @FUZZ

@@ -184,6 +184,7 @@ def test_topological_order_and_sinks(a3, atilde):
 def test_opposite_reverses_arrows(a3):
     op = a3.opposite()
     assert sorted(op.arrows) == [(2, 1), (3, 2)]
+    assert a3.opposite() is op  # built once per quiver
 
 
 def test_positive_negative_part():

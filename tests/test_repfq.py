@@ -58,6 +58,18 @@ def test_hom_minus_ext_is_euler_form(kron, a3, atilde):
         assert (hom_dim(n, m) - ext_dim(n, m)) == q.euler_form(dn, dm)
 
 
+def test_direct_sum_of_three_is_block_diagonal(kron):
+    a = Representation(kron, 0, (1, 1), (((1,),), ((2,),)))
+    b, c = simple_rep(kron, 2), simple_rep(kron, 1)
+    s = direct_sum(a, b, c)
+    assert s.dim == (2, 2)
+    assert s.matrices == (((1, 0), (0, 0)), ((2, 0), (0, 0)))
+    assert direct_sum(a) == a
+    assert direct_sum(direct_sum(a, b), c) == s
+    with pytest.raises(InputError):
+        direct_sum(a, b, rep_mod(simple_rep(kron, 1), 5))
+
+
 def test_direct_sum_hom_is_additive(kron):
     rng = random.Random(9)
     a = sample_integer_rep(kron, (1, 1), rng)
@@ -85,6 +97,31 @@ def test_blockwise_hom_sum_is_the_hom_of_the_direct_sum(seed):
     assert hom_dim(total, total) == sum(hom_dim(a, b) for a in parts for b in parts)
     assert hom_dim(total, g) == sum(hom_dim(a, g) for a in parts)
     assert hom_dim(g, total) == sum(hom_dim(g, a) for a in parts)
+
+
+# Each of these answered for another vertex or raised a raw IndexError,
+# KeyError, TypeError or ValueError.
+BAD_ARGUMENTS = {
+    "simple_vertex_0": lambda: simple_rep(kronecker(), 0),
+    "simple_vertex_negative": lambda: simple_rep(kronecker(), -1),
+    "simple_vertex_bool": lambda: simple_rep(kronecker(), True),
+    "simple_vertex_past_the_end": lambda: simple_rep(kronecker(), 3),
+    "projective_vertex_0": lambda: projective_rep(kronecker(), 0),
+    "projective_vertex_past_the_end": lambda: projective_rep(kronecker(), 3),
+    "float_characteristic": lambda: Representation(kronecker(), 5.0, (1, 1),
+                                                   (((1,),), ((1,),))),
+    "rep_mod_float_prime": lambda: rep_mod(simple_rep(kronecker(), 1), 5.0),
+    "sample_bounds_reversed": lambda: sample_integer_rep(kronecker(), (1, 1),
+                                                         random.Random(0), lo=3, hi=-3),
+    "sample_float_bound": lambda: sample_integer_rep(kronecker(), (1, 1),
+                                                     random.Random(0), lo=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGUMENTS))
+def test_bad_representation_arguments_raise_input_error(name):
+    with pytest.raises(InputError):
+        BAD_ARGUMENTS[name]()
 
 
 def test_representation_validation(kron):
@@ -442,6 +479,17 @@ def test_good_primes_rejects_a_repeated_prime(kron):
         good_primes(m, (5, 7, 11, 11), 3)
     with pytest.raises(InputError):
         repfq.chi_all(m, pool=(5, 5, 7, 7, 11, 11, 13, 13, 17, 17, 19, 19))
+
+
+def test_good_primes_rejects_a_composite(kron):
+    # the self-Hom minor of this module is 49: no composite below divides
+    # it, so each would pass without a reduction that could catch it
+    m = sample_integer_rep(kron, (2, 1), random.Random(4))
+    assert repfq._hom_minor(m, m)[1] == 49
+    with pytest.raises(InputError):
+        good_primes(m, (4, 6), 2)
+    with pytest.raises(InputError):
+        good_primes(m, (5, 9, 7, 11), 3)
 
 
 def test_good_primes_budget_error(kron):
