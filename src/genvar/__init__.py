@@ -62,25 +62,23 @@ __all__ = [
 
 
 def _caches() -> dict:
-    """Every module-level cache by name: functools caches and `*_CACHE` dicts."""
+    """Every module-level functools cache by name."""
     return dict(sorted((name.partition(".")[2] + "." + attr, obj)
                        for name, mod in list(sys.modules.items()) if name.startswith("genvar.")
                        for attr, obj in vars(mod).items()
-                       if (attr.endswith("_CACHE") and isinstance(obj, dict))
-                       or (hasattr(obj, "cache_clear") and obj.__module__ == name)))
+                       if hasattr(obj, "cache_clear") and obj.__module__ == name))
 
 
 def clear_caches() -> None:
     """Empty every module-level cache; no answer or budget verdict changes."""
     for c in _caches().values():
-        (c.clear if isinstance(c, dict) else c.cache_clear)()
+        c.cache_clear()
 
 
 def cache_stats() -> dict:
-    """{name: {hits, misses, size}} for every cache; a dict counts no hits (None)."""
+    """{name: {hits, misses, size}} for every cache."""
     stats = {}
     for name, c in _caches().items():
-        hits, misses, _max, size = ((None, None, None, len(c)) if isinstance(c, dict)
-                                    else c.cache_info())
+        hits, misses, _max, size = c.cache_info()
         stats[name] = {"hits": hits, "misses": misses, "size": size}
     return stats

@@ -112,14 +112,14 @@ def delta_character(q: Quiver, seed: int = 0, pool=DEFAULT_PRIMES,
 
 
 def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
-                            budget: int = DEFAULT_BUDGET, depth: int = 6,
-                            sweeps: int = 10) -> AffineGenericValue:
+                            budget: int = DEFAULT_BUDGET) -> AffineGenericValue:
     """Generic value on an affine quiver assembled structurally: the
     canonical decomposition contributes delta^k (a power of the
     quasi-simple character) times exchange-graph variables for the real
     Schur summands, times shifted-projective variables.
 
-    The real-summand factors are read off the mutation table, so this
+    The real-summand factors are read off one mutation table per quiver
+    (breadth-first to depth 6, then 10 sink sweeps), so this
     route is independent of direct character evaluation at the composite
     vector and can be compared against it.
     """
@@ -149,7 +149,7 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
         poly = poly * delta_character(q, seed=seed, pool=pool,
                                       budget=budget) ** k
     if real_parts:
-        table = _real_summand_table(q, depth, sweeps)
+        table = _real_summand_table(q)
         for e in real_parts:
             var = table.entries.get(e)
             if var is None:
@@ -168,8 +168,8 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
 
 
 @cache
-def _real_summand_table(q: Quiver, depth: int, sweeps: int):
-    return mutation.enumerate_cluster_variables(q, depth, sweeps=sweeps)
+def _real_summand_table(q: Quiver):
+    return mutation.enumerate_cluster_variables(q, 6, sweeps=10)
 
 
 def regular_rigid_check(q: Quiver, m: Representation) -> bool:

@@ -238,7 +238,8 @@ def _minimal_height_real(q: Quiver, delta: DimVector, d: DimVector) -> DimVector
 
 def _witness_fault(reps: list[Representation]) -> str | None:
     """The certificate test the witnesses fail, or None when each is Schur
-    and every ordered pair of distinct ones has Ext = 0."""
+    and every ordered pair of distinct ones has Ext = 0. It also certifies
+    the samples of `ccmap.generic_variable`."""
     if any(hom_dim(m, m) != 1 for m in reps):
         return "witness is not a Schur representation"
     if any(i != j and ext_dim(a, b) != 0 for i, a in enumerate(reps) for j, b in enumerate(reps)):

@@ -7,17 +7,17 @@ The character of a module M is
 
 with a_i the i-th unit vector and <,> the homological Euler form; shifted
 projectives contribute plain variables. Generic values are computed from
-certified representatives: the canonical decomposition prescribes the
-expected endomorphism dimension, every sample must hit it exactly, and
-non-rigid vectors additionally require three independently accepted
-samples to agree. den(X_d) = d is asserted on every result.
+certified representatives: a sample is a direct sum of one sampled module
+per instance of the canonical summands, and it is accepted when its parts
+pass the witness test of `candecomp` (each part Schur, every ordered pair
+of distinct parts with Ext = 0). Non-rigid vectors additionally require
+three independently accepted samples to agree. den(X_d) = d is asserted
+on every result.
 
-A sample is a direct sum of one sampled module per summand instance.
-Its certificates read the Hom dimensions between its blocks, since
-Hom(+P_i, +P_j) = +Hom(P_i, P_j), and its character is assembled summand
-by summand, since X_{M+N} = X_M * X_N for every direct sum
-(Caldero-Chapoton 2006, Prop. 3.6). Module characters are memoised on
-every argument, budget included, so budget verdicts do not move.
+A sample's character is assembled summand by summand, since
+X_{M+N} = X_M * X_N for every direct sum (Caldero-Chapoton 2006,
+Prop. 3.6). Module characters are memoised on every argument, budget
+included, so budget verdicts do not move.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, chi_all
-from .reps import Representation, direct_sum, ext_from_hom, hom_dim, sample_integer_rep
+from .reps import Representation, direct_sum, hom_dim, sample_integer_rep
 
 GENERIC_RETRIES = 12
 
@@ -125,10 +125,11 @@ def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
 
     Negative coordinates contribute shifted projectives (plain variable
     factors); the positive part is evaluated on a certified generic
-    module. That module is sampled as a direct sum of one part per
-    summand instance of the canonical decomposition, and certified from
-    the Hom dimensions between its parts; its character is the product of
-    the parts' characters
+    module. That module is sampled as a direct sum of one integer part
+    per summand instance of the canonical decomposition, and certified by
+    the witness test: each part is Schur and every ordered pair of
+    distinct parts has Ext = 0. Its character is the product of the
+    parts' characters
     (X_{M+N} = X_M * X_N, Caldero-Chapoton 2006, Prop. 3.6), each part
     counted at primes good for that part. The denominator vector of the
     result must equal d exactly. Values are cached on every argument,
@@ -151,13 +152,14 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
         return GenericValue(vector=d, poly=shift, rigid=True, summands=(),
                             predicted_hom=0, samples=())
 
-    dec = candecomp.canonical_decomposition(q, dp, method="auto", seed=seed)
-    instances = dec.expanded()
-    tags = [t for _e, mult, t in dec.summands for _ in range(mult)]
+    summands = candecomp._summands(q, dp, "auto")
+    instances = [e for e, mult, _t in summands for _ in range(mult)]
+    tags = [t for _e, mult, t in summands for _ in range(mult)]
+    # dim End of an accepted sample: Hom(a, a) = 1 and Hom(a, b) = <a, b>
     predicted = len(instances) + sum(
         max(q.euler_form(a, b), 0)
         for i, a in enumerate(instances) for j, b in enumerate(instances) if i != j)
-    rigid_shape = all(t == "real_schur" for _e, _m, t in dec.summands)
+    rigid_shape = all(t == "real_schur" for _e, _m, t in summands)
     guards = generic_guards(q, rigid_shape, seed)
 
     accepted: list[Representation] = []
@@ -165,20 +167,15 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
     need = 1 if rigid_shape else 3
     for attempt in range(retries):
         parts = _sample_parts(q, instances, seed, attempt)
-        # Hom of a direct sum is the direct sum of the Homs of its blocks
-        hom = sum(hom_dim(a, b) for a in parts for b in parts)
-        if hom != predicted:
+        if candecomp._witness_fault(parts):
             continue
-        if rigid_shape:
-            if ext_from_hom(q, dp, dp, hom) != 0:
-                continue
         # Guards certify that the non-rigid summands avoid the exceptional
         # tubes; rigid summands may legitimately share a dimension vector
         # with a guard, so they are excluded here. Hom into or out of a
         # direct sum vanishes exactly when it vanishes on every summand.
-        elif any(hom_dim(part, g) != 0 or hom_dim(g, part) != 0
-                 for part, t in zip(parts, tags) if t != "real_schur"
-                 for g in guards):
+        if any(hom_dim(part, g) != 0 or hom_dim(g, part) != 0
+               for part, t in zip(parts, tags) if t != "real_schur"
+               for g in guards):
             continue
         accepted.append(direct_sum(*parts))
         value = LaurentPoly.one(n)
@@ -202,7 +199,7 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
             "denominator vector %r of the generic character differs from %r"
             % (poly.denominator_vector(), d))
     return GenericValue(vector=d, poly=poly, rigid=rigid_shape,
-                        summands=dec.summands, predicted_hom=predicted,
+                        summands=summands, predicted_hom=predicted,
                         samples=tuple((m.dim, m.matrices) for m in accepted))
 
 
@@ -228,20 +225,19 @@ def _sample_parts(q: Quiver, instances, seed: int,
             for i, e in enumerate(instances)]
 
 
-def rigid_integer_rep(q: Quiver, e, seed: int = 0,
-                      retries: int = GENERIC_RETRIES) -> Representation:
+def rigid_integer_rep(q: Quiver, e, seed: int = 0) -> Representation:
     """An integer representation of a real Schur root with End = Q and
     Ext = 0, found by small-entry sampling."""
     e = q.check_dim(e)
     if q.q_norm(e) != 1:
         raise InputError("rigid representatives need a real root")
-    for attempt in range(retries):
+    for attempt in range(GENERIC_RETRIES):
         r = rng.make_rng(seed, "rigid", e, attempt)
         m = sample_integer_rep(q, e, r)
         if hom_dim(m, m) == 1:  # Ext = End - <e, e> = 0 on a real root
             return m
     raise BudgetError("no rigid representative of %r within %d attempts"
-                      % (e, retries))
+                      % (e, GENERIC_RETRIES))
 
 
 def express_in_basis(x: LaurentPoly, basis: list[LaurentPoly]):

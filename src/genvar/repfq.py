@@ -63,32 +63,25 @@ DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 
 
 # -------------------------------------------------------- subrep counting
 
-_COUNT_CACHE: dict[tuple, tuple[dict[DimVector, int], int]] = {}
-
-
 def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[DimVector, int]:
     """Number of subrepresentations of every dimension vector at once.
 
-    A cached module keeps the number of subspaces its count visited, so a
-    cache hit raises BudgetError exactly when a cold count would."""
+    Counts are memoised on the module and the budget, so a budget verdict
+    does not depend on what is cached; each call gets its own copy."""
     if m.p == 0:
         raise InputError("subrep counting needs a finite field")
-    key = m.key()
-    hit = _COUNT_CACHE.get(key)
-    if hit is None:
-        # subspace tuples at the arrow sources, and at the targets, which the dual enumerates
-        cost = [lattice_size(tuple(m.dim[v - 1] for v in {a[i] for a in m.quiver.arrows}), m.p)
-                for i in (0, 1)]
-        if cost[1] < cost[0]:
-            dual_counts, visits = _count_engine(dual_rep(m), budget)
-            counts = {tuple(a - b for a, b in zip(m.dim, e)): c
-                      for e, c in dual_counts.items()}
-        else:
-            counts, visits = _count_engine(m, budget)
-        hit = _COUNT_CACHE[key] = (counts, visits)
-    if hit[1] > budget:
-        raise BudgetError("subspace enumeration budget exceeded")
-    return dict(hit[0])
+    return dict(_count_all_subreps(m, budget))
+
+
+@cache
+def _count_all_subreps(m: Representation, budget: int) -> dict[DimVector, int]:
+    # subspace tuples at the arrow sources, and at the targets, which the dual enumerates
+    cost = [lattice_size(tuple(m.dim[v - 1] for v in {a[i] for a in m.quiver.arrows}), m.p)
+            for i in (0, 1)]
+    if cost[1] < cost[0]:
+        dual_counts, _visits = _count_engine(dual_rep(m), budget)
+        return {tuple(a - b for a, b in zip(m.dim, e)): c for e, c in dual_counts.items()}
+    return _count_engine(m, budget)[0]
 
 
 def count_subreps(m: Representation, e, budget: int = DEFAULT_BUDGET) -> int:

@@ -93,7 +93,7 @@ def test_cache_stats_counts_one_witness_hit_on_a_repeated_decomposition():
     second = canonical_decomposition(KRON, (3, 3))
     stats = cache_stats()
     assert stats["candecomp._find_witnesses"] == {"hits": 1, "misses": 1, "size": 1}
-    assert stats["repfq._COUNT_CACHE"] == {"hits": None, "misses": None, "size": 0}
+    assert stats["repfq._count_all_subreps"] == {"hits": 0, "misses": 0, "size": 0}
     assert list(stats) == sorted(stats)
     assert second.witnesses == first.witnesses
     assert cache_stats() == stats  # reading the stats changes none of them

@@ -1,10 +1,11 @@
 """Characters of representations and certified generic values."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from genvar import ccmap, clear_caches
+from genvar import candecomp, ccmap, clear_caches
 from genvar.candecomp import canonical_decomposition, verify_certificate
 from genvar.ccmap import (DecoratedRep, cc_of_module, cc_of_object,
                           express_in_basis, generic_variable,
@@ -12,8 +13,9 @@ from genvar.ccmap import (DecoratedRep, cc_of_module, cc_of_object,
 from genvar.errors import BudgetError, InputError
 from genvar.laurent import LaurentPoly
 from genvar.mutation import enumerate_cluster_variables
-from genvar.quiver import affine_a2, kronecker
-from genvar.repfq import Representation
+from genvar.kronecker import z_character
+from genvar.quiver import a_n, affine_a2, kronecker
+from genvar.repfq import Representation, ext_from_hom, hom_dim
 
 
 # Hand-expanded characters on the double-arrow quiver (arrows 1 -> 2):
@@ -174,3 +176,64 @@ def test_only_outside_parts_are_checked(monkeypatch):
     assert runs == []
     assert verify_certificate(affine_a2(), dec)
     assert runs == [dim for _p, dim, _mats in dec.witnesses]
+
+
+def _hom_sum_verdict(q, summands, parts):
+    """The sample test `generic_variable` used before it read the witness
+    test: the Hom dimensions between the parts sum to the predicted
+    dim End, and on rigid shapes Ext(M, M) = 0 for their direct sum."""
+    instances = [e for e, mult, _t in summands for _ in range(mult)]
+    predicted = len(instances) + sum(
+        max(q.euler_form(a, b), 0)
+        for i, a in enumerate(instances) for j, b in enumerate(instances) if i != j)
+    hom = sum(hom_dim(a, b) for a in parts for b in parts)
+    if hom != predicted:
+        return False
+    if all(t == "real_schur" for _e, _m, t in summands):
+        dp = tuple(map(sum, zip(*instances)))
+        return ext_from_hom(q, dp, dp, hom) == 0
+    return True
+
+
+@pytest.mark.parametrize("q, top", [(kronecker(), 4), (affine_a2(), 2), (a_n(3), 2)],
+                         ids=["kronecker", "affine-a2", "a3"])
+def test_witness_test_accepts_the_samples_the_hom_sum_accepted(q, top):
+    # distinct canonical summands are generically Ext-orthogonal, so
+    # <a, b> >= 0 and the predicted Hom sum asks for Hom(a, b) = <a, b>
+    # exactly where the witness test asks for Ext(a, b) = 0
+    seen = set()
+    for d in itertools.product(range(top + 1), repeat=q.vertices):
+        if not any(d):
+            continue
+        summands = candecomp._summands(q, d, "auto")
+        instances = [e for e, mult, _t in summands for _ in range(mult)]
+        for attempt in range(ccmap.GENERIC_RETRIES):
+            parts = ccmap._sample_parts(q, instances, 0, attempt)
+            verdict = _hom_sum_verdict(q, summands, parts)
+            assert verdict == (candecomp._witness_fault(parts) is None), (d, attempt)
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_a_generic_value_draws_no_witness_tuple():
+    clear_caches()
+    generic_variable(kronecker(), (2, 2))
+    generic_variable(kronecker(), (2, 1))
+    generic_variable(affine_a2(), (1, 1, 1))
+    assert candecomp._find_witnesses.cache_info().misses == 0
+
+
+def test_kronecker_k_delta_is_z_to_the_k_up_to_twelve(kron):
+    for k in (10, 11, 12):
+        gv = generic_variable(kron, (k, k))
+        assert gv.poly == z_character() ** k
+        assert len(gv.samples) == 3
+        for dim, (a, b) in gv.samples:
+            # each sample is the block diagonal of k parts of dimension (1, 1)
+            assert dim == (k, k)
+            assert all(a[i][j] == b[i][j] == 0 for i in range(k) for j in range(k) if i != j)
+            parts = [Representation(kron, 0, (1, 1), (((a[i][i],),), ((b[i][i],),)))
+                     for i in range(k)]
+            assert candecomp._witness_fault(parts) is None
+    with pytest.raises(BudgetError):
+        generic_variable(kron, (13, 13))  # 2 of 12 attempts certify, 3 are needed

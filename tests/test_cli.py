@@ -310,3 +310,13 @@ def test_wild_enumeration_over_budget_exits_3(tmp_path, capsys):
         capsys, ["--quiver", str(path), "--budget", "1000",
                  "mutate-enumerate", "--depth", "7"])
     assert rc == 3 and "budget exceeded" in err and out == ""
+
+
+def test_generic_var_answers_ten_delta_where_the_witness_draw_gives_up(quiver_file, capsys):
+    rc, out, err = run_cli(
+        capsys, ["--quiver", quiver_file, "generic-var", "--d", "10,10"])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["results"]["den"] == [10, 10]
+    rc, out, err = run_cli(
+        capsys, ["--quiver", quiver_file, "canonical-decomp", "--d", "10,10"])
+    assert rc == 3 and out == ""
