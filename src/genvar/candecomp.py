@@ -221,9 +221,10 @@ def _splittings(d: DimVector):
 
 
 def _minimal_height_real(q: Quiver, delta: DimVector, d: DimVector) -> DimVector:
-    """The positive root of minimal height in d + Z*delta."""
-    best = None
-    m = 0
+    """The positive root of minimal height in d + Z*delta, for a real
+    root d: the real root d - m*delta with the largest m >= 0."""
+    best = d
+    m = 1
     while True:
         cand = tuple(x - m * y for x, y in zip(d, delta))
         if any(x < 0 for x in cand):
@@ -231,8 +232,6 @@ def _minimal_height_real(q: Quiver, delta: DimVector, d: DimVector) -> DimVector
         if any(cand) and q.q_norm(cand) == 1:
             best = cand
         m += 1
-    if best is None:
-        raise BudgetError("no real root in the delta-line of %r" % (d,))
     return best
 
 

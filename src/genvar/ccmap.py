@@ -48,8 +48,8 @@ class DecoratedRep:
             raise InputError("decorated objects use integer (p=0) modules")
         if len(self.shifts) != self.module.quiver.vertices:
             raise InputError("shift vector length mismatch")
-        if any(s < 0 for s in self.shifts):
-            raise InputError("shift multiplicities must be nonnegative")
+        if any(type(s) is not int or s < 0 for s in self.shifts):
+            raise InputError("shift multiplicities must be nonnegative integers")
 
     def dimension_vector(self) -> DimVector:
         return tuple(m - s for m, s in zip(self.module.dim, self.shifts))
@@ -119,8 +119,7 @@ class GenericValue:
 
 
 def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
-                     budget: int = DEFAULT_BUDGET,
-                     retries: int = GENERIC_RETRIES) -> GenericValue:
+                     budget: int = DEFAULT_BUDGET) -> GenericValue:
     """Character of the generic decorated object with dimension vector d.
 
     Negative coordinates contribute shifted projectives (plain variable
@@ -132,19 +131,20 @@ def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     parts' characters
     (X_{M+N} = X_M * X_N, Caldero-Chapoton 2006, Prop. 3.6), each part
     counted at primes good for that part. The denominator vector of the
-    result must equal d exactly. Values are cached on every argument,
-    so a cached value never outlives the caller's budget or retries.
+    result must equal d exactly. BudgetError when GENERIC_RETRIES
+    attempts give too few certified samples. Values are cached on every
+    argument, so a cached value never outlives the caller's budget.
     InputError unless `seed` is an int.
     """
     d = q.check_dim(d)
     if type(seed) is not int:
         raise InputError("seed %r must be an integer" % (seed,))
-    return _generic_variable(q, d, seed, tuple(pool), budget, retries)
+    return _generic_variable(q, d, seed, tuple(pool), budget)
 
 
 @cache
 def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
-                      budget: int, retries: int) -> GenericValue:
+                      budget: int) -> GenericValue:
     n = q.vertices
     dp, dn = positive_part(d), negative_part(d)
     shift = LaurentPoly.monomial(n, dn, 1)
@@ -165,7 +165,7 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
     accepted: list[Representation] = []
     values: list[LaurentPoly] = []
     need = 1 if rigid_shape else 3
-    for attempt in range(retries):
+    for attempt in range(GENERIC_RETRIES):
         parts = _sample_parts(q, instances, seed, attempt)
         if candecomp._witness_fault(parts):
             continue
@@ -188,7 +188,7 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
     if len(accepted) < need:
         raise BudgetError(
             "no certified generic representative of %r within %d attempts"
-            % (dp, retries))
+            % (dp, GENERIC_RETRIES))
     if any(v != values[0] for v in values[1:]):
         raise ConsistencyError(
             "accepted samples of %r disagree on the character" % (dp,))

@@ -45,8 +45,8 @@ class LaurentPoly:
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if nvars <= 0:
-            raise InputError("nvars must be positive")
+        if type(nvars) is not int or nvars <= 0:
+            raise InputError("nvars must be a positive integer")
         clean: dict[tuple[int, ...], int] = {}
         for exp, coef in (terms or {}).items():
             exp = tuple(map(_as_int, exp))

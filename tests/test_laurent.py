@@ -242,6 +242,13 @@ def test_public_constructor_still_validates():
     assert LaurentPoly.variable(2, 1).shift([0, -1]).terms == {(1, -1): 1}
 
 
+@pytest.mark.parametrize("nvars, terms", [(1.5, {}), (True, {(1,): 1}), ("2", {})])
+def test_variable_count_must_be_a_positive_int(nvars, terms):
+    # 1.5 and True were accepted; "2" raised a raw TypeError
+    with pytest.raises(InputError):
+        LaurentPoly(nvars, terms)
+
+
 def nonzero_terms(min_size):
     return st.dictionaries(
         st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),

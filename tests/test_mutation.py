@@ -34,6 +34,13 @@ def test_mutation_input_validation(a2):
         mutate(initial_seed(a2), 3)
 
 
+@pytest.mark.parametrize("depth, sweeps", [(1.5, 0), (1, 1.5), (1, -1), (True, 0)])
+def test_enumeration_rejects_bad_depth_and_sweeps(a2, depth, sweeps):
+    # 1.5 raised a raw TypeError, -1 sweeps ran none and True ran as depth 1
+    with pytest.raises(InputError):
+        enumerate_cluster_variables(a2, depth, sweeps=sweeps)
+
+
 def test_a2_exchange_graph_closes(a2):
     table = enumerate_cluster_variables(a2, depth=8)
     dens = set(table.entries)

@@ -2,6 +2,9 @@
 
 import random
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
 from operator import mul
 
 import pytest
@@ -12,6 +15,7 @@ from genvar.candecomp import canonical_decomposition
 from genvar.ccmap import generic_variable
 from genvar.errors import InputError
 from genvar.laurent import LaurentPoly
+from genvar.linalg import kernel_basis
 from genvar.quiver import (Quiver, WildTypeError, a_n, affine_a2, kronecker,
                            negative_part, positive_part)
 from genvar.repfq import Representation, sample_integer_rep
@@ -154,23 +158,136 @@ def test_dynkin_quiver_has_no_affine_data(a3):
 
 def test_classification_is_computed_once_per_instance(monkeypatch):
     calls = []
-    real = quiver_mod.classify_gram
-    monkeypatch.setattr(quiver_mod, "classify_gram",
+    real = quiver_mod.kernel_basis
+    monkeypatch.setattr(quiver_mod, "kernel_basis",
                         lambda s: calls.append(1) or real(s))
     q = Quiver(3, ((1, 2), (2, 3), (1, 3)))
     for _ in range(3):
         assert q.type_class() == "affine"
         assert q.affine_data().delta == (1, 1, 1)
-    assert len(calls) == 2  # the Gram class, then the part without vertex 1
+    assert len(calls) == 1  # one radical per instance
     wild = Quiver(2, ((1, 2), (1, 2), (1, 2)))
     for _ in range(2):
         with pytest.raises(WildTypeError):
             wild.affine_data()
-    assert len(calls) == 3
+    assert wild.type_class() == "wild"
+    assert len(calls) == 2
     # the cached values leave equality and hashing to the fields
     fresh = Quiver(3, ((1, 2), (2, 3), (1, 3)))
     assert q == fresh and hash(q) == hash(fresh)
     assert q != wild
+
+
+def reference_classify_gram(s):
+    """The symmetric Fraction elimination that used to classify the Gram
+    matrix: 'positive_definite', 'positive_semidefinite' or 'indefinite'."""
+    n = len(s)
+    a = [[Fraction(s[i][j]) for j in range(n)] for i in range(n)]
+    zero_pivots = 0
+    for i in range(n):
+        if a[i][i] < 0:
+            return "indefinite"
+        if a[i][i] == 0:
+            if any(a[i][j] != 0 for j in range(i + 1, n)):
+                return "indefinite"
+            zero_pivots += 1
+            continue
+        for r in range(i + 1, n):
+            if a[r][i] != 0:
+                f = a[r][i] / a[i][i]
+                for c in range(i, n):
+                    a[r][c] -= f * a[i][c]
+    return "positive_definite" if zero_pivots == 0 else "positive_semidefinite"
+
+
+def reference_classification(q):
+    """(type, delta) by the definiteness class, with every check the old
+    affine data made: delta sincere, a vertex with delta = 1, and a Dynkin
+    part left when that vertex is removed."""
+    g = q.gram_matrix()
+    cls = reference_classify_gram(g)
+    if cls == "positive_definite":
+        return "dynkin", None
+    if cls == "indefinite" or len(kernel_basis(g)) != 1:
+        return "wild", None
+    delta = tuple(kernel_basis(g)[0])
+    if delta[0] < 0 or all(x <= 0 for x in delta):
+        delta = tuple(-x for x in delta)
+    assert all(x > 0 for x in delta)
+    ext = delta.index(1)  # the extending vertex, 0-based
+    rest = [v for v in range(q.vertices) if v != ext]
+    assert reference_classify_gram([[g[i][j] for j in rest] for i in rest]) == "positive_definite"
+    return "affine", delta
+
+
+def classification(q):
+    cls = q.type_class()
+    if cls == "wild":
+        with pytest.raises(WildTypeError, match="quiver is wild: no affine data"):
+            q.affine_data()
+        return cls, None
+    data = q.affine_data()
+    return cls, data and data.delta
+
+
+def connected_multigraphs(n, most):
+    """Every connected quiver on n vertices with at most `most` arrows
+    between two vertices, each arrow oriented from the smaller vertex."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for mults in product(range(most + 1), repeat=len(pairs)):
+        arrows = tuple(a for a, m in zip(pairs, mults) for _ in range(m))
+        try:
+            yield Quiver(n, arrows)
+        except InputError:  # disconnected
+            pass
+
+
+def test_classification_matches_the_definiteness_reference():
+    seen = Counter()
+    for n, most in ((1, 2), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1)):
+        for q in connected_multigraphs(n, most):
+            got = classification(q)
+            assert got == reference_classification(q), q
+            seen[got[0]] += 1
+    # labelled Dynkin trees (A, D, E up to six vertices) and affine graphs
+    # (Kronecker, the cycles, D~4, D~5)
+    assert seen == {"dynkin": 1221, "affine": 172, "wild": 26686}
+
+
+def star(*arms):
+    """Vertex 1 with one path of each length in `arms` leaving it; the
+    paths are numbered in turn, each from the centre outwards."""
+    arrows, nxt = [], 2
+    for length in arms:
+        prev = 1
+        for _ in range(length):
+            arrows.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Quiver(nxt - 1, tuple(arrows))
+
+
+@pytest.mark.parametrize("name, q, delta", [
+    ("D4", star(1, 1, 1), None),
+    ("D5", star(1, 1, 2), None),
+    ("D6", star(1, 1, 3), None),
+    ("E6", star(1, 2, 2), None),
+    ("E7", star(1, 2, 3), None),
+    ("E8", star(1, 2, 4), None),
+    ("D~4", star(1, 1, 1, 1), (2, 1, 1, 1, 1)),
+    ("D~5", Quiver(6, ((1, 3), (2, 3), (3, 4), (4, 5), (4, 6))), (1, 1, 2, 2, 1, 1)),
+    ("E~6", star(2, 2, 2), (3, 2, 1, 2, 1, 2, 1)),
+    ("E~7", star(1, 3, 3), (4, 2, 3, 2, 1, 3, 2, 1)),
+    ("E~8", star(1, 2, 5), (6, 3, 4, 2, 5, 4, 3, 2, 1)),
+    ("T(2,3,7)", star(1, 2, 6), "wild"),
+])
+def test_named_types(name, q, delta):
+    if delta == "wild":
+        assert classification(q) == ("wild", None)
+    elif delta is None:
+        assert classification(q) == ("dynkin", None)
+    else:
+        assert classification(q) == ("affine", delta)
+    assert classification(q) == reference_classification(q)
 
 
 def test_topological_order_and_sinks(a3, atilde):

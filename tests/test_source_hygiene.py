@@ -1,13 +1,18 @@
 """Source checks that need no linter: the package holds no `assert`
-(`python -O` strips it, so a check written as one silently vanishes) and
-no module-level import that its module never uses."""
+(`python -O` strips it, so a check written as one silently vanishes), no
+module-level import that its module never uses, and no function, class
+or method that nothing refers to."""
 
 import ast
+import re
 from pathlib import Path
 
 import genvar
 
 SOURCES = sorted(Path(genvar.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# where a reference keeps a helper alive: the package, its tests and the benchmark
+REFERRERS = SOURCES + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "benchmark").rglob("*.py"))
 
 
 def _source(path):
@@ -43,4 +48,32 @@ def test_no_unused_module_level_import():
                 name = alias.asname or alias.name.partition(".")[0]
                 if name not in used and name not in exported:
                     found.append("%s:%d %s" % (path.name, stmt.lineno, name))
+    assert found == []
+
+
+def _definitions():
+    """(file, line span, name, pattern) for every module-level function and
+    class of the package, which must be named as a word, and every method
+    of such a class other than a dunder, which must be named as `.name`."""
+    for path in SOURCES:
+        for node in _source(path)[1].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            yield path, node, node.name, r"\b%s\b" % node.name
+            if isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                            meth.name.startswith("__") and meth.name.endswith("__")):
+                        yield path, meth, "%s.%s" % (node.name, meth.name), r"\.%s\b" % meth.name
+
+
+def test_every_helper_is_referenced_outside_its_own_definition():
+    texts = {path: path.read_text(encoding="utf-8").splitlines() for path in REFERRERS}
+    found = []
+    for path, node, name, pattern in _definitions():
+        rx = re.compile(pattern)
+        own = range(node.lineno - 1, node.end_lineno)
+        if not any(rx.search(line) for ref, lines in texts.items()
+                   for i, line in enumerate(lines) if not (ref == path and i in own)):
+            found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert found == []
