@@ -21,7 +21,7 @@ from . import ccmap, mutation
 from .errors import ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .quiver import DimVector, Quiver, negative_part, positive_part
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES
+from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_limits
 from .reps import Representation, ext_dim
 from . import candecomp
 
@@ -118,12 +118,17 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     quasi-simple character) times exchange-graph variables for the real
     Schur summands, times shifted-projective variables.
 
-    The real-summand factors are read off one mutation table per quiver
-    (breadth-first to depth 6, then 10 sink sweeps), so this
+    The real-summand factors are read off one mutation table per quiver,
+    grown on demand along a fixed schedule (breadth-first to depth 6,
+    then 10 sink sweeps and 10 source sweeps) one layer or sweep at a
+    time, only until it holds the summand looked up. A summand the whole
+    schedule does not reach is evaluated as a rigid module instead. This
     route is independent of direct character evaluation at the composite
-    vector and can be compared against it.
+    vector and can be compared against it. InputError unless `budget` is
+    an int >= 0 and `pool` a list or tuple of ints.
     """
     d = q.check_dim(d)
+    _check_limits(budget, pool)
     aff = q.affine_data()
     if aff is None:
         raise InputError("structural generic values need an affine quiver")
@@ -149,9 +154,8 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
         poly = poly * delta_character(q, seed=seed, pool=pool,
                                       budget=budget) ** k
     if real_parts:
-        table = _real_summand_table(q)
         for e in real_parts:
-            var = table.entries.get(e)
+            var = _real_summand(q, e)
             if var is None:
                 # exchange graph did not reach this denominator: fall back
                 # to a direct rigid evaluation
@@ -169,7 +173,25 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
 
 @cache
 def _real_summand_table(q: Quiver):
-    return mutation.enumerate_cluster_variables(q, 6, sweeps=10)
+    table = mutation.ClusterVariableTable(quiver=q)
+    return table, mutation._grow(table, 6, 10, DEFAULT_BUDGET)
+
+
+def _real_summand(q: Quiver, e: DimVector) -> LaurentPoly | None:
+    """The cluster variable with denominator vector e, from the table of q
+    grown until it holds e (one variable per vector, so the whole table's);
+    None once the schedule is spent. A failed growth drops the cache, so a
+    half-grown table never answers None."""
+    table, growth = _real_summand_table(q)
+    if e not in table.entries:
+        try:
+            for _ in growth:
+                if e in table.entries:
+                    break
+        except BaseException:
+            _real_summand_table.cache_clear()
+            raise
+    return table.entries.get(e)
 
 
 def regular_rigid_check(q: Quiver, m: Representation) -> bool:

@@ -98,17 +98,23 @@ def generic_ext_vanishes_cluster(q: Quiver, d, e, seed: int = 0) -> bool:
 def exceptional_regular_dims(q: Quiver) -> list[DimVector]:
     """Dimension vectors of the rigid regular simples (quasi-simples of
     the exceptional tubes) of an affine quiver: real Schur roots strictly
-    below delta with defect zero."""
+    below delta with defect zero. Computed once per quiver; each call
+    gets its own list."""
+    return list(_exceptional_regular_dims(q))
+
+
+@cache
+def _exceptional_regular_dims(q: Quiver) -> tuple[DimVector, ...]:
     aff = q.affine_data()
     if aff is None:
-        return []
+        return ()
     out = []
     for e in product(*[range(x + 1) for x in aff.delta]):
         if not any(e) or e == aff.delta:
             continue
         if q.defect(aff, e) == 0 and q.q_norm(e) == 1 and is_schur_root(q, e):
             out.append(e)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, chi_all
+from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_limits, chi_all
 from .reps import Representation, direct_sum, hom_dim, sample_integer_rep
 
 GENERIC_RETRIES = 12
@@ -65,7 +65,7 @@ def cc_of_module(m: Representation, pool=DEFAULT_PRIMES,
     polynomial branch the rational module certifies."""
     if m.p != 0:
         raise InputError("character evaluation needs an integer module")
-    return _cc_of_module(m, tuple(pool), budget, tuple(guards))
+    return _cc_of_module(m, _check_limits(budget, pool), budget, tuple(guards))
 
 
 @cache
@@ -134,12 +134,13 @@ def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     result must equal d exactly. BudgetError when GENERIC_RETRIES
     attempts give too few certified samples. Values are cached on every
     argument, so a cached value never outlives the caller's budget.
-    InputError unless `seed` is an int.
+    InputError unless `seed` is an int, `budget` an int >= 0 and `pool`
+    a list or tuple of ints.
     """
     d = q.check_dim(d)
     if type(seed) is not int:
         raise InputError("seed %r must be an integer" % (seed,))
-    return _generic_variable(q, d, seed, tuple(pool), budget)
+    return _generic_variable(q, d, seed, _check_limits(budget, pool), budget)
 
 
 @cache
@@ -210,7 +211,7 @@ def generic_guards(q: Quiver, rigid: bool, seed: int = 0) -> tuple:
     if rigid:
         return ()
     return tuple(rigid_integer_rep(q, e, seed=rng.derive(seed, "guard", e))
-                 for e in candecomp.exceptional_regular_dims(q))
+                 for e in candecomp._exceptional_regular_dims(q))
 
 
 def _sample_parts(q: Quiver, instances, seed: int,

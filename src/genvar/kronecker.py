@@ -25,7 +25,7 @@ from .errors import ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .linalg import rank_fraction
 from .quiver import DimVector, kronecker
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES
+from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_limits
 
 KINDS = ("G", "SZ", "CZ")
 
@@ -34,7 +34,7 @@ def z_character(pool=DEFAULT_PRIMES, budget: int = DEFAULT_BUDGET) -> LaurentPol
     """The quasi-simple character z = (1 + u1^2 + u2^2) / (u1 u2),
     cross-checked against the module-character route (cached per pool
     and budget)."""
-    return _z_character(tuple(pool), budget)
+    return _z_character(_check_limits(budget, pool), budget)
 
 
 @cache

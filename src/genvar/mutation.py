@@ -17,7 +17,7 @@ from math import prod
 from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .quiver import DimVector, Quiver
-from .repfq import DEFAULT_BUDGET
+from .repfq import DEFAULT_BUDGET, _check_limits
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,22 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
     Before each mutation its exchange work (`_exchange_terms`) counts
     against `budget`, cached in `mutate` or not; BudgetError past it, so
     no step starts whose work would pass the budget. InputError unless
-    `depth` and `sweeps` are nonnegative ints.
+    `depth` and `sweeps` are nonnegative ints and `budget` is an int
+    >= 0.
     """
     if any(type(x) is not int or x < 0 for x in (depth, sweeps)):
         raise InputError("depth and sweeps must be nonnegative integers")
+    _check_limits(budget)
+    table = ClusterVariableTable(quiver=q)
+    for _ in _grow(table, depth, sweeps, budget):
+        pass
+    return table
+
+
+def _grow(table: ClusterVariableTable, depth: int, sweeps: int, budget: int):
+    """Fill `table` as `enumerate_cluster_variables` describes, yielding
+    after each BFS layer and each sweep so a caller can stop early."""
+    q = table.quiver
     spent = 0
 
     def step(seed: Seed, k: int) -> Seed:
@@ -115,7 +127,6 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
             raise BudgetError("cluster-variable enumeration exceeded budget %d" % budget)
         return mutate(seed, k)
 
-    table = ClusterVariableTable(quiver=q)
     s0 = initial_seed(q)
     for x in s0.cluster:
         table.add_variable(x, ())
@@ -138,6 +149,7 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
         if not nxt:
             break
         frontier = nxt
+        yield
     for direction in ("sink", "source"):
         seed, word = s0, ()
         for _ in range(sweeps):
@@ -146,7 +158,7 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
                 word = word + (k,)
                 table.add_variable(seed.cluster[k - 1], word)
                 table.add_cluster(seed)
-    return table
+            yield
 
 
 def _exchange_terms(seed: Seed, k: int) -> int:
@@ -192,6 +204,7 @@ def cluster_monomials(table: ClusterVariableTable, q: Quiver, max_den,
     against `budget`; BudgetError past it. Each power x ** m is computed
     once per call.
     """
+    _check_limits(budget)
     max_den = q.check_dim(max_den)
     min_den = tuple(-x for x in max_den) if min_den is None else q.check_dim(min_den)
     n = q.vertices

@@ -61,6 +61,22 @@ DEFAULT_BUDGET = 10_000_000
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
+def _check_limits(budget, pool=DEFAULT_PRIMES) -> tuple:
+    """The work budget and prime pool of a library entry point, checked:
+    InputError unless `budget` is an int >= 0 and `pool` a list or tuple
+    of ints. Bools are refused, so `budget=True` cannot share a cache
+    entry with `budget=1`. Returns the pool as a tuple, the form cache
+    keys take; primality is left to `good_primes`, which checks each
+    prime as it reaches it. The default pool is trusted without a scan:
+    cached entry points receive it thousands of times per run."""
+    if type(budget) is not int or budget < 0:
+        raise InputError("budget %r must be a nonnegative integer" % (budget,))
+    if pool is not DEFAULT_PRIMES and (not isinstance(pool, (list, tuple))
+                                       or any(type(p) is not int for p in pool)):
+        raise InputError("prime pool %r must be a list or tuple of integers" % (pool,))
+    return tuple(pool)
+
+
 # -------------------------------------------------------- subrep counting
 
 def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[DimVector, int]:
@@ -70,6 +86,7 @@ def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[D
     does not depend on what is cached; each call gets its own copy."""
     if m.p == 0:
         raise InputError("subrep counting needs a finite field")
+    _check_limits(budget)
     return dict(_count_all_subreps(m, budget))
 
 
@@ -352,6 +369,7 @@ def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
     polynomial splits mod p, gets through only if it fools the single
     sweep on the second sweep's primes as well. When the pool or the
     budget cannot pay for the second sweep, the first failure stands."""
+    pool = _check_limits(budget, pool)
     degrees = [sum(x * (dv - x) for x, dv in zip(e, m_int.dim)) for e in es]
     count = max(degrees, default=0) + 2
 

@@ -3,7 +3,7 @@ layered generic values, membership reports."""
 
 import pytest
 
-from genvar import affine, ccmap
+from genvar import affine, ccmap, clear_caches, mutation
 from genvar.affine import (KRONECKER_DELTA, chebyshev_f, chebyshev_s,
                            delta_character, generic_variable_affine,
                            membership_check_A, quasi_simple_kronecker,
@@ -11,7 +11,8 @@ from genvar.affine import (KRONECKER_DELTA, chebyshev_f, chebyshev_s,
                            tube_module_kronecker)
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.laurent import LaurentPoly
-from genvar.repfq import Representation, ext_dim, hom_dim
+from genvar.mutation import enumerate_cluster_variables, mutate
+from genvar.repfq import DEFAULT_BUDGET, Representation, ext_dim, hom_dim
 
 substitute = LaurentPoly.substitute_univariate
 
@@ -140,6 +141,76 @@ def test_affine_generic_tags(kron):
     assert generic_variable_affine(kron, (3, 2)).tag == "cluster_monomial"
     assert generic_variable_affine(kron, (-1, -1)).tag == "cluster_monomial"
     assert generic_variable_affine(kron, (3, 3)).delta_power == 3
+
+
+def snapshot(table):
+    return list(table.entries.items()), table.provenance, table.clusters
+
+
+@pytest.mark.parametrize("name", ["kron", "atilde"])
+def test_grown_table_answers_as_the_whole_table(request, name):
+    q = request.getfixturevalue(name)
+    whole = enumerate_cluster_variables(q, 6, sweeps=10)
+    dens = list(whole.entries)
+    want = [whole.entries[e].key() for e in dens]
+    affine._real_summand_table.cache_clear()
+    cold = [affine._real_summand(q, e).key() for e in dens]
+    warm = [affine._real_summand(q, e).key() for e in dens]
+    affine._real_summand_table.cache_clear()
+    backwards = [affine._real_summand(q, e).key() for e in reversed(dens)][::-1]
+    assert cold == warm == backwards == want
+    grown = affine._real_summand_table(q)[0]
+    assert list(grown.entries.items()) == list(whole.entries.items())
+
+
+def test_a_root_beyond_the_schedule_falls_back_after_the_whole_table(kron):
+    whole = enumerate_cluster_variables(kron, 6, sweeps=10)
+    assert kron.q_norm((12, 11)) == 1 and (12, 11) not in whole.entries
+    affine._real_summand_table.cache_clear()
+    assert affine._real_summand(kron, (12, 11)) is None
+    assert snapshot(affine._real_summand_table(kron)[0]) == snapshot(whole)
+
+
+def _inexact(seed, k):
+    raise ConsistencyError("inexact exchange")
+
+
+# Kronecker: the first BFS layer takes two mutations and holds (1, 0);
+# (2, 1) needs the second, where the fault strikes.
+@pytest.mark.parametrize("name, fault, error", [
+    ("_exchange_terms", lambda seed, k: DEFAULT_BUDGET + 1, BudgetError),
+    ("mutate", _inexact, ConsistencyError),
+])
+def test_a_failed_growth_is_never_cached(kron, monkeypatch, name, fault, error):
+    clear_caches()
+    real, steps = getattr(mutation, name), []
+
+    def after_two(seed, k):
+        steps.append(k)
+        return (real if len(steps) <= 2 else fault)(seed, k)
+
+    monkeypatch.setattr(mutation, name, after_two)
+    assert affine._real_summand(kron, (1, 0)) is not None
+    for lookup in [lambda: affine._real_summand(kron, (2, 1)),
+                   lambda: affine._real_summand(kron, (2, 1)),
+                   lambda: affine._real_summand(kron, (12, 11)),
+                   lambda: generic_variable_affine(kron, (1, 2))]:
+        with pytest.raises(error):
+            lookup()
+    monkeypatch.undo()
+    whole = enumerate_cluster_variables(kron, 6, sweeps=10)
+    assert affine._real_summand(kron, (2, 1)) == whole.entries[(2, 1)]
+
+
+# The whole table takes 30 mutations on the Kronecker quiver and 100 on
+# affine A2; these lookups need the first 2 and 3 BFS layers.
+@pytest.mark.parametrize("name, d, misses", [("kron", (1, 2), 6),
+                                             ("atilde", (1, 1, 2), 30)])
+def test_the_affine_route_mutates_only_as_far_as_it_reads(request, name, d, misses):
+    q = request.getfixturevalue(name)
+    clear_caches()
+    generic_variable_affine(q, d)
+    assert mutate.cache_info().misses <= misses
 
 
 def test_affine_generic_rejects_dynkin(a2):

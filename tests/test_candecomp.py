@@ -57,6 +57,9 @@ def test_exceptional_regular_dims(kron, atilde, a2):
     assert exceptional_regular_dims(kron) == []
     assert exceptional_regular_dims(atilde) == [(0, 1, 0), (1, 0, 1)]
     assert exceptional_regular_dims(a2) == []
+    # computed once per quiver, yet each caller gets a list of its own
+    exceptional_regular_dims(atilde).append((9, 9, 9))
+    assert exceptional_regular_dims(atilde) == [(0, 1, 0), (1, 0, 1)]
 
 
 FROZEN_DECOMPOSITIONS = [

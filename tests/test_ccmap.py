@@ -6,16 +6,18 @@ from fractions import Fraction
 import pytest
 
 from genvar import candecomp, ccmap, clear_caches
+from genvar.affine import generic_variable_affine
 from genvar.candecomp import canonical_decomposition, verify_certificate
 from genvar.ccmap import (DecoratedRep, cc_of_module, cc_of_object,
                           express_in_basis, generic_variable,
                           rigid_integer_rep)
 from genvar.errors import BudgetError, InputError
 from genvar.laurent import LaurentPoly
-from genvar.mutation import enumerate_cluster_variables
+from genvar.mutation import cluster_monomials, enumerate_cluster_variables
 from genvar.kronecker import z_character
 from genvar.quiver import a_n, affine_a2, kronecker
-from genvar.repfq import Representation, ext_from_hom, hom_dim
+from genvar.repfq import (Representation, chi_all, count_all_subreps, ext_from_hom,
+                          hom_dim, rep_mod)
 
 
 # Hand-expanded characters on the double-arrow quiver (arrows 1 -> 2):
@@ -132,6 +134,42 @@ def test_generic_variable_validation_and_budget(kron):
 def test_generic_variable_rejects_a_non_integer_seed(kron, seed):
     with pytest.raises(InputError):
         generic_variable(kron, (1, 1), seed=seed)
+
+
+KRON, A2 = kronecker(), a_n(2)
+TUBE = Representation(KRON, 0, (1, 1), (((1,),), ((1,),)))
+
+
+def _monomials(**limits):
+    return cluster_monomials(enumerate_cluster_variables(A2, 4), A2, (1, 1), **limits)
+
+
+# Each raised a raw TypeError, ran with a truncated budget or shared the
+# cache entry of budget=1 (True == 1) before the entry points checked
+# their limits.
+@pytest.mark.parametrize("call", [
+    lambda: generic_variable(KRON, (1, 1), budget="x"),
+    lambda: generic_variable(KRON, (1, 1), budget=True),
+    lambda: generic_variable(KRON, (1, 1), budget=-1),
+    lambda: generic_variable(KRON, (1, 1), pool=5),
+    lambda: generic_variable_affine(KRON, (1, 1), budget="x"),
+    lambda: generic_variable_affine(KRON, (1, 2), pool=5),
+    lambda: cc_of_module(TUBE, budget=1.5),
+    lambda: cc_of_module(TUBE, pool=7),
+    lambda: chi_all(TUBE, budget="x"),
+    lambda: count_all_subreps(rep_mod(TUBE, 5), budget=True),
+    lambda: z_character(pool=5),
+    lambda: enumerate_cluster_variables(A2, 2, budget=1.5),
+    lambda: enumerate_cluster_variables(A2, 2, budget=True),
+    lambda: _monomials(budget="x"),
+    lambda: _monomials(budget=True),
+], ids=["generic-str", "generic-bool", "generic-negative", "generic-pool-int",
+        "affine-str", "affine-pool-int", "module-float",
+        "module-pool-int", "chi-str", "count-bool", "z-pool-int",
+        "enumerate-float", "enumerate-bool", "monomials-str", "monomials-bool"])
+def test_entry_points_check_budget_and_pool(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_rigid_integer_rep(kron):
