@@ -17,7 +17,10 @@ on every result.
 A sample's character is assembled summand by summand, since
 X_{M+N} = X_M * X_N for every direct sum (Caldero-Chapoton 2006,
 Prop. 3.6). Module characters are memoised on every argument, budget
-included, so budget verdicts do not move.
+included, so budget verdicts do not move. The parts of the generic
+values at multiples of delta on the Kronecker and affine A2 quivers are
+thin (every d_v <= 1): `repfq.chi_all` decides those over Q, consulting
+no prime pool, for one visit per subdimension vector.
 """
 
 from __future__ import annotations

@@ -39,6 +39,12 @@ over F_p. Should a count still jump at one good prime, a second sweep of
 fresh good primes must fit on its own and agree with the first at all
 primes but one.
 
+A thin module (every d_v <= 1) is decided over Q instead: each U_v is 0
+or M_v, so the only candidate of dimension e is the coordinate tuple on
+supp(e), stable unless an arrow s -> t with a nonzero scalar has e_s = 1
+and e_t = 0. It consults no prime pool (a one-prime pool answers) and is
+charged one visit per e against the budget.
+
 Representations, sampling, Hom and Ext live in `reps`; their public
 names are re-exported here.
 """
@@ -64,13 +70,19 @@ DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 
 def _check_limits(budget, pool=DEFAULT_PRIMES) -> tuple:
     """The work budget and prime pool of a library entry point, checked:
     InputError unless `budget` is an int >= 0 and `pool` a list or tuple
-    of ints. Bools are refused, so `budget=True` cannot share a cache
-    entry with `budget=1`. Returns the pool as a tuple, the form cache
-    keys take; primality is left to `good_primes`, which checks each
-    prime as it reaches it. The default pool is trusted without a scan:
-    cached entry points receive it thousands of times per run."""
+    of ints (`_check_pool`). Bools are refused, so `budget=True` cannot
+    share a cache entry with `budget=1`."""
     if type(budget) is not int or budget < 0:
         raise InputError("budget %r must be a nonnegative integer" % (budget,))
+    return _check_pool(pool)
+
+
+def _check_pool(pool) -> tuple:
+    """InputError unless `pool` is a list or tuple of ints (bools refused).
+    Returns the pool as a tuple, the form cache keys take; primality is
+    left to `good_primes`, which checks each prime as it reaches it. The
+    default pool is trusted without a scan: cached entry points receive
+    it thousands of times per run."""
     if pool is not DEFAULT_PRIMES and (not isinstance(pool, (list, tuple))
                                        or any(type(p) is not int for p in pool)):
         raise InputError("prime pool %r must be a list or tuple of integers" % (pool,))
@@ -332,10 +344,12 @@ def good_primes(m_int: Representation, pool, count: int,
     not divide d keeps that dimension, so it passes without any reduction;
     only when p divides d is the Hom dimension of the reductions taken
     over F_p. The accepted primes are exactly those of a per-prime
-    comparison of every pair. InputError on a repeated prime, or on a
-    non-prime among the entries the search reaches."""
+    comparison of every pair. InputError unless the pool is a list or
+    tuple of ints, on a repeated prime, or on a non-prime among the
+    entries the search reaches."""
     if m_int.p or any(g.p for g in guards):
         raise InputError("good primes need integer representations")
+    pool = _check_pool(pool)
     if len(set(pool)) < len(pool):
         raise InputError("prime pool repeats a prime")
     pairs = [(m_int, m_int)] + [pair for g in guards for pair in ((m_int, g), (g, m_int))]
@@ -356,9 +370,12 @@ def good_primes(m_int: Representation, pool, count: int,
 def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
                           guards: tuple) -> dict[DimVector, list[int]]:
     """Integer coefficients (ascending degree) of the polynomial counting
-    e-dimensional subrepresentations of m_int over F_q, for every e in es:
-    one sweep of max degree D + 2 good primes, each polynomial fitted through
-    its degree + 1 first primes and verified on every further one.
+    e-dimensional subrepresentations of m_int over F_q, for every e in es.
+
+    A thin module (every d_v <= 1) is decided over Q (`_thin_polynomials`)
+    and consults neither the pool nor the guards. Any other module takes
+    one sweep of max degree D + 2 good primes, each polynomial fitted
+    through its degree + 1 first primes and verified on every further one.
 
     A count can still jump at one good prime. When the sweep fails, the
     next D + 2 good primes form a second sweep that must fit on its own,
@@ -368,8 +385,13 @@ def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
     A count that is not polynomial in p, such as one that follows how a
     polynomial splits mod p, gets through only if it fools the single
     sweep on the second sweep's primes as well. When the pool or the
-    budget cannot pay for the second sweep, the first failure stands."""
+    budget cannot pay for the second sweep, the first failure stands.
+    InputError on a mod-p module or guard, on either route."""
+    if m_int.p or any(g.p for g in guards):
+        raise InputError("counting polynomials need integer representations")
     pool = _check_limits(budget, pool)
+    if max(m_int.dim, default=0) <= 1:
+        return _thin_polynomials(m_int, es, budget)
     degrees = [sum(x * (dv - x) for x, dv in zip(e, m_int.dim)) for e in es]
     count = max(degrees, default=0) + 2
 
@@ -395,6 +417,22 @@ def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
     return polys
 
 
+def _thin_polynomials(m_int: Representation, es: list,
+                      budget: int) -> dict[DimVector, list[int]]:
+    """The constant counting polynomials of a thin integer module. Each
+    U_v is 0 or M_v, so the one candidate of dimension e is the coordinate
+    tuple on supp(e), and it is stable unless an arrow s -> t with a
+    nonzero scalar has e_s = 1 and e_t = 0. That holds over Q and over
+    every F_p dividing no nonzero scalar, so the count is [1] or [0].
+    Charges one visit per e, one per coordinate subspace tuple;
+    BudgetError above `budget`."""
+    if len(es) > budget:
+        raise BudgetError("subspace enumeration budget exceeded")
+    live = [(s - 1, t - 1) for (s, t), mat in zip(m_int.quiver.arrows, m_int.matrices)
+            if any(map(any, mat))]
+    return {e: [0] if any(e[s] and not e[t] for s, t in live) else [1] for e in es}
+
+
 def _subvector(e, dim: DimVector) -> DimVector:
     e = tuple(e)
     if len(e) != len(dim) or any(type(x) is not int or not 0 <= x <= dv
@@ -407,7 +445,10 @@ def counting_polynomial(m_int: Representation, e, pool=DEFAULT_PRIMES,
                         budget: int = DEFAULT_BUDGET,
                         guards: tuple = ()) -> list[int]:
     """Integer coefficients of the polynomial counting e-dimensional
-    subrepresentations of m_int over F_q, without trailing zeros."""
+    subrepresentations of m_int over F_q, without trailing zeros. A thin
+    m_int (every d_v <= 1) is decided over Q, consulting no prime pool,
+    for one visit of the budget; any other is interpolated over good
+    primes of the pool."""
     e = _subvector(e, m_int.dim)
     ints = _counting_polynomials(m_int, [e], pool, budget, guards)[e]
     while len(ints) > 1 and ints[-1] == 0:
@@ -420,15 +461,15 @@ def euler_char_grassmannian(q: Quiver, m_int: Representation, e,
     """chi of the submodule grassmannian: counting polynomial at q = 1."""
     if m_int.quiver != q:
         raise InputError("representation does not live on the given quiver")
-    if m_int.p != 0:
-        raise InputError("need an integer-matrix representation")
     return poly_eval(counting_polynomial(m_int, e, pool, budget), 1)
 
 
 def chi_all(m_int: Representation, pool=DEFAULT_PRIMES,
             budget: int = DEFAULT_BUDGET,
             guards: tuple = ()) -> dict[DimVector, int]:
-    """chi(Gr_e) for every 0 <= e <= dim at once, sharing prime sweeps."""
+    """chi(Gr_e) for every 0 <= e <= dim at once, sharing prime sweeps.
+    A thin m_int (every d_v <= 1) is decided over Q for one visit of the
+    budget per e, consulting no prime pool."""
     es = list(product(*[range(x + 1) for x in m_int.dim]))
     return {e: poly_eval(ints, 1)
             for e, ints in _counting_polynomials(m_int, es, pool, budget, guards).items()}

@@ -113,10 +113,15 @@ def test_delta_character_is_quasi_simple_character(kron, z_closed_form):
     assert KRONECKER_DELTA == (1, 1)
 
 
-def test_cached_delta_character_keeps_the_prime_pool(kron):
+def test_cached_delta_character_keeps_the_prime_pool(kron, z_closed_form):
+    # delta is thin, so its character is decided over Q and answers on any
+    # pool; a cached value still never outlives a smaller pool where the
+    # character sweeps primes: (2,1) needs three good primes
     delta_character(kron)
+    assert delta_character(kron, pool=(5,)) == z_closed_form
+    ccmap.generic_variable(kron, (2, 1))
     with pytest.raises(BudgetError):
-        delta_character(kron, pool=(5,))
+        ccmap.generic_variable(kron, (2, 1), pool=(5,))
 
 
 def test_affine_generic_matches_direct_route(kron, atilde):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from genvar import candecomp, ccmap, clear_caches
+from genvar import candecomp, ccmap, clear_caches, repfq
 from genvar.affine import generic_variable_affine
 from genvar.candecomp import canonical_decomposition, verify_certificate
 from genvar.ccmap import (DecoratedRep, cc_of_module, cc_of_object,
@@ -123,6 +123,22 @@ def test_cached_generic_variable_keeps_the_budget(kron):
     generic_variable(kron, (2, 2))
     with pytest.raises(BudgetError):
         generic_variable(kron, (2, 2), budget=1)
+
+
+def test_thin_parts_sweep_no_primes(monkeypatch):
+    # (3,3) = 3 delta: three thin parts, each decided over Q; the rigid
+    # (2,1) still counts subrepresentations at good primes
+    calls = []
+    for name in ("_count_engine", "good_primes"):
+        def spy(*args, _name=name, _orig=getattr(repfq, name)):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(repfq, name, spy)
+    clear_caches()
+    generic_variable(kronecker(), (3, 3), seed=0)
+    assert calls == []
+    generic_variable(kronecker(), (2, 1))
+    assert set(calls) == {"_count_engine", "good_primes"}
 
 
 def test_generic_variable_validation_and_budget(kron):

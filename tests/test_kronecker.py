@@ -5,6 +5,7 @@ import pytest
 
 from genvar import kronecker as kb
 from genvar.affine import chebyshev_f, chebyshev_s, s_as_f_sum
+from genvar.ccmap import generic_variable
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.laurent import LaurentPoly
 
@@ -13,10 +14,15 @@ def test_quasi_simple_character_closed_form(z_closed_form):
     assert kb.z_character() == z_closed_form
 
 
-def test_cached_z_character_keeps_the_prime_pool():
+def test_cached_z_character_keeps_the_prime_pool(kron, z_closed_form):
+    # z is the character of a thin module, decided over Q on any pool; a
+    # cached value still never outlives a smaller pool where the character
+    # sweeps primes: (2,1) needs three good primes
     kb.z_character()
+    assert kb.z_character(pool=(5,)) == z_closed_form
+    generic_variable(kron, (2, 1))
     with pytest.raises(BudgetError):
-        kb.z_character(pool=(5,))
+        generic_variable(kron, (2, 1), pool=(5,))
 
 
 def test_family_elements_index_zero_and_one(z_closed_form):

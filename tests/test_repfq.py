@@ -550,6 +550,64 @@ def test_a_count_that_jumps_at_one_good_prime_is_outvoted_by_a_second_sweep():
         repfq.chi_all(m, pool=repfq.DEFAULT_PRIMES[:9])
 
 
+def _five_vertex_quiver():
+    return Quiver(5, ((1, 2), (1, 2), (2, 3), (1, 4), (4, 3), (3, 5), (4, 5)))
+
+
+def _thin_modules(rng, count):
+    """Random thin integer modules (every d_v <= 1) with scalars in
+    [-3, 3], zeros included, each with its list of subdimension vectors."""
+    quivers = (kronecker(), affine_a2(), a_n(3), _jumping_quiver(), _five_vertex_quiver())
+    for case in range(count):
+        q = quivers[case % len(quivers)]
+        m = sample_integer_rep(q, tuple(rng.randint(0, 1) for _ in range(q.vertices)), rng)
+        yield m, list(itertools.product(*[range(x + 1) for x in m.dim]))
+
+
+def test_thin_modules_are_decided_over_q_as_the_counts_mod_p(monkeypatch):
+    def no_sweep(*_args):
+        raise AssertionError("a thin module swept primes")
+
+    monkeypatch.setattr(repfq, "good_primes", no_sweep)
+    for m, es in _thin_modules(random.Random(21), 200):
+        chi = repfq.chi_all(m)
+        assert sorted(chi) == es
+        scalars = [x for mat in m.matrices for row in mat for x in row if x]
+        for p in (5, 7, 11, 13):
+            if any(x % p == 0 for x in scalars):
+                continue
+            counts = count_all_subreps(rep_mod(m, p))
+            assert all(chi[e] == counts.get(e, 0) for e in es), (m, p)
+        e = es[-1]
+        assert counting_polynomial(m, e) == [chi[e]]
+
+
+def test_thin_modules_charge_one_visit_per_subdimension_vector():
+    for m, es in _thin_modules(random.Random(5), 10):
+        with pytest.raises(BudgetError):
+            repfq.chi_all(m, budget=len(es) - 1)
+        assert len(repfq.chi_all(m, budget=len(es))) == len(es)
+
+
+def test_thin_modules_need_integer_representations(kron):
+    m = Representation(kron, 0, (1, 1), (((1,),), ((2,),)))
+    with pytest.raises(InputError):
+        repfq.chi_all(rep_mod(m, 5))
+    with pytest.raises(InputError):
+        euler_char_grassmannian(kron, rep_mod(m, 5), (1, 1))
+    with pytest.raises(InputError):
+        repfq.chi_all(m, guards=(rep_mod(m, 5),))
+    with pytest.raises(InputError):
+        counting_polynomial(m, (1, 1), guards=(rep_mod(m, 5),))
+
+
+def test_good_primes_checks_its_pool(kron):
+    m = Representation(kron, 0, (2, 1), (((1, 0),), ((0, 1),)))
+    for pool in (5, "5,7", (5, 7.0), [5, True]):
+        with pytest.raises(InputError):
+            good_primes(m, pool, 2)
+
+
 # Kronecker modules of dimension (2, 2) whose (1,1) count follows how the
 # characteristic polynomial of A^-1 B splits mod p, so it is not a
 # polynomial in p; the value over C is 2, one per eigenline.
