@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 
 from . import ccmap, mutation
-from .errors import ConsistencyError, InputError
+from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_limits
@@ -118,80 +119,74 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     quasi-simple character) times exchange-graph variables for the real
     Schur summands, times shifted-projective variables.
 
-    The real-summand factors are read off one mutation table per quiver,
-    grown on demand along a fixed schedule (breadth-first to depth 6,
-    then 10 sink sweeps and 10 source sweeps) one layer or sweep at a
-    time, only until it holds the summand looked up. A summand the whole
-    schedule does not reach is evaluated as a rigid module instead. This
-    route is independent of direct character evaluation at the composite
-    vector and can be compared against it. InputError unless `budget` is
-    an int >= 0 and `pool` a list or tuple of ints.
+    The summands come from `candecomp._summands`, with no witness tuple.
+    Each real Schur summand is the cluster variable read off the mutation
+    walk of its defect's sign (`_real_summand`), grown only until it holds
+    the summand; BudgetError when the walk's work up to it passes
+    `budget`. This route is independent of direct character evaluation at
+    the composite vector and can be compared against it. InputError
+    unless `budget` is an int >= 0 and `pool` holds distinct primes.
     """
     d = q.check_dim(d)
     _check_limits(budget, pool)
     aff = q.affine_data()
     if aff is None:
         raise InputError("structural generic values need an affine quiver")
-    n = q.vertices
     dp, dn = positive_part(d), negative_part(d)
-    poly = LaurentPoly.monomial(n, dn, 1)
-    if not any(dp):
-        return AffineGenericValue(vector=d, poly=poly, tag="cluster_monomial",
-                                  delta_power=0, regular_parts=())
-    dec = candecomp.canonical_decomposition(q, dp, method="structural",
-                                            seed=seed)
+    poly = LaurentPoly.monomial(q.vertices, dn, 1)
     k = 0
     real_parts: list[DimVector] = []
-    for e, mult, tag in dec.summands:
+    for e, mult, tag in candecomp._summands(q, dp, "structural"):
         if tag == "imaginary_schur":
             if e != aff.delta:
-                raise ConsistencyError(
-                    "affine imaginary summand %r differs from delta" % (e,))
+                raise ConsistencyError("affine imaginary summand %r differs from delta" % (e,))
             k = mult
         else:
             real_parts.extend([e] * mult)
     if k:
-        poly = poly * delta_character(q, seed=seed, pool=pool,
-                                      budget=budget) ** k
-    if real_parts:
-        for e in real_parts:
-            var = _real_summand(q, e)
-            if var is None:
-                # exchange graph did not reach this denominator: fall back
-                # to a direct rigid evaluation
-                rep = ccmap.rigid_integer_rep(q, e, seed=seed)
-                var = ccmap.cc_of_module(rep, pool=pool, budget=budget)
-            poly = poly * var
+        poly = poly * delta_character(q, seed=seed, pool=pool, budget=budget) ** k
+    for e in real_parts:
+        poly = poly * _real_summand(q, e, budget)
     tag = "delta_layer" if k else "cluster_monomial"
     if poly.denominator_vector() != d:
-        raise ConsistencyError(
-            "structural value of %r has denominator %r"
-            % (d, poly.denominator_vector()))
+        raise ConsistencyError("structural value of %r has denominator %r"
+                               % (d, poly.denominator_vector()))
     return AffineGenericValue(vector=d, poly=poly, tag=tag, delta_power=k,
                               regular_parts=tuple(sorted(real_parts)))
 
 
 @cache
-def _real_summand_table(q: Quiver):
+def _walk(q: Quiver, sign: int) -> tuple:
+    """The mutation walk of q that reaches its real Schur roots of defect
+    sign `sign`: sink sweeps (preprojective), source sweeps (preinjective)
+    or, for defect 0, breadth-first layers (regular roots, all below
+    delta). Returns the table it fills, the suspended walk and, per
+    denominator vector, the work spent by the end of the layer or sweep
+    that first held it."""
     table = mutation.ClusterVariableTable(quiver=q)
-    return table, mutation._grow(table, 6, 10, DEFAULT_BUDGET)
+    walk = (mutation._layers(table) if sign == 0 else
+            mutation._sweeps(table, "sink" if sign < 0 else "source"))
+    return table, walk, dict.fromkeys(table.entries, 0)
 
 
-def _real_summand(q: Quiver, e: DimVector) -> LaurentPoly | None:
-    """The cluster variable with denominator vector e, from the table of q
-    grown until it holds e (one variable per vector, so the whole table's);
-    None once the schedule is spent. A failed growth drops the cache, so a
-    half-grown table never answers None."""
-    table, growth = _real_summand_table(q)
-    if e not in table.entries:
-        try:
-            for _ in growth:
-                if e in table.entries:
-                    break
-        except BaseException:
-            _real_summand_table.cache_clear()
-            raise
-    return table.entries.get(e)
+def _real_summand(q: Quiver, e: DimVector, budget: int) -> LaurentPoly:
+    """The cluster variable with denominator vector e, a real Schur root
+    of the affine quiver q, read off the walk of its defect's sign, grown
+    until it holds e or its work passes `budget`. BudgetError unless the
+    work that first reached e is within `budget`, whatever an earlier
+    lookup grew. A failed growth drops the cache."""
+    defect = q.defect(q.affine_data(), e)
+    table, walk, charge = _walk(q, (defect > 0) - (defect < 0))
+    try:
+        while e not in table.entries and table.spent <= budget:
+            next(walk)
+            charge.update(dict.fromkeys(islice(table.entries, len(charge), None), table.spent))
+    except BaseException:
+        _walk.cache_clear()
+        raise
+    if charge.get(e, budget + 1) > budget:
+        raise BudgetError("mutation walk to %r exceeded budget %d" % (e, budget))
+    return table.entries[e]
 
 
 def regular_rigid_check(q: Quiver, m: Representation) -> bool:
@@ -202,12 +197,9 @@ def regular_rigid_check(q: Quiver, m: Representation) -> bool:
         raise InputError("regularity needs an affine quiver")
     if m.p != 0:
         raise InputError("regular-rigid test works on integer modules")
-    if not any(m.dim):
-        return True
     if ext_dim(m, m) != 0:
         return False
-    dec = candecomp.canonical_decomposition(q, m.dim, method="auto")
-    return all(q.defect(aff, e) == 0 for e, _m, _t in dec.summands)
+    return all(q.defect(aff, e) == 0 for e, _m, _t in candecomp._summands(q, m.dim, "auto"))
 
 
 def membership_check_A(q: Quiver, obj: ccmap.DecoratedRep, n_max: int = 6,

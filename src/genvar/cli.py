@@ -17,8 +17,8 @@ import sys
 from . import acceptance, affine, candecomp, ccmap, kronecker, mutation
 from .errors import BudgetError, ConsistencyError, InputError
 from .quiver import Quiver
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES
-from .reps import Representation, is_prime
+from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_pool
+from .reps import Representation
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,12 +105,7 @@ def _load_quiver(args) -> Quiver:
 def _pool(args):
     if args.primes is None:
         return DEFAULT_PRIMES
-    pool = _ints(args.primes, "prime pool")
-    if not all(is_prime(p) for p in pool):
-        raise InputError("prime pool entries must be primes")
-    if len(set(pool)) < len(pool):
-        raise InputError("prime pool repeats a prime")
-    return pool
+    return _check_pool(_ints(args.primes, "prime pool"))
 
 
 def _nonnegative(value: int, what: str) -> int:

@@ -4,15 +4,16 @@ A seed is a skew-symmetric exchange matrix plus a cluster of Laurent
 polynomials written in the initial variables. The exchange step divides
 exactly in the Laurent ring; an inexact division is an implementation
 bug and raises ConsistencyError. A mutation is a function of its seed and
-vertex, so `mutate` keeps every result for the life of the process; the
-enumeration BFS's still charge each step against their budget.
+vertex, so `mutate` keeps every result for the life of the process; a
+table's walks still charge each step against its budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
+from itertools import islice
+from math import inf, prod
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
@@ -72,10 +73,22 @@ def mutate(seed: Seed, k: int) -> Seed:
 
 @dataclass
 class ClusterVariableTable:
+    """Cluster variables by denominator vector with the mutation word that
+    first reached each, and the clusters met, from the initial seed on.
+    `step` mutates, charging `_exchange_terms` before the work runs:
+    BudgetError once `spent` would pass `budget`."""
     quiver: Quiver
+    budget: float = inf
+    spent: int = 0
     entries: dict[DimVector, LaurentPoly] = field(default_factory=dict)
     provenance: dict[DimVector, tuple[int, ...]] = field(default_factory=dict)
     clusters: set[frozenset[DimVector]] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        s0 = initial_seed(self.quiver)
+        for x in s0.cluster:
+            self.add_variable(x, ())
+        self.add_cluster(s0)
 
     def add_variable(self, x: LaurentPoly, word: tuple[int, ...]) -> None:
         den = x.denominator_vector()
@@ -89,6 +102,12 @@ class ClusterVariableTable:
 
     def add_cluster(self, seed: Seed) -> None:
         self.clusters.add(frozenset(x.denominator_vector() for x in seed.cluster))
+
+    def step(self, seed: Seed, k: int) -> Seed:
+        self.spent += _exchange_terms(seed, k)
+        if self.spent > self.budget:
+            raise BudgetError("cluster-variable enumeration exceeded budget %d" % self.budget)
+        return mutate(seed, k)
 
 
 def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
@@ -108,36 +127,26 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
     if any(type(x) is not int or x < 0 for x in (depth, sweeps)):
         raise InputError("depth and sweeps must be nonnegative integers")
     _check_limits(budget)
-    table = ClusterVariableTable(quiver=q)
-    for _ in _grow(table, depth, sweeps, budget):
-        pass
+    table = ClusterVariableTable(quiver=q, budget=budget)
+    for walk, bound in [(_layers(table), depth), (_sweeps(table, "sink"), sweeps),
+                        (_sweeps(table, "source"), sweeps)]:
+        for _ in islice(walk, bound):
+            pass
     return table
 
 
-def _grow(table: ClusterVariableTable, depth: int, sweeps: int, budget: int):
-    """Fill `table` as `enumerate_cluster_variables` describes, yielding
-    after each BFS layer and each sweep so a caller can stop early."""
-    q = table.quiver
-    spent = 0
-
-    def step(seed: Seed, k: int) -> Seed:
-        nonlocal spent
-        spent += _exchange_terms(seed, k)
-        if spent > budget:
-            raise BudgetError("cluster-variable enumeration exceeded budget %d" % budget)
-        return mutate(seed, k)
-
-    s0 = initial_seed(q)
-    for x in s0.cluster:
-        table.add_variable(x, ())
-    table.add_cluster(s0)
+def _layers(table: ClusterVariableTable):
+    """Breadth-first layers of the exchange graph from the initial seed,
+    deduplicated by cluster multiset and recorded in `table`; yields after
+    each layer and ends only when the graph closes (finite type)."""
+    s0 = initial_seed(table.quiver)
     seen = {s0.key()}
     frontier = [(s0, ())]
-    for _ in range(depth):
+    while True:
         nxt = []
         for seed, word in frontier:
-            for k in range(1, q.vertices + 1):
-                new = step(seed, k)
+            for k in range(1, len(seed.b) + 1):
+                new = table.step(seed, k)
                 key = new.key()
                 if key in seen:
                     continue
@@ -147,18 +156,24 @@ def _grow(table: ClusterVariableTable, depth: int, sweeps: int, budget: int):
                 table.add_cluster(new)
                 nxt.append((new, new_word))
         if not nxt:
-            break
+            return
         frontier = nxt
         yield
-    for direction in ("sink", "source"):
-        seed, word = s0, ()
-        for _ in range(sweeps):
-            for k in _boundary_vertices(seed, direction):
-                seed = step(seed, k)
-                word = word + (k,)
-                table.add_variable(seed.cluster[k - 1], word)
-                table.add_cluster(seed)
-            yield
+
+
+def _sweeps(table: ClusterVariableTable, direction: str):
+    """Endless sink or source sweeps from the initial seed, each mutating
+    at every current sink or source (`direction`), recorded in `table`;
+    yields after each sweep. Sink sweeps run down the preprojective
+    chain, source sweeps down the preinjective one."""
+    seed, word = initial_seed(table.quiver), ()
+    while True:
+        for k in _boundary_vertices(seed, direction):
+            seed = table.step(seed, k)
+            word = word + (k,)
+            table.add_variable(seed.cluster[k - 1], word)
+            table.add_cluster(seed)
+        yield
 
 
 def _exchange_terms(seed: Seed, k: int) -> int:

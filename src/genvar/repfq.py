@@ -70,22 +70,22 @@ DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 
 def _check_limits(budget, pool=DEFAULT_PRIMES) -> tuple:
     """The work budget and prime pool of a library entry point, checked:
     InputError unless `budget` is an int >= 0 and `pool` a list or tuple
-    of ints (`_check_pool`). Bools are refused, so `budget=True` cannot
-    share a cache entry with `budget=1`."""
+    of distinct primes (`_check_pool`). Bools are refused, so
+    `budget=True` cannot share a cache entry with `budget=1`."""
     if type(budget) is not int or budget < 0:
         raise InputError("budget %r must be a nonnegative integer" % (budget,))
     return _check_pool(pool)
 
 
 def _check_pool(pool) -> tuple:
-    """InputError unless `pool` is a list or tuple of ints (bools refused).
-    Returns the pool as a tuple, the form cache keys take; primality is
-    left to `good_primes`, which checks each prime as it reaches it. The
-    default pool is trusted without a scan: cached entry points receive
-    it thousands of times per run."""
+    """InputError unless `pool` is a list or tuple of distinct primes, each
+    an int (bools refused). Returns the pool as a tuple, the form cache
+    keys take. The default pool is trusted without a scan: cached entry
+    points receive it thousands of times per run."""
     if pool is not DEFAULT_PRIMES and (not isinstance(pool, (list, tuple))
-                                       or any(type(p) is not int for p in pool)):
-        raise InputError("prime pool %r must be a list or tuple of integers" % (pool,))
+                                       or not all(map(is_prime, pool))
+                                       or len(set(pool)) < len(pool)):
+        raise InputError("prime pool %r must be a list or tuple of distinct primes" % (pool,))
     return tuple(pool)
 
 
@@ -345,19 +345,14 @@ def good_primes(m_int: Representation, pool, count: int,
     only when p divides d is the Hom dimension of the reductions taken
     over F_p. The accepted primes are exactly those of a per-prime
     comparison of every pair. InputError unless the pool is a list or
-    tuple of ints, on a repeated prime, or on a non-prime among the
-    entries the search reaches."""
+    tuple of distinct primes (`_check_pool`)."""
     if m_int.p or any(g.p for g in guards):
         raise InputError("good primes need integer representations")
     pool = _check_pool(pool)
-    if len(set(pool)) < len(pool):
-        raise InputError("prime pool repeats a prime")
     pairs = [(m_int, m_int)] + [pair for g in guards for pair in ((m_int, g), (g, m_int))]
     certs = [_hom_minor(a, b) for a, b in pairs]
     good = []
-    for p in pool:  # checked as reached: most calls read only the head of the pool
-        if not is_prime(p):
-            raise InputError("prime pool holds %r, not a prime" % (p,))
+    for p in pool:
         if all(d % p or hom_dim(rep_mod(a, p), rep_mod(b, p)) == dim
                for (a, b), (dim, d) in zip(pairs, certs)):
             good.append(p)

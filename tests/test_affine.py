@@ -1,9 +1,11 @@
 """Affine-type structure: normalized polynomial families, tube modules,
 layered generic values, membership reports."""
 
+from itertools import product
+
 import pytest
 
-from genvar import affine, ccmap, clear_caches, mutation
+from genvar import affine, candecomp, ccmap, clear_caches, mutation
 from genvar.affine import (KRONECKER_DELTA, chebyshev_f, chebyshev_s,
                            delta_character, generic_variable_affine,
                            membership_check_A, quasi_simple_kronecker,
@@ -148,63 +150,119 @@ def test_affine_generic_tags(kron):
     assert generic_variable_affine(kron, (3, 3)).delta_power == 3
 
 
-def snapshot(table):
-    return list(table.entries.items()), table.provenance, table.clusters
-
-
 @pytest.mark.parametrize("name", ["kron", "atilde"])
 def test_grown_table_answers_as_the_whole_table(request, name):
+    # every positive denominator of a depth-6, 10-sweep table answers from
+    # the directed walks as from that table, whatever the lookup order
     q = request.getfixturevalue(name)
     whole = enumerate_cluster_variables(q, 6, sweeps=10)
-    dens = list(whole.entries)
+    dens = [e for e in whole.entries if min(e) >= 0]
+    assert all(q.q_norm(e) == 1 for e in dens)
     want = [whole.entries[e].key() for e in dens]
-    affine._real_summand_table.cache_clear()
-    cold = [affine._real_summand(q, e).key() for e in dens]
-    warm = [affine._real_summand(q, e).key() for e in dens]
-    affine._real_summand_table.cache_clear()
-    backwards = [affine._real_summand(q, e).key() for e in reversed(dens)][::-1]
+
+    def look(e):
+        return affine._real_summand(q, e, DEFAULT_BUDGET).key()
+
+    clear_caches()
+    cold = [look(e) for e in dens]
+    warm = [look(e) for e in dens]
+    clear_caches()
+    backwards = [look(e) for e in reversed(dens)][::-1]
     assert cold == warm == backwards == want
-    grown = affine._real_summand_table(q)[0]
-    assert list(grown.entries.items()) == list(whole.entries.items())
 
 
-def test_a_root_beyond_the_schedule_falls_back_after_the_whole_table(kron):
-    whole = enumerate_cluster_variables(kron, 6, sweeps=10)
-    assert kron.q_norm((12, 11)) == 1 and (12, 11) not in whole.entries
-    affine._real_summand_table.cache_clear()
-    assert affine._real_summand(kron, (12, 11)) is None
-    assert snapshot(affine._real_summand_table(kron)[0]) == snapshot(whole)
+def test_a_deep_real_root_is_read_off_its_sweep_walk(kron, monkeypatch):
+    # (12,11) takes 12 source sweeps; no module is counted in its place
+    called = []
+    monkeypatch.setattr(ccmap, "rigid_integer_rep", lambda *a, **k: called.append(a))
+    clear_caches()
+    want = enumerate_cluster_variables(kron, 0, sweeps=12).entries[(12, 11)]
+    assert affine._real_summand(kron, (12, 11), DEFAULT_BUDGET) == want
+    assert generic_variable_affine(kron, (12, 11)).poly == want
+    assert called == []
 
 
 def _inexact(seed, k):
     raise ConsistencyError("inexact exchange")
 
 
-# Kronecker: the first BFS layer takes two mutations and holds (1, 0);
+# Kronecker: the first source sweep takes one mutation and holds (1, 0);
 # (2, 1) needs the second, where the fault strikes.
 @pytest.mark.parametrize("name, fault, error", [
-    ("_exchange_terms", lambda seed, k: DEFAULT_BUDGET + 1, BudgetError),
     ("mutate", _inexact, ConsistencyError),
 ])
 def test_a_failed_growth_is_never_cached(kron, monkeypatch, name, fault, error):
     clear_caches()
     real, steps = getattr(mutation, name), []
 
-    def after_two(seed, k):
+    def after_one(seed, k):
         steps.append(k)
-        return (real if len(steps) <= 2 else fault)(seed, k)
+        return (real if len(steps) <= 1 else fault)(seed, k)
 
-    monkeypatch.setattr(mutation, name, after_two)
-    assert affine._real_summand(kron, (1, 0)) is not None
-    for lookup in [lambda: affine._real_summand(kron, (2, 1)),
-                   lambda: affine._real_summand(kron, (2, 1)),
-                   lambda: affine._real_summand(kron, (12, 11)),
+    monkeypatch.setattr(mutation, name, after_one)
+    assert affine._real_summand(kron, (1, 0), DEFAULT_BUDGET) is not None
+    for lookup in [lambda: affine._real_summand(kron, (2, 1), DEFAULT_BUDGET),
+                   lambda: affine._real_summand(kron, (2, 1), DEFAULT_BUDGET),
+                   lambda: affine._real_summand(kron, (12, 11), DEFAULT_BUDGET),
                    lambda: generic_variable_affine(kron, (1, 2))]:
         with pytest.raises(error):
             lookup()
     monkeypatch.undo()
     whole = enumerate_cluster_variables(kron, 6, sweeps=10)
-    assert affine._real_summand(kron, (2, 1)) == whole.entries[(2, 1)]
+    assert affine._real_summand(kron, (2, 1), DEFAULT_BUDGET) == whole.entries[(2, 1)]
+
+
+def test_a_zero_budget_refuses_a_real_summand_whatever_is_cached(kron):
+    for warm in (lambda: None, lambda: generic_variable_affine(kron, (3, 2)), clear_caches):
+        warm()
+        with pytest.raises(BudgetError):
+            generic_variable_affine(kron, (3, 2), budget=0)
+
+
+@pytest.mark.parametrize("order", [(0, -1), (-1, 0)])
+def test_the_budget_boundary_is_the_walk_charge(kron, order):
+    clear_caches()
+    want = generic_variable_affine(kron, (3, 2)).poly
+    charge = affine._walk(kron, 1)[2][(3, 2)]
+    assert charge > 0
+    clear_caches()
+    for shift in order:
+        if shift:
+            with pytest.raises(BudgetError):
+                generic_variable_affine(kron, (3, 2), budget=charge + shift)
+        else:
+            assert generic_variable_affine(kron, (3, 2), budget=charge).poly == want
+
+
+def test_the_affine_route_draws_no_witness_tuple(kron, atilde, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("witness tuple drawn")
+
+    monkeypatch.setattr(candecomp, "_find_witnesses", refuse)
+    for k in (10, 13, 20):
+        value = generic_variable_affine(kron, (k, k))
+        assert (value.tag, value.delta_power) == ("delta_layer", k)
+        assert value.poly == delta_character(kron) ** k
+    r101 = Representation(atilde, 0, (1, 0, 1), ((), ((),), ((1,),)))
+    assert regular_rigid_check(atilde, r101) is True
+
+
+def test_kronecker_chains_obey_the_division_free_recurrence(kron, z_closed_form):
+    # Sherman-Zelevinsky: x_{n+1} + x_{n-1} = z x_n along both chains
+    # (0,-1), (1,0), (2,1), ... and (-1,0), (0,1), (1,2), ...
+    for chain in (lambda n: (n, n - 1), lambda n: (n - 1, n)):
+        x = [generic_variable_affine(kron, chain(n)).poly for n in range(22)]
+        assert [v.denominator_vector() for v in x] == [chain(n) for n in range(22)]
+        for n in range(1, 21):
+            assert x[n + 1] + x[n - 1] == z_closed_form * x[n], chain(n)
+
+
+def test_every_small_affine_a2_real_schur_root_answers(atilde):
+    roots = [e for e in product(range(9), repeat=3)
+             if any(e) and atilde.q_norm(e) == 1 and candecomp.is_schur_root(atilde, e)]
+    assert len(roots) > 20
+    for e in roots:
+        assert generic_variable_affine(atilde, e).poly.denominator_vector() == e
 
 
 # The whole table takes 30 mutations on the Kronecker quiver and 100 on

@@ -87,6 +87,13 @@ def test_negative_budget_exits_2_and_zero_budget_exits_3(quiver_file, capsys):
     assert rc == 3 and "budget exceeded" in err and out == ""
 
 
+def test_zero_budget_affine_generic_exits_3(quiver_file, capsys):
+    # the mutation walk to a real summand is charged to --budget
+    rc, out, err = run_cli(
+        capsys, ["--quiver", quiver_file, "--budget", "0", "affine-generic", "--d", "3,2"])
+    assert rc == 3 and "budget exceeded" in err and out == ""
+
+
 def test_negative_sweeps_exits_2(quiver_file, capsys):
     rc, out, err = run_cli(capsys, ["--quiver", quiver_file, "mutate-enumerate",
                                     "--depth", "2", "--sweeps", "-4"])

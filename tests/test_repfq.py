@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genvar import repfq
+from genvar.affine import quasi_simple_kronecker
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
                            rank_mod_p)
@@ -490,6 +491,13 @@ def test_good_primes_rejects_a_composite(kron):
         good_primes(m, (4, 6), 2)
     with pytest.raises(InputError):
         good_primes(m, (5, 9, 7, 11), 3)
+
+
+@pytest.mark.parametrize("pool", [(4, 4), (4, 9)])
+def test_a_thin_module_refuses_a_bad_pool(kron, pool):
+    # a thin module consults no prime, yet its pool is checked as any other
+    with pytest.raises(InputError):
+        repfq.chi_all(quasi_simple_kronecker(kron, 2), pool=pool)
 
 
 def test_good_primes_budget_error(kron):
