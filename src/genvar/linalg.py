@@ -5,10 +5,13 @@ closed-form counts: subspaces by the rank of one map on them
 their span, by Moebius inversion on the subspace lattice
 (`image_rank_counts`).
 
-Over Q, `echelon` is the only elimination: rank (`rank_fraction`, which
-first counts rows with distinct leading columns), the primitive integer
-kernel (`kernel_basis`) and exact solving (`solve`) all read its result;
-quiver type recognition reads the last two on the Gram matrix.
+Over Q, `echelon` is the only elimination, and it stops at the
+fraction-free row echelon form: its pivot columns and last pivot d are
+all that rank (`rank_fraction`, which first counts rows with distinct
+leading columns) and the good-prime minor (`reps._hom_minor`) read. The
+primitive integer kernel (`kernel_basis`) and exact solving (`solve`)
+then back-substitute to the reduced form (`_back_substitute`); quiver
+type recognition reads those two on the Gram matrix.
 Over F_p, `PackedFp` is the only one: the counting engine uses it
 directly, `rank_mod_p` takes the rank of a plain integer matrix with it,
 `image_rank_counts` solves its affine systems with it, and
@@ -31,38 +34,64 @@ from .errors import ConsistencyError
 # ------------------------------------------------------------ integers
 
 def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free reduced echelon form of an integer matrix (Bareiss
-    1968, in Gauss-Jordan form): (pivot rows, pivot columns, d).
+    """Fraction-free row echelon form of an integer matrix (Bareiss 1968):
+    (pivot rows, pivot columns, d).
 
-    The pivot rows are d times the reduced echelon form over Q: every
-    pivot entry equals d and every other entry of a pivot column is zero.
-    Each step replaces a row by (a * row - f * top) / d_prev, a division
-    that is exact because every entry is a minor of the input; a row with
-    f = 0 is only rescaled, and rows that become zero are dropped.
+    Pivot row k is zero left of its pivot column, and its entries are
+    (k + 1) x (k + 1) minors of the input; d, the last pivot, is a
+    nonzero r x r minor, r the rank (1 when r = 0). Each step replaces
+    every row below the pivot row by (a * row - f * top) / d_prev, a
+    division that is exact because every entry is a minor of the input;
+    a row with f = 0 is only rescaled, and rows that become zero are
+    dropped. Only the columns from the pivot on are touched: the rows
+    below are zero left of it. Rank and the good-prime minor read this
+    form; `_back_substitute` turns it into the reduced one.
     """
     m = [list(row) for row in rows if any(row)]
     pivots: list[int] = []
     d = 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
+        if r == len(m):
+            break
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        a = top[c]
-        for i, row in enumerate(m):
-            if i == r:
-                continue
+        top = m[r][c:]
+        a = top[0]
+        zeros = [0] * c
+        for i in range(r + 1, len(m)):
+            row = m[i]
             f = row[c]
             if f:
-                m[i] = [(a * x - f * y) // d for x, y in zip(row, top)]
+                m[i] = zeros + [(a * x - f * y) // d for x, y in zip(row[c:], top)]
             elif a != d:
-                m[i] = [a * x // d for x in row]
+                m[i] = zeros + [a * x // d for x in row[c:]]
         pivots.append(c)
         d = a
         m[r + 1:] = [row for row in m[r + 1:] if any(row)]
     return m[:len(pivots)], pivots, d
+
+
+def _back_substitute(ech: list[list[int]], pivots: list[int], d: int) -> list[list[int]]:
+    """The pivot rows of `echelon` made d times the reduced echelon form
+    over Q: every pivot entry d, every other entry of a pivot column zero.
+    From the last row up, row k becomes (d R_k - sum_{j > k} R_k[c_j] S_j)
+    / R_k[c_k], with S_j the rows already reduced; the division is exact
+    because the result is d times the reduced form, whose entries are
+    r x r minors over d (Cramer)."""
+    out = list(ech)  # rows are replaced, never changed in place
+    for k in range(len(out) - 2, -1, -1):
+        row = out[k]
+        acc = [d * x for x in row]
+        for j in range(k + 1, len(out)):
+            f = row[pivots[j]]
+            if f:
+                acc = [x - f * y for x, y in zip(acc, out[j])]
+        lead = row[pivots[k]]
+        out[k] = [x // lead for x in acc]
+    return out
 
 
 def rank_fraction(rows: Sequence[Sequence[int]]) -> int:
@@ -76,8 +105,10 @@ def rank_fraction(rows: Sequence[Sequence[int]]) -> int:
 
 def kernel_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of the right kernel over Q: one primitive integer vector per
-    free column, positive at that column and zero at the other free ones."""
+    free column, positive at that column and zero at the other free ones,
+    read off the back-substituted echelon form."""
     ech, pivots, d = echelon(rows)
+    ech = _back_substitute(ech, pivots, d)
     basis = []
     for fc in (c for c in range(len(rows[0])) if c not in pivots):
         v = [0] * len(rows[0])
@@ -91,12 +122,13 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def solve(cols: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction] | None:
     """The unique x with sum_j x_j cols[j] = b over Q, or None when the
-    system is inconsistent or the columns are dependent."""
+    system is inconsistent or the columns are dependent; only a system
+    with a unique solution is back-substituted."""
     n = len(cols)
     ech, pivots, d = echelon([[c[i] for c in cols] + [v] for i, v in enumerate(b)])
     if pivots != list(range(n)):
         return None
-    return [Fraction(row[n], d) for row in ech]
+    return [Fraction(row[n], d) for row in _back_substitute(ech, pivots, d)]
 
 
 # ------------------------------------------------------------------- mod p

@@ -28,6 +28,17 @@ their images (linear in x): by Moebius inversion on the subspace lattice
 cheaper. Rows are walked fewer tails first, so the closed form gets the
 row with the most tails.
 
+Each call plans once: per enumerated vertex its targets, the packed
+columns of the arrows into each and their full dimensions, and where
+each sink sits among the last vertex's targets. Stable tuples land in a
+histogram keyed by the enumerated dimensions and the dimensions forced
+at the sinks. A last vertex counted whole from one arrow is written
+there once per distinct (key, N, rank A), after the enumeration, so the
+calls that agree share one pass over the `kernel_meet_counts` table;
+pencil rows go straight in. The histogram becomes counts by each sink's
+Gaussian-binomial factor, read from a table cached per (sink dims,
+forced sink dims, p) (`_sink_table`).
+
 Euler characteristics interpolate the counts at good primes with one
 integer Lagrange basis per tuple of nodes (`interpolate`), checking
 integrality by divisibility and the fit on every further prime. A prime
@@ -37,7 +48,7 @@ pivot d is a nonzero minor of full rank, so every prime not dividing d
 keeps that Hom dimension, and only the primes dividing d are decided
 over F_p. Should a count still jump at one good prime, a second sweep of
 fresh good primes must fit on its own and agree with the first at all
-primes but one.
+primes but one; a budget that cannot pay for it raises BudgetError.
 
 A thin module (every d_v <= 1) is decided over Q instead: each U_v is 0
 or M_v, so the only candidate of dimension e is the coordinate tuple on
@@ -54,6 +65,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 from math import lcm, prod
+from operator import mul
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .linalg import PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts, lattice_size
@@ -135,7 +147,19 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
     for (s, t), mat in zip(q.arrows, m.matrices):
         outs[s].setdefault(t, []).append(
             [kern.pack([row[j] for row in mat]) for j in range(m.dim[s - 1])])
+    # the plan, built once: per enumerated vertex its index, dimension,
+    # targets (each with its arrow columns) and their full dimensions
+    plan = [(v - 1, m.dim[v - 1], list(outs[v].items()), [m.dim[t - 1] for t in outs[v]])
+            for v in enum_verts]
+    # the last enumerated vertex's targets are all sinks: per sink, its
+    # target position there or None, and the sink position of target 0
+    tpos = {t: ti for ti, (t, _) in enumerate(plan[-1][2])} if plan else {}
+    spos = [tpos.get(u) for u in sink_verts]
+    first = spos.index(0) if plan else 0
     hist: dict[tuple, int] = {}
+    # last-vertex calls counted whole from one arrow, by their histogram
+    # key parts and kernel-meet table (N, rank A), expanded once at the end
+    meets: dict[tuple, int] = {}
     visits = 0
 
     def tick(n: int) -> None:
@@ -149,28 +173,19 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
         built row by row in reduced echelon form over the free coordinates;
         each row's images are merged into the target states once and
         shared by everything below it."""
-        v = enum_verts[idx]
-        n = m.dim[v - 1]
-        forced = states[v - 1]
-        targets = list(outs[v].items())
+        v, n, targets, full = plan[idx]
+        forced = states[v]
         top = [states[t - 1] for t, _ in targets]
         for _, r in forced:
             rc = kern.coords(r, n)
             for ti, (_, arrows) in enumerate(targets):
                 for cols in arrows:
-                    top[ti] = extend(top[ti], red(sum(x * c for x, c in zip(rc, cols))))
+                    top[ti] = extend(top[ti], red(sum(map(mul, rc, cols))))
         pivots = {n - 1 - off // w for off, _ in forced}
         free = [j for j in range(n) if j not in pivots]
-        last = idx == len(enum_verts) - 1
-        full = [m.dim[t - 1] for t, _ in targets]
+        last = idx == len(plan) - 1
         if last:
-            tpos = {t: ti for ti, (t, _) in enumerate(targets)}
-            fixed = [len(states[u - 1]) for u in sink_verts]
-
-        def record(dim_v: int, ranks, count: int) -> None:
-            key = (dims + (dim_v,),
-                   tuple(ranks[tpos[u]] if u in tpos else r for u, r in zip(sink_verts, fixed)))
-            hist[key] = hist.get(key, 0) + count
+            fixed = tuple([len(states[u - 1]) for u in sink_verts])
 
         layers = range(len(free) + 1)
         arrows = targets[0][1] if last and len(targets) == 1 else ()
@@ -178,12 +193,21 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
             # U = forced + W adds dim(A(W) + B(W)) mod top: all W for one arrow,
             # for two the W of dimension 0, 1, N - 1 and N (N = len(free))
             maps = [[residue(top[0], cols[j]) for j in free] for cols in arrows]
-            table, total = (pencil_layer_counts(kern, full[0], *maps) if len(maps) == 2
-                            else kernel_meet_counts(len(free), rank(maps[0]), p))
-            layers = range(2, len(free) - 1) if len(maps) == 2 else ()
+            if len(maps) == 1:
+                shape = (len(free), rank(maps[0]))
+                tick(kernel_meet_counts(*shape, p)[1])
+                key = (dims, fixed, len(forced), len(top[0]), shape)
+                meets[key] = meets.get(key, 0) + 1
+                return  # every layer is counted
+            table, total = pencil_layer_counts(kern, full[0], *maps)
             tick(total)
-            for k, r, count in table:
-                record(len(forced) + k, [len(top[0]) + r], count)
+            expand(dims, fixed, len(forced), len(top[0]), table, 1)
+            layers = range(2, len(free) - 1)
+
+        def record(dim_v: int, ranks, count: int) -> None:
+            key = (dims + (dim_v,),
+                   tuple(r if ti is None else ranks[ti] for ti, r in zip(spos, fixed)))
+            hist[key] = hist.get(key, 0) + count
 
         def last_row(dim_v: int, lead: int, tails: list, tstates: list) -> None:
             """The last echelon row at the last enumerated vertex. Reduction
@@ -209,7 +233,7 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
                 acc = {}
                 steps = [[x * ds[-1] for x in range(p)] for _, ds in pairs]
                 for head in product(range(p), repeat=len(tails) - 1):
-                    bases = [red(c + sum(x * d for x, d in zip(head, ds))) for c, ds in pairs]
+                    bases = [red(c + sum(map(mul, head, ds))) for c, ds in pairs]
                     for step in zip(*steps):
                         vals = [red(b + s) for b, s in zip(bases, step)]
                         key = tuple([rank(vals[lo:hi]) for lo, hi in spans])
@@ -238,12 +262,14 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
             if last and i == len(rows) - 1:
                 last_row(dim_v, lead, tails, tstates)
                 return
+            # per target, per arrow: the lead column and the tail columns
+            heads = [[(cols[lead], [cols[j] for j in tails]) for cols in arrows]
+                     for _, arrows in targets]
             for vals in product(range(p), repeat=len(tails)):
                 new = []
-                for b, (_, arrows) in zip(tstates, targets):
-                    for cols in arrows:
-                        b = extend(b, red(cols[lead] + sum(
-                            x * cols[j] for x, j in zip(vals, tails))))
+                for b, arrows in zip(tstates, heads):
+                    for c, ds in arrows:
+                        b = extend(b, red(c + sum(map(mul, vals, ds))))
                     new.append(b)
                 walk(rows, i + 1, new)
 
@@ -253,11 +279,22 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
                       for a in reversed(leads)], 0, top)  # fewest tails first
         del walk  # a cycle (walk calls itself): free it without the collector
 
+    def expand(dims: tuple, fixed: tuple, dim0: int, base: int, table, mult: int) -> None:
+        """Rows (k, r, count) of a last vertex counted whole into the
+        histogram: its dimension dim0 + k, and at the one target's sink
+        base + r, the only forced sink dimension that varies."""
+        head, tail = fixed[:first], fixed[first + 1:]
+        for k, r, count in table:
+            key = (dims + (dim0 + k,), head + (base + r,) + tail)
+            hist[key] = hist.get(key, 0) + mult * count
+
     if enum_verts:
         vertex(0, (), tuple(() for _ in range(q.vertices)))
     else:
         hist[((), tuple(0 for _ in sink_verts))] = 1
     del vertex  # likewise
+    for (dims, fixed, dim0, base, shape), mult in meets.items():
+        expand(dims, fixed, dim0, base, kernel_meet_counts(*shape, p)[0], mult)
     return _hist_to_counts(m, enum_verts, sink_verts, hist), visits
 
 
@@ -265,19 +302,30 @@ def _hist_to_counts(m: Representation, enum_verts, sink_verts,
                     hist: dict) -> dict[DimVector, int]:
     """Expand a histogram keyed by (enumerated dims, forced sink dims) into
     per-dimension-vector counts: each sink contributes a Gaussian-binomial
-    factor counting subspaces between the forced image and the full fibre."""
-    q, p = m.quiver, m.p
+    factor counting subspaces between the forced image and the full fibre,
+    read from `_sink_table`. Counts are keyed in enumeration order first,
+    then put in vertex order when the two differ."""
+    full = tuple(m.dim[w - 1] for w in sink_verts)
     counts: dict[DimVector, int] = {}
     for (dims, fs), mult in hist.items():
-        for sink_dims in product(*[range(f, m.dim[w - 1] + 1) for w, f in zip(sink_verts, fs)]):
-            e = [0] * q.vertices
-            for v, ev in zip(enum_verts + sink_verts, dims + sink_dims):
-                e[v - 1] = ev
-            e = tuple(e)
-            counts[e] = counts.get(e, 0) + mult * prod(
-                gauss_binom(m.dim[w - 1] - fw, ew - fw, p)
-                for w, ew, fw in zip(sink_verts, sink_dims, fs))
+        for sink_dims, factor in _sink_table(full, fs, m.p):
+            e = dims + sink_dims
+            counts[e] = counts.get(e, 0) + mult * factor
+    order = enum_verts + sink_verts
+    if order != sorted(order):
+        at = [order.index(v) for v in range(1, len(order) + 1)]
+        counts = {tuple([e[i] for i in at]): c for e, c in counts.items()}
     return counts
+
+
+@cache
+def _sink_table(full: tuple, forced: tuple, p: int) -> tuple:
+    """Per tuple of sink dimensions from `forced` to `full`, the number of
+    subspace tuples of those dimensions over F_p containing fixed forced
+    subspaces: a product of Gaussian binomials. Cached: a sweep meets few
+    (full, forced) pairs, and a histogram meets each many times."""
+    return tuple((dims, prod(gauss_binom(n - f, e - f, p) for n, e, f in zip(full, dims, forced)))
+                 for dims in product(*[range(f, n + 1) for f, n in zip(forced, full)]))
 
 
 # --------------------------------------------- Euler characteristic by chi
@@ -379,9 +427,11 @@ def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
     pool without the first sweep's primes, confirmed at D + 1 more primes.
     A count that is not polynomial in p, such as one that follows how a
     polynomial splits mod p, gets through only if it fools the single
-    sweep on the second sweep's primes as well. When the pool or the
-    budget cannot pay for the second sweep, the first failure stands.
-    InputError on a mod-p module or guard, on either route."""
+    sweep on the second sweep's primes as well. When the pool has too few
+    good primes for the second sweep, or the second sweep fails to fit,
+    the first failure stands; when the budget cannot pay for one of its
+    counts, that BudgetError is raised instead. InputError on a mod-p
+    module or guard, on either route."""
     if m_int.p or any(g.p for g in guards):
         raise InputError("counting polynomials need integer representations")
     pool = _check_limits(budget, pool)
@@ -402,8 +452,12 @@ def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
         failure = exc
     try:
         second = good_primes(m_int, pool, 2 * count, guards)[count:]
-        polys = fit(second, [count_all_subreps(rep_mod(m_int, p), budget) for p in second])
-    except (BudgetError, ConsistencyError):
+    except BudgetError:  # the pool, not the budget, is too small
+        raise failure from None
+    counts2 = [count_all_subreps(rep_mod(m_int, p), budget) for p in second]
+    try:
+        polys = fit(second, counts2)
+    except ConsistencyError:
         raise failure from None
     outliers = [p for p, c in zip(first, counts)
                 if any(poly_eval(ints, p) != c.get(e, 0) for e, ints in polys.items())]

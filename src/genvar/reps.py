@@ -235,8 +235,8 @@ def hom_dim(m: Representation, n: Representation) -> int:
 
 def _hom_minor(m: Representation, n: Representation) -> tuple[int, int]:
     """(dim Hom(m, n) over Q, d), d the last pivot of the fraction-free
-    elimination (`linalg.echelon`) of the intertwining equations, or 1
-    when they have rank 0.
+    row echelon form (`linalg.echelon`) of the intertwining equations, or
+    1 when they have rank 0; no back-substitution is needed for either.
 
     d is a nonzero r x r minor of the equations, r their rank over Q.
     Reduction mod p never raises a rank, and it keeps this minor nonzero

@@ -235,14 +235,24 @@ def _cc_map(tmp_path, capsys, quiver, rep, *extra):
     return run_cli(capsys, ["--quiver", str(qpath), *extra, "cc-map", "--rep", str(rpath)])
 
 
+# the (1,1,1) count is 1 at p = 11 and 2 at every other pool prime
+_JUMPING_QUIVER = {"vertices": 3, "arrows": [[2, 1], [3, 1], [2, 3]]}
+_JUMPING_REP = {"dim": [2, 2, 2], "matrices": [[[0, 0], [3, 2]], [[-2, 1], [0, 1]],
+                                               [[1, 3], [3, 3]]]}
+
+
 def test_cc_map_survives_a_count_that_jumps_at_a_good_prime(tmp_path, capsys):
-    # the (1,1,1) count is 1 at p = 11 and 2 at every other pool prime
-    rc, out, err = _cc_map(
-        tmp_path, capsys, {"vertices": 3, "arrows": [[2, 1], [3, 1], [2, 3]]},
-        {"dim": [2, 2, 2], "matrices": [[[0, 0], [3, 2]], [[-2, 1], [0, 1]],
-                                        [[1, 3], [3, 3]]]})
+    rc, out, err = _cc_map(tmp_path, capsys, _JUMPING_QUIVER, _JUMPING_REP)
     assert rc == 0 and err == ""
     assert json.loads(out)["results"]["den"] == [2, 2, 2]
+
+
+def test_cc_map_exits_3_when_the_budget_stops_the_second_sweep(tmp_path, capsys):
+    # 100 visits pay for every count of the first sweep, not of the second
+    rc, out, err = _cc_map(tmp_path, capsys, _JUMPING_QUIVER, _JUMPING_REP,
+                           "--budget", "100")
+    assert rc == 3 and out == ""
+    assert "budget" in err
 
 
 def test_cc_map_refuses_a_count_that_follows_a_splitting(tmp_path, capsys):

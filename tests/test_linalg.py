@@ -1,6 +1,7 @@
 """The exact elimination kernels: fraction-free integer elimination over Q
-(rank, primitive kernel, solve) against the packed F_p rank, and the
-closed-form counts of subspaces and of tails by rank against enumeration."""
+(rank, primitive kernel, solve) against the packed F_p rank and against
+a Gauss-Jordan reference, and the closed-form counts of subspaces and of
+tails by rank against enumeration."""
 
 import itertools
 import random
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genvar.linalg import (PackedFp, echelon, gauss_binom, image_rank_counts,
-                           kernel_basis, kernel_meet_counts, rank_fraction, rank_mod_p,
-                           solve)
+from genvar.linalg import (PackedFp, _back_substitute, echelon, gauss_binom,
+                           image_rank_counts, kernel_basis, kernel_meet_counts,
+                           rank_fraction, rank_mod_p, solve)
 from genvar.pencil import pencil_layer_counts
 
 # Every minor of a matrix below is at most (3 sqrt 5)^5 < 13,600 in absolute
@@ -101,6 +102,84 @@ def test_solve_is_exact_or_none(a, data):
         assert all(isinstance(c, Fraction) for c in x)
     else:
         assert x is None
+
+
+# ------------------------- row echelon form against a Gauss-Jordan reference
+
+def _gauss_jordan(rows):
+    """Reference: fraction-free Gauss-Jordan elimination (Bareiss 1968),
+    which also clears every pivot column above its pivot, so its pivot
+    rows are d times the reduced echelon form over Q. Kept as the package
+    computed it before `echelon` stopped at the row echelon form."""
+    m = [list(row) for row in rows if any(row)]
+    pivots = []
+    d = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        a = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(a * x - f * y) // d for x, y in zip(row, top)]
+            elif a != d:
+                m[i] = [a * x // d for x in row]
+        pivots.append(c)
+        d = a
+        m[r + 1:] = [row for row in m[r + 1:] if any(row)]
+    return m[:len(pivots)], pivots, d
+
+
+def _reference_kernel(rows):
+    ech, pivots, d = _gauss_jordan(rows)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [0] * len(rows[0])
+        v[fc] = d
+        for row, pc in zip(ech, pivots):
+            v[pc] = -row[fc]
+        g = gcd(*v) * (1 if d > 0 else -1)
+        basis.append([x // g for x in v])
+    return basis
+
+
+def _reference_solve(cols, b):
+    n = len(cols)
+    ech, pivots, d = _gauss_jordan([[c[i] for c in cols] + [v] for i, v in enumerate(b)])
+    if pivots != list(range(n)):
+        return None
+    return [Fraction(row[n], d) for row in ech]
+
+
+@given(matrices())
+@example([[0, 2, 1], [0, 0, 0], [5, 0, 0]])
+@example([[1, 2], [2, 4]])
+def test_row_echelon_form_keeps_the_pivots_and_minor_of_gauss_jordan(a):
+    # rank and the good-prime minor read only the pivots and d, which the
+    # forward pass already fixes; back-substitution gives the reduced form
+    ech, pivots, d = echelon(a)
+    ref, ref_pivots, ref_d = _gauss_jordan(a)
+    assert (pivots, d) == (ref_pivots, ref_d)
+    assert all(not any(row[:c]) for row, c in zip(ech, pivots))
+    assert _back_substitute(ech, pivots, d) == ref
+
+
+@given(matrices(), st.data())
+def test_kernel_and_solve_match_the_gauss_jordan_reference(a, data):
+    assert kernel_basis(a) == _reference_kernel(a)
+    if data.draw(st.booleans()):  # a consistent right-hand side
+        b = _apply(a, data.draw(st.lists(st.integers(-3, 3), min_size=len(a[0]),
+                                         max_size=len(a[0]))))
+    else:
+        b = data.draw(st.lists(st.integers(-3, 3), min_size=len(a), max_size=len(a)))
+    cols = [list(c) for c in zip(*a)]
+    assert solve(cols, b) == _reference_solve(cols, b)
 
 
 # ------------------------------------ subspaces counted by their image rank

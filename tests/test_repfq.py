@@ -194,6 +194,12 @@ def _two_sinks():
     return Quiver(3, ((1, 2), (1, 3)))
 
 
+def _path_and_branch():
+    # the last enumerated vertex 2 has one arrow, into sink 3, while
+    # vertex 1 forces the other sink, 4
+    return Quiver(4, ((1, 2), (2, 3), (1, 4)))
+
+
 BRUTE_FORCE_CASES = [
     (kronecker, (2, 2), 3, 11),
     (kronecker, (2, 2), 5, 12),
@@ -210,6 +216,8 @@ BRUTE_FORCE_CASES = [
     (_two_sinks, (2, 2, 1), 2, 23),
     (kronecker, (4, 2), 3, 24),  # up to three tails at the last row
     (_two_sinks, (4, 1, 2), 3, 25),  # two targets: the product lattice
+    (_path_and_branch, (2, 2, 2, 2), 3, 27),  # closed form beside a forced sink
+    (_path_and_branch, (2, 3, 2, 2), 2, 30),
 ]
 
 
@@ -329,6 +337,11 @@ def test_budget_error_on_tiny_budget(kron):
     # subspaces of F_3^2 at vertex 1, then at vertex 2 the subspaces holding
     # their image: 6 over the zero space, 2 over each of 4 lines, 1 over F_3^2
     (lambda: a_n(3), (2, 2, 2), 3, 0, 6 + 6 + 4 * 2 + 1),
+    # 1 -> 2 -> 3 and 1 -> 4, seed 27 draws a rank-one map 1 -> 2: the 6
+    # subspaces of F_3^2 at vertex 1, then at vertex 2 those holding their
+    # image: 6 over the zero space and over the kernel line, 2 over each
+    # of the 3 other lines and over F_3^2
+    (_path_and_branch, (2, 2, 2, 2), 3, 27, 6 + 6 + 6 + 3 * 2 + 2),
 ])
 def test_budget_boundary_is_the_visit_count(builder, d, p, seed, visits):
     m = sample_representation(builder(), d, p, seed)
@@ -556,6 +569,18 @@ def test_a_count_that_jumps_at_one_good_prime_is_outvoted_by_a_second_sweep():
     # too few primes for a whole second sweep: the failure stands
     with pytest.raises(ConsistencyError, match="not integral"):
         repfq.chi_all(m, pool=repfq.DEFAULT_PRIMES[:9])
+
+
+def test_a_budget_too_small_for_the_second_sweep_is_a_budget_error():
+    # up to 76 visits a first-sweep count runs out, from 77 to 156 a
+    # second-sweep count does: both are budget verdicts, never the first
+    # sweep's ConsistencyError; 157 pays for every count of both sweeps
+    m = _jumping_module()
+    for budget in range(157):
+        with pytest.raises(BudgetError):
+            repfq.chi_all(m, budget=budget)
+    for budget in (157, 158, 1000):
+        assert repfq.chi_all(m, budget=budget)[(1, 1, 1)] == 2
 
 
 def _five_vertex_quiver():
