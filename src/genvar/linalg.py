@@ -15,9 +15,11 @@ type recognition reads those two on the Gram matrix.
 Over F_p, `PackedFp` is the only one: the counting engine uses it
 directly, `rank_mod_p` takes the rank of a plain integer matrix with it,
 `image_rank_counts` solves its affine systems with it, and
-`pencil.pencil_layer_counts` takes a pencil's ranks and the kernel of
-[A B] with it. Everything here is deterministic; `PackedFp` and the
-closed forms sit inside the grassmannian point-counting hot loop.
+`pencil.pencil_layer_counts` takes a pencil's ranks and the ranks of two
+stacked matrices, [A; B] and [[A B 0], [0 A B]], with the counting
+engine's kernel, which holds two fibres side by side. Everything here is
+deterministic; `PackedFp` and the closed forms sit inside the
+grassmannian point-counting hot loop.
 """
 
 from __future__ import annotations

@@ -12,21 +12,22 @@ enumerate, the engine counts quotients there instead (duality).
 Each subspace is built row by row in reduced echelon form, and each
 row's images are merged into the states of the arrow targets once, so
 every subspace below that row shares the work. All F_p arithmetic goes
-through one kernel, `linalg.PackedFp`: vectors are packed into Python
-ints and reduced mod p field by field. At the last enumerated vertex
-only the ranks of the target states matter: U = F + W (F forced, W on
-the N free coordinates) adds dim(A(W) + B(W)) at a target reached by
-arrows A, B. With one arrow that is dim W - dim(W meet ker A), so the
-vertex is counted whole from rank A (`linalg.kernel_meet_counts`). With
-two into one target, the W of dimension 0, 1, N - 1 and N are counted
-from the ranks of the pencil xA + yB (`pencil.pencil_layer_counts`), and
-the layers between are walked. In a walk, once every target state spans
-its fibre, the remaining rows' p^(free entries) choices are counted in
-closed form. At the last row the tails x are counted by the rank of
-their images (linear in x): by Moebius inversion on the subspace lattice
-(`linalg.image_rank_counts`), or by one rank per x where that is
-cheaper. Rows are walked fewer tails first, so the closed form gets the
-row with the most tails.
+through one kernel per call, `linalg.PackedFp`, which holds two fibres
+side by side: vectors are packed into Python ints and reduced mod p
+field by field. At the last enumerated vertex only the ranks of
+the target states matter: U = F + W (F forced, W on the N free
+coordinates) adds dim(A(W) + B(W)) at a target reached by arrows A, B.
+With one arrow that is dim W - dim(W meet ker A), so the vertex is
+counted whole from rank A (`linalg.kernel_meet_counts`). With two into
+one target, the W of dimension 0, 1, N - 1 and N are counted from the
+p + 1 ranks of the pencil xA + yB and three plain ranks
+(`pencil.pencil_layer_counts`), and the layers between are walked. In a
+walk, once every target state spans its fibre, the remaining rows'
+p^(free entries) choices are counted in closed form. At the last row
+the tails x are counted by the rank of their images (linear in x): by
+Moebius inversion on the subspace lattice (`linalg.image_rank_counts`),
+or by one rank per x where that is cheaper. Rows are walked fewer tails
+first, so the closed form gets the row with the most tails.
 
 Each call plans once: per enumerated vertex its targets, the packed
 columns of the arrows into each and their full dimensions, and where
@@ -136,7 +137,7 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
     subspaces visited: one per subspace chosen at each enumerated vertex.
     BudgetError as soon as that number exceeds `budget`."""
     q, p = m.quiver, m.p
-    kern = PackedFp(p, max(m.dim))
+    kern = PackedFp(p, 2 * max(m.dim))  # two fibres side by side, for the pencil
     red, residue, extend, rank, w = kern.reduce, kern.residue, kern.extend, kern.rank, kern.w
     order = q.topological_order()
     has_out = {s for s, _ in q.arrows}
@@ -351,10 +352,17 @@ def _lagrange_basis(xs: tuple[int, ...]) -> tuple[int, list[list[int]]]:
 def interpolate(points: list[tuple[int, int]], degree: int) -> list[int]:
     """Integer coefficients (ascending degree) of the polynomial of degree
     <= `degree` through the first degree + 1 points, checked on the rest.
-    InputError for a negative degree, too few points or a repeated node."""
-    n = degree + 1
-    if n < 1 or len(points) < n or len(dict(points)) < len(points):  # dict: one key per node
-        raise InputError("interpolation needs degree + 1 >= 1 points at distinct nodes")
+    InputError unless `degree` is an int >= 0 and `points` a list or tuple
+    of at least degree + 1 (node, value) pairs of ints at distinct nodes;
+    bools are refused."""
+    n = degree + 1 if type(degree) is int else 0
+    try:  # one key per distinct node of a well-typed point
+        nodes = {x: None for x, y in points if type(x) is type(y) is int}
+    except (TypeError, ValueError):  # a point that is not a pair
+        nodes = {}
+    if n < 1 or not isinstance(points, (list, tuple)) or len(nodes) < len(points) or len(points) < n:
+        raise InputError("interpolation needs degree + 1 >= 1 points at distinct nodes,"
+                         " each an (int, int) pair")
     den, rows = _lagrange_basis(tuple(x for x, _ in points[:n]))
     num = [0] * n
     for (_, y), row in zip(points, rows):
@@ -393,7 +401,13 @@ def good_primes(m_int: Representation, pool, count: int,
     only when p divides d is the Hom dimension of the reductions taken
     over F_p. The accepted primes are exactly those of a per-prime
     comparison of every pair. InputError unless the pool is a list or
-    tuple of distinct primes (`_check_pool`)."""
+    tuple of distinct primes (`_check_pool`), `count` an int >= 1 (bools
+    refused) and `guards` a list or tuple of representations."""
+    if type(count) is not int or count < 1:
+        raise InputError("count %r must be a positive integer" % (count,))
+    if not isinstance(guards, (list, tuple)) or not all(isinstance(g, Representation)
+                                                        for g in guards):
+        raise InputError("guards must be a list or tuple of representations")
     if m_int.p or any(g.p for g in guards):
         raise InputError("good primes need integer representations")
     pool = _check_pool(pool)

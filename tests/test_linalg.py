@@ -260,11 +260,11 @@ def _two_map_cases(p):
     return cases
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_pencil_layer_counts_match_enumeration(p):
     for name, (a, b) in _two_map_cases(p).items():
         size, n = len(a), len(a[0])
-        kern = PackedFp(p, max(n, size))
+        kern = PackedFp(p, 2 * max(n, size))  # two n-vectors side by side
         got, total = pencil_layer_counts(kern, n, [kern.pack(u) for u in a],
                                          [kern.pack(u) for u in b])
         closed = {0, 1, size - 1, size}
@@ -278,6 +278,61 @@ def test_pencil_layer_counts_match_enumeration(p):
         assert {(k, r): c for k, r, c in got} == want, name
         assert len(got) == len(want), name
         assert total == sum(want.values()) == sum(gauss_binom(size, k, p) for k in closed)
+
+
+def _wide_kernel_pencil(kern, n, a, b):
+    """Reference: the pencil's rows and total as the package computed them
+    before it took z and z1 as stacked ranks, with K = ker[A B] read off
+    the echelon basis of [a_j | e_j] in a fresh kernel of n + 2N fields.
+    Also returns z1, z and the p + 1 pencil ranks."""
+    p, rank, size = kern.p, kern.rank, len(a)
+    rhos = [rank(a)] + [rank([kern.reduce(x * u + v) for u, v in zip(a, b)]) for x in range(p)]
+    wide = PackedFp(p, n + 2 * size)
+    cols = [kern.coords(u, n) for u in a + b]
+    basis = ()
+    for j, c in enumerate(cols):
+        basis = wide.extend(basis, wide.pack(c + [int(i == j) for i in range(2 * size)]))
+    half = size * wide.w
+    ker = [u for off, u in basis if off < 2 * half]
+    z = size - wide.rank([u >> half for u in ker] + [u & ((1 << half) - 1) for u in ker])
+    z1 = size - wide.rank([wide.pack(r) for h in (cols[:size], cols[size:]) for r in zip(*h)])
+    rk = 2 * size - len(ker)
+
+    def lines(s):
+        return (p ** s - 1) // (p - 1)
+
+    table = [(0, 0, 1), (size, rk, 1)]
+    for k, r0, zero, top in [(1, 0, z1, size), (size - 1, rk - 2, z, rk)][:size - 1]:
+        counts = [lines(zero), sum(lines(top - r) - lines(zero) for r in rhos)]
+        counts.append(lines(size) - sum(counts))
+        table += [(k, r0 + g, c) for g, c in enumerate(counts) if c]
+    total = sum(gauss_binom(size, k, p) for k in {0, 1, size - 1, size})
+    return table, total, z1, z, rhos
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31])
+def test_pencil_layer_counts_match_the_wide_kernel_reference(p):
+    rng = random.Random(300 + p)
+    cases = list(_two_map_cases(p).values())
+    for size in range(2, 5):
+        for n in range(1, 6):
+            for _ in range(12):
+                cols = []
+                for _ in range(2 * size):
+                    cols.append(_column(rng, p, n, cols))
+                cases.append((cols[:size], cols[size:]))
+    seen = set()
+    for a, b in cases:
+        size, n = len(a), len(a[0])
+        kern = PackedFp(p, 2 * max(n, size))  # two n-vectors side by side
+        a, b = [kern.pack(u) for u in a], [kern.pack(u) for u in b]
+        table, total, z1, z, rhos = _wide_kernel_pencil(kern, n, a, b)
+        assert pencil_layer_counts(kern, n, a, b) == (table, total)
+        seen.update(name for name, hit in [
+            ("z1 > 0", z1 > 0), ("z > 0", size > 2 and z > 0),
+            ("singular at every point", max(rhos) < size), ("drop at (1:0)", rhos[0] < max(rhos)),
+            ("N = 2", size == 2), ("n < N", n < size)] if hit)
+    assert len(seen) == 6, seen
 
 
 # --------------------------------------------- tails counted by image rank

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genvar import repfq
+from genvar import linalg, repfq
 from genvar.affine import quasi_simple_kronecker
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
@@ -267,6 +267,31 @@ def test_brute_force_cases_reach_every_last_row_path(monkeypatch):
     assert seen == {"vertex", "layers", 1, 2, "loop"}
 
 
+def test_kronecker_counts_build_no_kernel_per_pencil(monkeypatch):
+    # every Kronecker count takes one pencil, which works in the count's
+    # own kernel: a count builds one PackedFp, and its pencil none
+    reps = [sample_representation(kronecker(), (3, 3), 5, seed) for seed in range(8)]
+    built, pencils = [], []
+    init = linalg.PackedFp.__init__
+
+    def init_spy(self, p, n_max):
+        built.append((p, n_max))
+        init(self, p, n_max)
+
+    def layers_spy(kern, n, a, b):
+        before = len(built)
+        out = pencil_layer_counts(kern, n, a, b)
+        pencils.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(linalg.PackedFp, "__init__", init_spy)
+    monkeypatch.setattr(repfq, "pencil_layer_counts", layers_spy)
+    for m in reps:
+        repfq._count_engine(m, repfq.DEFAULT_BUDGET)
+    assert pencils == [0] * len(reps)
+    assert built == [(5, 6)] * len(reps)
+
+
 @pytest.mark.parametrize("p", [2, 3, 43, 10007])
 def test_packed_kernel_matches_plain_elimination(p):
     rng = random.Random(p)
@@ -519,6 +544,16 @@ def test_good_primes_budget_error(kron):
         good_primes(m, (5,), 1)  # 5 is bad, pool exhausted
 
 
+@pytest.mark.parametrize("count,guards", [
+    (0, ()), (-1, ()), (1.5, ()), (True, ()),  # not a positive int
+    (1, 5), (1, None), (1, "ab"), (1, [5]), (1, ({},))])  # not representations
+def test_good_primes_checks_count_and_guards(kron, count, guards):
+    m = sample_integer_rep(kron, (2, 1), random.Random(1))
+    with pytest.raises(InputError):
+        good_primes(m, repfq.DEFAULT_PRIMES, count, guards)
+    assert good_primes(m, repfq.DEFAULT_PRIMES, 1, [m]) == [5]
+
+
 def test_interpolation_checks_integrality_and_extra_points():
     square_plus_one = [(x, x * x + 1) for x in (5, 7, 11, 13)]
     assert interpolate(square_plus_one, 2) == [1, 0, 1]
@@ -534,6 +569,22 @@ def test_interpolation_checks_integrality_and_extra_points():
 def test_interpolation_needs_degree_plus_one_points(points, degree):
     with pytest.raises(InputError, match="points"):
         interpolate(points, degree)
+
+
+SQUARE_PLUS_ONE = [(5, 26), (7, 50), (11, 122)]
+
+
+@pytest.mark.parametrize("points,degree", [
+    ([(5.0, 26), (7, 50), (11, 122)], 2), ([(True, 2), (7, 50), (11, 122)], 2),  # nodes
+    ([(5, "26"), (7, 50), (11, 122)], 2), ([(5, 26), (7, 50.0), (11, 122)], 2),  # values
+    ([(5, 26), (7, 50), (11, False)], 2),
+    (SQUARE_PLUS_ONE, 0.5), (SQUARE_PLUS_ONE, True), (SQUARE_PLUS_ONE, "2"),  # degrees
+    (iter(SQUARE_PLUS_ONE), 2), (dict(SQUARE_PLUS_ONE), 2), ([5, 7, 11], 2),  # not pairs
+    ([(5, 26, 0), (7, 50, 0), (11, 122, 0)], 2), ("ab", 1)])
+def test_interpolation_refuses_malformed_points(points, degree):
+    with pytest.raises(InputError, match="points"):
+        interpolate(points, degree)
+    assert interpolate(tuple(map(list, SQUARE_PLUS_ONE)), 2) == [1, 0, 1]
 
 
 def test_chi_all_matches_counting_polynomial(kron):
