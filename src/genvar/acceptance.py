@@ -196,9 +196,9 @@ def _criterion_7():
                        * ccmap.generic_variable(q, e).poly)
                 _check(lhs == rhs, "product fails at %r + %r" % (d, e))
                 products += 1
-    # The direct route counts only the sampled parts, and subquotient
-    # counts are cached under the exact reduced module, so the whole
-    # sample is enumerated here as one module, not read from the route.
+    # The direct route counts only the sampled parts, and characters are
+    # cached under the exact module, so the whole sample is enumerated
+    # here as one module, not read from the route.
     for q, direct in decomposable:
         dim, matrices = direct.samples[0]
         whole = ccmap.cc_of_module(

@@ -34,7 +34,7 @@ from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_limits, chi_all
+from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_guards, _check_limits, chi_all
 from .reps import Representation, direct_sum, hom_dim, sample_integer_rep
 
 GENERIC_RETRIES = 12
@@ -66,9 +66,7 @@ def cc_of_module(m: Representation, pool=DEFAULT_PRIMES,
     `guards` are passed through to the prime filter: reductions must
     preserve Hom against them, keeping subrepresentation counts on the
     polynomial branch the rational module certifies."""
-    if m.p != 0:
-        raise InputError("character evaluation needs an integer module")
-    return _cc_of_module(m, _check_limits(budget, pool), budget, tuple(guards))
+    return _cc_of_module(m, _check_limits(budget, pool), budget, _check_guards(m, guards))
 
 
 @cache

@@ -10,6 +10,7 @@ The public constructor `LaurentPoly(nvars, terms)`, and the builders and
 of `nvars` ints, coefficients become ints, a value that is not integral
 (0.5, "1") raises InputError instead of being truncated, and zero
 coefficients are dropped; `shift` checks its exponent the same way.
+`from_json`, `variable` and powers take ints only, refusing bools.
 Results of arithmetic on polynomials that are already valid (`+`, `-`,
 `*`, `scale`, `shift`, powers and quotients) skip that pass and store
 their term map as built. Every term map is read-only, so a polynomial
@@ -92,9 +93,10 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "LaurentPoly":
-        """The generator u_i, 1-based vertex index."""
-        if not 1 <= i <= nvars:
-            raise InputError("variable index out of range")
+        """The generator u_i, 1-based vertex index; InputError unless i is
+        an int (bools refused) with 1 <= i <= nvars."""
+        if type(i) is not int or not 1 <= i <= nvars:
+            raise InputError("variable index %r must be an integer in 1..nvars" % (i,))
         exp = [0] * nvars
         exp[i - 1] = 1
         return cls(nvars, {tuple(exp): 1})
@@ -182,8 +184,8 @@ class LaurentPoly:
                                                  for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise InputError("negative power of a general Laurent polynomial")
+        if type(n) is not int or n < 0:
+            raise InputError("power %r must be a nonnegative integer" % (n,))
         result = LaurentPoly.one(self.nvars)
         base = self
         while n:
@@ -276,16 +278,16 @@ class LaurentPoly:
         if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
             raise InputError("laurent document needs 'n' and 'terms'")
         n = doc["n"]
-        if not isinstance(n, int) or n <= 0:
+        if type(n) is not int or n <= 0:
             raise InputError("bad variable count")
         terms: dict[tuple[int, ...], int] = {}
         for item in doc["terms"]:
             exp = item.get("exp")
             coef = item.get("coef")
             if (not isinstance(exp, list) or len(exp) != n
-                    or not all(isinstance(e, int) for e in exp)):
+                    or not all(type(e) is int for e in exp)):
                 raise InputError("bad exponent vector %r" % (exp,))
-            if not isinstance(coef, int) or coef == 0:
+            if type(coef) is not int or coef == 0:
                 raise InputError("coefficients must be nonzero integers")
             key = tuple(exp)
             if key in terms:

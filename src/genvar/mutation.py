@@ -44,7 +44,7 @@ def initial_seed(q: Quiver) -> Seed:
 @lru_cache(maxsize=None, typed=True)
 def mutate(seed: Seed, k: int) -> Seed:
     """Mutate at vertex k (1-based int). Memoized per (seed, k), unbounded
-    like the subrepresentation count cache; `mutate.cache_info()` counts
+    like the module character cache; `mutate.cache_info()` counts
     hits. Typed keys keep 1.0 and True from hitting the entry of 1."""
     n = len(seed.b)
     if type(k) is not int or not 1 <= k <= n:

@@ -102,21 +102,24 @@ def _check_pool(pool) -> tuple:
     return tuple(pool)
 
 
+def _check_guards(m: Representation, guards) -> tuple:
+    """InputError unless m is an integer module and `guards` a list or tuple
+    of integer representations; returns the guards as a tuple (a cache key)."""
+    if m.p or not isinstance(guards, (list, tuple)) or not all(
+            isinstance(g, Representation) and g.p == 0 for g in guards):
+        raise InputError("module and guards must be integer, the guards a list or tuple")
+    return tuple(guards)
+
+
 # -------------------------------------------------------- subrep counting
 
 def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[DimVector, int]:
-    """Number of subrepresentations of every dimension vector at once.
-
-    Counts are memoised on the module and the budget, so a budget verdict
-    does not depend on what is cached; each call gets its own copy."""
+    """Number of subrepresentations of every dimension vector at once, counted
+    on m or its dual, whichever enumerates fewer subspace tuples. Not
+    memoised: the character memo `ccmap._cc_of_module` answers repeats."""
     if m.p == 0:
         raise InputError("subrep counting needs a finite field")
     _check_limits(budget)
-    return dict(_count_all_subreps(m, budget))
-
-
-@cache
-def _count_all_subreps(m: Representation, budget: int) -> dict[DimVector, int]:
     # subspace tuples at the arrow sources, and at the targets, which the dual enumerates
     cost = [lattice_size(tuple(m.dim[v - 1] for v in {a[i] for a in m.quiver.arrows}), m.p)
             for i in (0, 1)]
@@ -402,14 +405,11 @@ def good_primes(m_int: Representation, pool, count: int,
     over F_p. The accepted primes are exactly those of a per-prime
     comparison of every pair. InputError unless the pool is a list or
     tuple of distinct primes (`_check_pool`), `count` an int >= 1 (bools
-    refused) and `guards` a list or tuple of representations."""
+    refused), m_int an integer module and `guards` a list or tuple of
+    integer representations (`_check_guards`)."""
     if type(count) is not int or count < 1:
         raise InputError("count %r must be a positive integer" % (count,))
-    if not isinstance(guards, (list, tuple)) or not all(isinstance(g, Representation)
-                                                        for g in guards):
-        raise InputError("guards must be a list or tuple of representations")
-    if m_int.p or any(g.p for g in guards):
-        raise InputError("good primes need integer representations")
+    guards = _check_guards(m_int, guards)
     pool = _check_pool(pool)
     pairs = [(m_int, m_int)] + [pair for g in guards for pair in ((m_int, g), (g, m_int))]
     certs = [_hom_minor(a, b) for a, b in pairs]
@@ -445,9 +445,8 @@ def _counting_polynomials(m_int: Representation, es: list, pool, budget: int,
     good primes for the second sweep, or the second sweep fails to fit,
     the first failure stands; when the budget cannot pay for one of its
     counts, that BudgetError is raised instead. InputError on a mod-p
-    module or guard, on either route."""
-    if m_int.p or any(g.p for g in guards):
-        raise InputError("counting polynomials need integer representations")
+    module or on guards that `_check_guards` refuses, on either route."""
+    guards = _check_guards(m_int, guards)
     pool = _check_limits(budget, pool)
     if max(m_int.dim, default=0) <= 1:
         return _thin_polynomials(m_int, es, budget)

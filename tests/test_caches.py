@@ -3,9 +3,11 @@ cache that changes an answer or a budget verdict."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import genvar
-from genvar import cache_stats, clear_caches
+from genvar import cache_stats, clear_caches, repfq
 from genvar.candecomp import canonical_decomposition
 from genvar.ccmap import cc_of_module, generic_variable
 from genvar.errors import BudgetError
@@ -87,13 +89,30 @@ def test_clear_caches_empties_every_module_level_cache():
         assert size == 0, name
 
 
-def test_cache_stats_counts_one_witness_hit_on_a_repeated_decomposition():
+def test_cache_stats_counts_one_witness_hit_on_a_repeated_decomposition(monkeypatch):
+    counted = []
+
+    def spy(*args, _orig=repfq._count_engine):
+        counted.append(args)
+        return _orig(*args)
+    monkeypatch.setattr(repfq, "_count_engine", spy)
     clear_caches()
     first = canonical_decomposition(KRON, (3, 3))
     second = canonical_decomposition(KRON, (3, 3))
     stats = cache_stats()
     assert stats["candecomp._find_witnesses"] == {"hits": 1, "misses": 1, "size": 1}
-    assert stats["repfq._count_all_subreps"] == {"hits": 0, "misses": 0, "size": 0}
+    assert counted == []  # a decomposition runs no count
     assert list(stats) == sorted(stats)
     assert second.witnesses == first.witnesses
     assert cache_stats() == stats  # reading the stats changes none of them
+
+
+def test_readme_lists_every_cache_by_its_stats_name():
+    """README "Caches" names each cache on a line of its own, as
+    `cache_stats()` does, so a memo is not added or deleted unseen."""
+    _module_level_caches()  # import every module, so cache_stats sees all
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Caches\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^- `([\w.]+)`", section, re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(cache_stats())

@@ -16,8 +16,8 @@ from genvar.laurent import LaurentPoly
 from genvar.mutation import cluster_monomials, enumerate_cluster_variables
 from genvar.kronecker import z_character
 from genvar.quiver import a_n, affine_a2, kronecker
-from genvar.repfq import (Representation, chi_all, count_all_subreps, ext_from_hom,
-                          hom_dim, rep_mod)
+from genvar.repfq import (Representation, chi_all, count_all_subreps, counting_polynomial,
+                          ext_from_hom, hom_dim, rep_mod)
 
 
 # Hand-expanded characters on the double-arrow quiver (arrows 1 -> 2):
@@ -160,9 +160,9 @@ def _monomials(**limits):
     return cluster_monomials(enumerate_cluster_variables(A2, 4), A2, (1, 1), **limits)
 
 
-# Each raised a raw TypeError, ran with a truncated budget or shared the
-# cache entry of budget=1 (True == 1) before the entry points checked
-# their limits.
+# Each raised a raw TypeError or AttributeError, ran with a truncated
+# budget or shared the cache entry of budget=1 (True == 1) before the
+# entry points checked their limits and guards.
 @pytest.mark.parametrize("call", [
     lambda: generic_variable(KRON, (1, 1), budget="x"),
     lambda: generic_variable(KRON, (1, 1), budget=True),
@@ -173,6 +173,10 @@ def _monomials(**limits):
     lambda: cc_of_module(TUBE, budget=1.5),
     lambda: cc_of_module(TUBE, pool=7),
     lambda: chi_all(TUBE, budget="x"),
+    lambda: chi_all(TUBE, guards=(1,)),
+    lambda: chi_all(TUBE, guards=TUBE),
+    lambda: counting_polynomial(TUBE, (1, 1), guards=(None,)),
+    lambda: cc_of_module(TUBE, guards=("x",)),
     lambda: count_all_subreps(rep_mod(TUBE, 5), budget=True),
     lambda: z_character(pool=5),
     lambda: enumerate_cluster_variables(A2, 2, budget=1.5),
@@ -181,7 +185,8 @@ def _monomials(**limits):
     lambda: _monomials(budget=True),
 ], ids=["generic-str", "generic-bool", "generic-negative", "generic-pool-int",
         "affine-str", "affine-pool-int", "module-float",
-        "module-pool-int", "chi-str", "count-bool", "z-pool-int",
+        "module-pool-int", "chi-str", "chi-guard-int", "chi-guard-module",
+        "polynomial-guard-none", "module-guard-str", "count-bool", "z-pool-int",
         "enumerate-float", "enumerate-bool", "monomials-str", "monomials-bool"])
 def test_entry_points_check_budget_and_pool(call):
     with pytest.raises(InputError):

@@ -71,6 +71,19 @@ def test_power_zero_and_negative():
         p ** -1
 
 
+# A float raised a raw TypeError, and True was read as 1.
+@pytest.mark.parametrize("n", [2.0, True, "2", None])
+def test_power_needs_an_int(z_closed_form, n):
+    with pytest.raises(InputError):
+        z_closed_form ** n
+
+
+@pytest.mark.parametrize("i", [1.0, True, "1", None, 0, 3])
+def test_variable_index_needs_an_int_in_range(i):
+    with pytest.raises(InputError):
+        LaurentPoly.variable(2, i)
+
+
 def test_negative_exponents_multiply():
     inv = LaurentPoly.monomial(2, (-1, -1))
     u1u2 = LaurentPoly.monomial(2, (1, 1))
@@ -125,6 +138,22 @@ def test_substitute_univariate_quadratic():
 def test_json_roundtrip(z_closed_form):
     doc = z_closed_form.to_json()
     assert LaurentPoly.from_json(doc) == z_closed_form
+
+
+# JSON true and false are Python bools, which isinstance(x, int) let
+# through: {"exp": [true, 0], "coef": true} was read as u1.
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "terms": [{"exp": [True, 0], "coef": 1}]},
+    {"n": 2, "terms": [{"exp": [1, False], "coef": 1}]},
+    {"n": 2, "terms": [{"exp": [1, 0], "coef": True}]},
+    {"n": 2, "terms": [{"exp": [1, 0], "coef": 1.0}]},
+    {"n": True, "terms": [{"exp": [1], "coef": 1}]},
+], ids=["exp-true", "exp-false", "coef-true", "coef-float", "n-true"])
+def test_from_json_refuses_bools_and_floats(doc):
+    with pytest.raises(InputError):
+        LaurentPoly.from_json(doc)
+    assert (LaurentPoly.from_json({"n": 2, "terms": [{"exp": [1, 0], "coef": 1}]})
+            == LaurentPoly.variable(2, 1))
 
 
 small_terms = st.dictionaries(

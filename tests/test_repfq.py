@@ -375,17 +375,17 @@ def test_budget_boundary_is_the_visit_count(builder, d, p, seed, visits):
     repfq._count_engine(m, budget=visits)
 
 
-def test_count_cache_keeps_the_budget(kron):
+def test_every_small_budget_count_raises(kron):
     m = sample_representation(kron, (2, 2), 5, 41)
     with pytest.raises(BudgetError):
-        count_all_subreps(m, budget=1)  # cold cache
+        count_all_subreps(m, budget=1)  # before any full count
     counts = count_all_subreps(m)
     with pytest.raises(BudgetError):
-        count_all_subreps(m, budget=1)  # warm cache, same verdict
+        count_all_subreps(m, budget=1)  # after one, same verdict
     assert count_all_subreps(m, budget=8) == counts  # 1 + [2 1]_5 + 1 visits
 
 
-def test_count_cache_hands_out_copies(kron):
+def test_every_count_returns_its_own_dict(kron):
     m = sample_representation(kron, (2, 2), 5, 42)
     counts = count_all_subreps(m)
     want = dict(counts)
