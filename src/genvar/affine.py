@@ -191,10 +191,13 @@ def _real_summand(q: Quiver, e: DimVector, budget: int) -> LaurentPoly:
 
 def regular_rigid_check(q: Quiver, m: Representation) -> bool:
     """True iff m is rigid and every canonical summand of its dimension
-    vector has defect zero (no preprojective or preinjective part)."""
+    vector has defect zero (no preprojective or preinjective part).
+    InputError unless m lives on the affine quiver q."""
     aff = q.affine_data()
     if aff is None:
         raise InputError("regularity needs an affine quiver")
+    if m.quiver != q:
+        raise InputError("representation does not live on the given quiver")
     if m.p != 0:
         raise InputError("regular-rigid test works on integer modules")
     if ext_dim(m, m) != 0:
@@ -207,10 +210,13 @@ def membership_check_A(q: Quiver, obj: ccmap.DecoratedRep, n_max: int = 6,
                        seed: int = 0) -> dict:
     """Expand the character of a decorated object on the double-arrow
     quiver over the atomic family (cluster monomials plus powers of the
-    quasi-simple character) and demand integer coefficients."""
+    quasi-simple character) and demand integer coefficients. InputError
+    unless q is the double-arrow quiver and the object's module lives on it."""
     from . import kronecker
     if q.arrows != ((1, 2), (1, 2)):
         raise InputError("membership report is double-arrow only")
+    if obj.module.quiver != q:
+        raise InputError("representation does not live on the given quiver")
     x = ccmap.cc_of_object(obj, pool=pool, budget=budget)
     den = x.denominator_vector()
     bound = tuple(max(abs(v) + 1, 2) for v in den)

@@ -186,7 +186,7 @@ def _run(args) -> dict:
         inputs.update(kind=args.kind, n_max=args.n_max, bound=list(bound))
         fam = kronecker.build_basis(args.kind, n_max=args.n_max,
                                     monomial_bound=bound, seed=args.seed,
-                                    pool=pool, budget=args.budget)
+                                    budget=args.budget)
         results["family"] = fam.to_json()
 
     elif args.command == "base-change":
@@ -200,7 +200,7 @@ def _run(args) -> dict:
         inputs.update(kind=args.kind, n_max=args.n_max, bound=list(bound))
         fam = kronecker.build_basis(args.kind, n_max=args.n_max,
                                     monomial_bound=bound, seed=args.seed,
-                                    pool=pool, budget=args.budget)
+                                    budget=args.budget)
         results["independence"] = kronecker.independence_check(fam)
 
     else:  # selftest

@@ -12,49 +12,45 @@ with the index-0 element of every layer normalized to 1. Element n of each
 layer is a monic integer polynomial of degree n in z, so every base change
 is one unitriangular back-substitution on the coefficient table, and every
 column is re-verified as an exact Laurent identity among integer
-combinations of the powers of z.
+combinations of the powers of z. z itself is the closed form,
+re-checked against the character of the quasi-simple module on every
+call; that module is thin, so its character consults no prime pool and
+is memoised per budget by `ccmap.cc_of_module`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from . import affine, ccmap, mutation
 from .errors import ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .linalg import rank_fraction
 from .quiver import DimVector, kronecker
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_limits
+from .repfq import DEFAULT_BUDGET
 
 KINDS = ("G", "SZ", "CZ")
 
 
-def z_character(pool=DEFAULT_PRIMES, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
+def z_character(budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """The quasi-simple character z = (1 + u1^2 + u2^2) / (u1 u2),
-    cross-checked against the module-character route (cached per pool
-    and budget)."""
-    return _z_character(_check_limits(budget, pool), budget)
-
-
-@cache
-def _z_character(pool: tuple, budget: int) -> LaurentPoly:
+    cross-checked against the module-character route, which charges the
+    thin quasi-simple one visit per e (four in all) against `budget`."""
     closed = LaurentPoly(2, {(1, -1): 1, (-1, -1): 1, (-1, 1): 1})
     m = affine.quasi_simple_kronecker(kronecker(), 1)
-    if ccmap.cc_of_module(m, pool=pool, budget=budget) != closed:
+    if ccmap.cc_of_module(m, budget=budget) != closed:
         raise ConsistencyError(
             "quasi-simple character disagrees with its closed form")
     return closed
 
 
-def family_element(kind: str, n: int, pool=DEFAULT_PRIMES,
-                   budget: int = DEFAULT_BUDGET) -> LaurentPoly:
+def family_element(kind: str, n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """n-th imaginary-layer element of a family (index 0 is 1)."""
     if kind not in KINDS:
         raise InputError("unknown family %r" % (kind,))
     if type(n) is not int or n < 0:
         raise InputError("layer index must be nonnegative")
-    return _combine(_coeffs(kind, n), _powers(n + 1, pool, budget))
+    return _combine(_coeffs(kind, n), _powers(n + 1, budget))
 
 
 def _coeffs(kind: str, j: int) -> list[int]:
@@ -66,10 +62,9 @@ def _coeffs(kind: str, j: int) -> list[int]:
     return affine.chebyshev_s(j)
 
 
-def _powers(n: int, pool=DEFAULT_PRIMES,
-            budget: int = DEFAULT_BUDGET) -> list[LaurentPoly]:
+def _powers(n: int, budget: int = DEFAULT_BUDGET) -> list[LaurentPoly]:
     """z^0, ..., z^(n-1): every layer element is a combination of these."""
-    z = z_character(pool=pool, budget=budget)
+    z = z_character(budget=budget)
     out = [LaurentPoly.one(2)]
     while len(out) < n:
         out.append(out[-1] * z)
@@ -212,9 +207,10 @@ class BasisFamily:
 
 
 def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
-                pool=DEFAULT_PRIMES, budget: int = DEFAULT_BUDGET) -> BasisFamily:
+                budget: int = DEFAULT_BUDGET) -> BasisFamily:
     """Finite window of one of the three families: all cluster monomials
-    with denominator in the box plus the imaginary layer up to n_max."""
+    with denominator in the box plus the imaginary layer up to n_max.
+    `seed` changes nothing: the window involves no sampling."""
     if kind not in KINDS:
         raise InputError("unknown family %r" % (kind,))
     q = kronecker()
@@ -231,7 +227,7 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
         name = "mono:%d,%d" % poly.denominator_vector()
         elements.append((name, poly))
         seen.add(poly.key())
-    powers = _powers(n_max + 1, pool, budget)
+    powers = _powers(n_max + 1, budget)
     for n in range(1, n_max + 1):
         p = _combine(_coeffs(kind, n), powers)
         if p.denominator_vector() != (n, n):

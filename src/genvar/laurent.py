@@ -93,10 +93,10 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "LaurentPoly":
-        """The generator u_i, 1-based vertex index; InputError unless i is
-        an int (bools refused) with 1 <= i <= nvars."""
-        if type(i) is not int or not 1 <= i <= nvars:
-            raise InputError("variable index %r must be an integer in 1..nvars" % (i,))
+        """The generator u_i, 1-based vertex index; InputError unless nvars
+        and i are ints (bools refused) with 1 <= i <= nvars."""
+        if type(nvars) is not int or type(i) is not int or not 1 <= i <= nvars:
+            raise InputError("variable index %r must be an integer in 1..%r" % (i, nvars))
         exp = [0] * nvars
         exp[i - 1] = 1
         return cls(nvars, {tuple(exp): 1})
@@ -280,6 +280,9 @@ class LaurentPoly:
         n = doc["n"]
         if type(n) is not int or n <= 0:
             raise InputError("bad variable count")
+        if not isinstance(doc["terms"], (list, tuple)) or not all(
+                isinstance(item, dict) for item in doc["terms"]):
+            raise InputError("laurent terms must be a list of {exp, coef} objects")
         terms: dict[tuple[int, ...], int] = {}
         for item in doc["terms"]:
             exp = item.get("exp")

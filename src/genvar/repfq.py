@@ -33,12 +33,10 @@ Each call plans once: per enumerated vertex its targets, the packed
 columns of the arrows into each and their full dimensions, and where
 each sink sits among the last vertex's targets. Stable tuples land in a
 histogram keyed by the enumerated dimensions and the dimensions forced
-at the sinks. A last vertex counted whole from one arrow is written
-there once per distinct (key, N, rank A), after the enumeration, so the
-calls that agree share one pass over the `kernel_meet_counts` table;
-pencil rows go straight in. The histogram becomes counts by each sink's
-Gaussian-binomial factor, read from a table cached per (sink dims,
-forced sink dims, p) (`_sink_table`).
+at the sinks; the rows of a last vertex counted whole, from one arrow
+or from the pencil, go straight in. The histogram becomes counts by
+each sink's Gaussian-binomial factor, read from a table cached per
+(sink dims, forced sink dims, p) (`_sink_table`).
 
 Euler characteristics interpolate the counts at good primes with one
 integer Lagrange basis per tuple of nodes (`interpolate`), checking
@@ -161,9 +159,6 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
     spos = [tpos.get(u) for u in sink_verts]
     first = spos.index(0) if plan else 0
     hist: dict[tuple, int] = {}
-    # last-vertex calls counted whole from one arrow, by their histogram
-    # key parts and kernel-meet table (N, rank A), expanded once at the end
-    meets: dict[tuple, int] = {}
     visits = 0
 
     def tick(n: int) -> None:
@@ -197,15 +192,17 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
             # U = forced + W adds dim(A(W) + B(W)) mod top: all W for one arrow,
             # for two the W of dimension 0, 1, N - 1 and N (N = len(free))
             maps = [[residue(top[0], cols[j]) for j in free] for cols in arrows]
-            if len(maps) == 1:
-                shape = (len(free), rank(maps[0]))
-                tick(kernel_meet_counts(*shape, p)[1])
-                key = (dims, fixed, len(forced), len(top[0]), shape)
-                meets[key] = meets.get(key, 0) + 1
-                return  # every layer is counted
-            table, total = pencil_layer_counts(kern, full[0], *maps)
+            table, total = (kernel_meet_counts(len(free), rank(maps[0]), p) if len(maps) == 1
+                            else pencil_layer_counts(kern, full[0], *maps))
             tick(total)
-            expand(dims, fixed, len(forced), len(top[0]), table, 1)
+            # row (k, r, count): dimension dim0 + k here and base + r at the
+            # target's sink, the only forced sink dimension that varies
+            dim0, base, head, tail = len(forced), len(top[0]), fixed[:first], fixed[first + 1:]
+            for k, r, count in table:
+                key = (dims + (dim0 + k,), head + (base + r,) + tail)
+                hist[key] = hist.get(key, 0) + count
+            if len(maps) == 1:
+                return  # every layer is counted
             layers = range(2, len(free) - 1)
 
         def record(dim_v: int, ranks, count: int) -> None:
@@ -283,22 +280,11 @@ def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int],
                       for a in reversed(leads)], 0, top)  # fewest tails first
         del walk  # a cycle (walk calls itself): free it without the collector
 
-    def expand(dims: tuple, fixed: tuple, dim0: int, base: int, table, mult: int) -> None:
-        """Rows (k, r, count) of a last vertex counted whole into the
-        histogram: its dimension dim0 + k, and at the one target's sink
-        base + r, the only forced sink dimension that varies."""
-        head, tail = fixed[:first], fixed[first + 1:]
-        for k, r, count in table:
-            key = (dims + (dim0 + k,), head + (base + r,) + tail)
-            hist[key] = hist.get(key, 0) + mult * count
-
     if enum_verts:
         vertex(0, (), tuple(() for _ in range(q.vertices)))
     else:
         hist[((), tuple(0 for _ in sink_verts))] = 1
     del vertex  # likewise
-    for (dims, fixed, dim0, base, shape), mult in meets.items():
-        expand(dims, fixed, dim0, base, kernel_meet_counts(*shape, p)[0], mult)
     return _hist_to_counts(m, enum_verts, sink_verts, hist), visits
 
 

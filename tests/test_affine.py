@@ -110,6 +110,20 @@ def test_regular_rigid_check_affine(atilde):
     assert regular_rigid_check(atilde, r101) is True
 
 
+# A module on A_2 has a dimension vector that fits the Kronecker quiver:
+# the regularity check answered True about it and the membership report
+# raised ConsistencyError (exit 4).
+@pytest.mark.parametrize("report", [
+    lambda q, m: regular_rigid_check(q, m),
+    lambda q, m: membership_check_A(q, ccmap.DecoratedRep(m, (0, 0))),
+], ids=["regular-rigid", "membership"])
+def test_affine_reports_refuse_a_module_on_another_quiver(kron, report):
+    from genvar.quiver import a_n
+    m = Representation(a_n(2), 0, (1, 1), (((1,),),))
+    with pytest.raises(InputError):
+        report(kron, m)
+
+
 def test_delta_character_is_quasi_simple_character(kron, z_closed_form):
     assert delta_character(kron) == z_closed_form
     assert KRONECKER_DELTA == (1, 1)

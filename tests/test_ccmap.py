@@ -178,7 +178,7 @@ def _monomials(**limits):
     lambda: counting_polynomial(TUBE, (1, 1), guards=(None,)),
     lambda: cc_of_module(TUBE, guards=("x",)),
     lambda: count_all_subreps(rep_mod(TUBE, 5), budget=True),
-    lambda: z_character(pool=5),
+    lambda: z_character(budget=True),
     lambda: enumerate_cluster_variables(A2, 2, budget=1.5),
     lambda: enumerate_cluster_variables(A2, 2, budget=True),
     lambda: _monomials(budget="x"),
@@ -186,7 +186,7 @@ def _monomials(**limits):
 ], ids=["generic-str", "generic-bool", "generic-negative", "generic-pool-int",
         "affine-str", "affine-pool-int", "module-float",
         "module-pool-int", "chi-str", "chi-guard-int", "chi-guard-module",
-        "polynomial-guard-none", "module-guard-str", "count-bool", "z-pool-int",
+        "polynomial-guard-none", "module-guard-str", "count-bool", "z-bool",
         "enumerate-float", "enumerate-bool", "monomials-str", "monomials-bool"])
 def test_entry_points_check_budget_and_pool(call):
     with pytest.raises(InputError):

@@ -3,6 +3,7 @@ between their imaginary layers."""
 
 import pytest
 
+from genvar import clear_caches
 from genvar import kronecker as kb
 from genvar.affine import chebyshev_f, chebyshev_s, s_as_f_sum
 from genvar.ccmap import generic_variable
@@ -14,15 +15,27 @@ def test_quasi_simple_character_closed_form(z_closed_form):
     assert kb.z_character() == z_closed_form
 
 
-def test_cached_z_character_keeps_the_prime_pool(kron, z_closed_form):
-    # z is the character of a thin module, decided over Q on any pool; a
-    # cached value still never outlives a smaller pool where the character
+def test_cached_generic_variable_keeps_the_prime_pool(kron):
+    # a cached value never outlives a smaller pool where the character
     # sweeps primes: (2,1) needs three good primes
-    kb.z_character()
-    assert kb.z_character(pool=(5,)) == z_closed_form
     generic_variable(kron, (2, 1))
     with pytest.raises(BudgetError):
         generic_variable(kron, (2, 1), pool=(5,))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_z_budget_verdict_is_the_visit_count(z_closed_form, warm):
+    # the thin quasi-simple is charged one visit per e <= (1,1), four in
+    # all; a default-budget call that fills the character memo first
+    # changes no verdict
+    clear_caches()
+    if warm:
+        kb.z_character()
+    with pytest.raises(BudgetError):
+        kb.z_character(budget=3)
+    with pytest.raises(BudgetError):
+        kb.family_element("CZ", 3, budget=3)
+    assert kb.z_character(budget=4) == z_closed_form
 
 
 def test_family_elements_index_zero_and_one(z_closed_form):

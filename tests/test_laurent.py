@@ -84,6 +84,13 @@ def test_variable_index_needs_an_int_in_range(i):
         LaurentPoly.variable(2, i)
 
 
+@pytest.mark.parametrize("nvars", ["x", 1.0, True, None])
+def test_variable_count_is_checked_before_the_index(nvars):
+    # "x" raised a raw TypeError from comparing the index with it
+    with pytest.raises(InputError):
+        LaurentPoly.variable(nvars, 1)
+
+
 def test_negative_exponents_multiply():
     inv = LaurentPoly.monomial(2, (-1, -1))
     u1u2 = LaurentPoly.monomial(2, (1, 1))
@@ -154,6 +161,15 @@ def test_from_json_refuses_bools_and_floats(doc):
         LaurentPoly.from_json(doc)
     assert (LaurentPoly.from_json({"n": 2, "terms": [{"exp": [1, 0], "coef": 1}]})
             == LaurentPoly.variable(2, 1))
+
+
+# A terms field that is not a list of objects raised a raw
+# AttributeError ([5]) or TypeError (5).
+@pytest.mark.parametrize("terms", [[5], 5, None, "ab", [{"exp": [1, 0], "coef": 1}, [1]]],
+                         ids=["list-of-int", "int", "null", "string", "list-with-list"])
+def test_from_json_refuses_malformed_terms(terms):
+    with pytest.raises(InputError):
+        LaurentPoly.from_json({"n": 2, "terms": terms})
 
 
 small_terms = st.dictionaries(
