@@ -309,7 +309,7 @@ def _criterion_12():
         for n in (1, 2, 3):
             m = affine.tube_module_kronecker(q, lam, n)
             obj = ccmap.DecoratedRep(module=m, shifts=(0, 0))
-            rep = affine.membership_check_A(q, obj)
+            rep = affine.membership_check_A(obj)
             _check(rep["integral"], "tube character is not integral")
             details.append(len(rep["coefficients"]))
     return "six tube characters, integral expansions of sizes %s" % (

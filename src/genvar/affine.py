@@ -189,15 +189,14 @@ def _real_summand(q: Quiver, e: DimVector, budget: int) -> LaurentPoly:
     return table.entries[e]
 
 
-def regular_rigid_check(q: Quiver, m: Representation) -> bool:
+def regular_rigid_check(m: Representation) -> bool:
     """True iff m is rigid and every canonical summand of its dimension
     vector has defect zero (no preprojective or preinjective part).
-    InputError unless m lives on the affine quiver q."""
+    InputError unless m is an integer module on an affine quiver."""
+    q = m.quiver
     aff = q.affine_data()
     if aff is None:
         raise InputError("regularity needs an affine quiver")
-    if m.quiver != q:
-        raise InputError("representation does not live on the given quiver")
     if m.p != 0:
         raise InputError("regular-rigid test works on integer modules")
     if ext_dim(m, m) != 0:
@@ -205,23 +204,23 @@ def regular_rigid_check(q: Quiver, m: Representation) -> bool:
     return all(q.defect(aff, e) == 0 for e, _m, _t in candecomp._summands(q, m.dim, "auto"))
 
 
-def membership_check_A(q: Quiver, obj: ccmap.DecoratedRep, n_max: int = 6,
-                       pool=DEFAULT_PRIMES, budget: int = DEFAULT_BUDGET,
-                       seed: int = 0) -> dict:
+def membership_check_A(obj: ccmap.DecoratedRep, n_max: int = 6,
+                       pool=DEFAULT_PRIMES, budget: int = DEFAULT_BUDGET) -> dict:
     """Expand the character of a decorated object on the double-arrow
     quiver over the atomic family (cluster monomials plus powers of the
-    quasi-simple character) and demand integer coefficients. InputError
-    unless q is the double-arrow quiver and the object's module lives on it."""
+    quasi-simple character), both under `budget`, and demand integer
+    coefficients. InputError unless the module lives on that quiver and
+    n_max is an int >= 0."""
     from . import kronecker
-    if q.arrows != ((1, 2), (1, 2)):
+    if obj.module.quiver.arrows != ((1, 2), (1, 2)):
         raise InputError("membership report is double-arrow only")
-    if obj.module.quiver != q:
-        raise InputError("representation does not live on the given quiver")
+    if type(n_max) is not int or n_max < 0:
+        raise InputError("n_max must be a nonnegative integer")
     x = ccmap.cc_of_object(obj, pool=pool, budget=budget)
     den = x.denominator_vector()
     bound = tuple(max(abs(v) + 1, 2) for v in den)
     fam = kronecker.build_basis("G", n_max=max(n_max, max(bound)),
-                                monomial_bound=bound, seed=seed)
+                                monomial_bound=bound, budget=budget)
     names = [name for name, _p in fam.elements]
     polys = [p for _name, p in fam.elements]
     coeffs = ccmap.express_in_basis(x, polys)

@@ -185,8 +185,7 @@ def _run(args) -> dict:
         bound = _ints(args.bound, "bound")
         inputs.update(kind=args.kind, n_max=args.n_max, bound=list(bound))
         fam = kronecker.build_basis(args.kind, n_max=args.n_max,
-                                    monomial_bound=bound, seed=args.seed,
-                                    budget=args.budget)
+                                    monomial_bound=bound, budget=args.budget)
         results["family"] = fam.to_json()
 
     elif args.command == "base-change":
@@ -199,8 +198,7 @@ def _run(args) -> dict:
         bound = _ints(args.bound, "bound")
         inputs.update(kind=args.kind, n_max=args.n_max, bound=list(bound))
         fam = kronecker.build_basis(args.kind, n_max=args.n_max,
-                                    monomial_bound=bound, seed=args.seed,
-                                    budget=args.budget)
+                                    monomial_bound=bound, budget=args.budget)
         results["independence"] = kronecker.independence_check(fam)
 
     else:  # selftest

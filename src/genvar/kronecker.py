@@ -210,7 +210,7 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
                 budget: int = DEFAULT_BUDGET) -> BasisFamily:
     """Finite window of one of the three families: all cluster monomials
     with denominator in the box plus the imaginary layer up to n_max.
-    `seed` changes nothing: the window involves no sampling."""
+    `seed` changes nothing (no sampling) and stays: the benchmark's workloads pass it."""
     if kind not in KINDS:
         raise InputError("unknown family %r" % (kind,))
     q = kronecker()
@@ -245,7 +245,10 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
 
 def independence_check(family: BasisFamily, extra=()) -> dict:
     """Exact linear-independence report over the rationals for the family
-    window (plus optional extra polynomials as a negative control)."""
+    window (plus optional extra polynomials as a negative control).
+    InputError unless every extra is a LaurentPoly in two variables."""
+    if not all(isinstance(p, LaurentPoly) and p.nvars == 2 for p in extra):
+        raise InputError("extra elements must be Laurent polynomials in two variables")
     polys = [p for _n, p in family.elements] + list(extra)
     support = sorted({m for p in polys for m in p.terms})
     rows = [[p.terms.get(m, 0) for m in support] for p in polys]

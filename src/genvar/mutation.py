@@ -217,9 +217,11 @@ def cluster_monomials(table: ClusterVariableTable, q: Quiver, max_den,
     are then exactly the exponent vectors whose den-sum lies in the box.
     Every node visited (one exponent chosen for one variable) counts
     against `budget`; BudgetError past it. Each power x ** m is computed
-    once per call.
+    once per call. InputError unless q is the table's quiver.
     """
     _check_limits(budget)
+    if q != table.quiver:
+        raise InputError("quiver is not the quiver of the table")
     max_den = q.check_dim(max_den)
     min_den = tuple(-x for x in max_den) if min_den is None else q.check_dim(min_den)
     n = q.vertices

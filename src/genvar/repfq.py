@@ -69,7 +69,7 @@ from operator import mul
 from .errors import BudgetError, ConsistencyError, InputError
 from .linalg import PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts, lattice_size
 from .pencil import pencil_layer_counts
-from .quiver import DimVector, Quiver
+from .quiver import DimVector
 from .reps import (Representation, _hom_minor, direct_sum, dual_rep, ext_dim,  # noqa: F401
                    ext_from_hom, hom_dim, is_prime, projective_rep, rep_mod,
                    sample_integer_rep, sample_representation, simple_rep, zero_rep)
@@ -504,11 +504,9 @@ def counting_polynomial(m_int: Representation, e, pool=DEFAULT_PRIMES,
     return ints
 
 
-def euler_char_grassmannian(q: Quiver, m_int: Representation, e,
-                            pool=DEFAULT_PRIMES, budget: int = DEFAULT_BUDGET) -> int:
+def euler_char_grassmannian(m_int: Representation, e, pool=DEFAULT_PRIMES,
+                            budget: int = DEFAULT_BUDGET) -> int:
     """chi of the submodule grassmannian: counting polynomial at q = 1."""
-    if m_int.quiver != q:
-        raise InputError("representation does not live on the given quiver")
     return poly_eval(counting_polynomial(m_int, e, pool, budget), 1)
 
 

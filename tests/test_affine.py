@@ -97,9 +97,9 @@ def test_tube_length_must_be_a_positive_integer(kron, length):
 def test_tube_modules_are_not_rigid(kron):
     t1 = tube_module_kronecker(kron, 1, 1)
     assert ext_dim(t1, t1) == 1
-    assert regular_rigid_check(kron, t1) is False
+    assert regular_rigid_check(t1) is False
     rigid = ccmap.rigid_integer_rep(kron, (2, 1))
-    assert regular_rigid_check(kron, rigid) is False  # nonzero defect
+    assert regular_rigid_check(rigid) is False  # nonzero defect
     from genvar.candecomp import exceptional_regular_dims
     assert exceptional_regular_dims(kron) == []
 
@@ -107,21 +107,21 @@ def test_tube_modules_are_not_rigid(kron):
 def test_regular_rigid_check_affine(atilde):
     from genvar.repfq import Representation
     r101 = Representation(atilde, 0, (1, 0, 1), ((), ((),), ((1,),)))
-    assert regular_rigid_check(atilde, r101) is True
+    assert regular_rigid_check(r101) is True
 
 
 # A module on A_2 has a dimension vector that fits the Kronecker quiver:
 # the regularity check answered True about it and the membership report
 # raised ConsistencyError (exit 4).
 @pytest.mark.parametrize("report", [
-    lambda q, m: regular_rigid_check(q, m),
-    lambda q, m: membership_check_A(q, ccmap.DecoratedRep(m, (0, 0))),
+    regular_rigid_check,
+    lambda m: membership_check_A(ccmap.DecoratedRep(m, (0, 0))),
 ], ids=["regular-rigid", "membership"])
-def test_affine_reports_refuse_a_module_on_another_quiver(kron, report):
+def test_affine_reports_refuse_a_module_on_another_quiver(report):
     from genvar.quiver import a_n
     m = Representation(a_n(2), 0, (1, 1), (((1,),),))
     with pytest.raises(InputError):
-        report(kron, m)
+        report(m)
 
 
 def test_delta_character_is_quasi_simple_character(kron, z_closed_form):
@@ -258,7 +258,7 @@ def test_the_affine_route_draws_no_witness_tuple(kron, atilde, monkeypatch):
         assert (value.tag, value.delta_power) == ("delta_layer", k)
         assert value.poly == delta_character(kron) ** k
     r101 = Representation(atilde, 0, (1, 0, 1), ((), ((),), ((1,),)))
-    assert regular_rigid_check(atilde, r101) is True
+    assert regular_rigid_check(r101) is True
 
 
 def test_kronecker_chains_obey_the_division_free_recurrence(kron, z_closed_form):
@@ -297,15 +297,29 @@ def test_affine_generic_rejects_dynkin(a2):
 
 def test_membership_tube_characters(kron):
     t1 = tube_module_kronecker(kron, 1, 1)
-    report = membership_check_A(kron, ccmap.DecoratedRep(t1, (0, 0)))
+    report = membership_check_A(ccmap.DecoratedRep(t1, (0, 0)))
     assert report["integral"] is True
     assert report["den"] == [1, 1]
     assert report["coefficients"] == [["imag:1", 1]]
 
 
+def test_membership_builds_its_family_under_the_callers_budget(kron):
+    # the character of a quasi-simple costs 4 visits, its family window more
+    obj = ccmap.DecoratedRep(quasi_simple_kronecker(kron, 1), (0, 0))
+    with pytest.raises(BudgetError):
+        membership_check_A(obj, budget=4)
+
+
+@pytest.mark.parametrize("n_max", ["x", True, -3])
+def test_membership_n_max_must_be_a_nonnegative_int(kron, n_max):
+    obj = ccmap.DecoratedRep(quasi_simple_kronecker(kron, 1), (0, 0))
+    with pytest.raises(InputError):
+        membership_check_A(obj, n_max=n_max)
+
+
 def test_membership_deeper_tube(kron):
     t2 = tube_module_kronecker(kron, 1, 2)
-    report = membership_check_A(kron, ccmap.DecoratedRep(t2, (0, 0)))
+    report = membership_check_A(ccmap.DecoratedRep(t2, (0, 0)))
     assert report["integral"] is True
     assert report["den"] == [2, 2]
     # hand-computed character: submodule counts over F_q for the
@@ -321,4 +335,4 @@ def test_membership_rejects_other_quivers(atilde):
     from genvar.repfq import Representation
     m = Representation(atilde, 0, (1, 1, 1), (((1,),), ((1,),), ((2,),)))
     with pytest.raises(InputError):
-        membership_check_A(atilde, ccmap.DecoratedRep(m, (0, 0, 0)))
+        membership_check_A(ccmap.DecoratedRep(m, (0, 0, 0)))

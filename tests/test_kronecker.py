@@ -252,3 +252,11 @@ def test_independence_negative_control(z_closed_form):
     # a duplicated element repeats a leading monomial, so the rank is eliminated
     dup = kb.independence_check(fam, extra=[fam.elements[-1][1]])
     assert (dup["rank"], dup["independent"]) == (len(fam.elements), False)
+
+
+@pytest.mark.parametrize("extra", [LaurentPoly.variable(3, 1), 5])
+def test_independence_extras_must_be_two_variable_laurent_polys(extra):
+    # a 3-variable extra was reported independent; 5 raised AttributeError
+    fam = kb.build_basis("G", n_max=2, monomial_bound=(1, 1))
+    with pytest.raises(InputError):
+        kb.independence_check(fam, extra=[extra])

@@ -99,6 +99,14 @@ def test_cluster_monomials_rejects_bad_box(a2):
         cluster_monomials(table, a2, (1, 1, 1))
 
 
+@pytest.mark.parametrize("name, box", [("a2", (1, 1)), ("a3", (1, 1, 1))])
+def test_cluster_monomials_reject_a_quiver_other_than_the_tables(request, kron, name, box):
+    # A_3 raised IndexError; A_2 answered with the Kronecker table's monomials
+    table = enumerate_cluster_variables(kron, depth=4)
+    with pytest.raises(InputError):
+        cluster_monomials(table, request.getfixturevalue(name), box)
+
+
 @pytest.mark.parametrize("max_den,min_den", [((1.5, 1), None), ((1, 1), (0.5, 0)),
                                              (("1", 1), None), ((True, 1), None)])
 def test_cluster_monomials_rejects_a_non_integer_box(a2, max_den, min_den):

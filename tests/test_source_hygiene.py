@@ -1,7 +1,8 @@
 """Source checks that need no linter: the package holds no `assert`
 (`python -O` strips it, so a check written as one silently vanishes), no
-module-level import that its module never uses, and no function, class
-or method that nothing refers to."""
+module-level import that its module never uses, no function, class or
+method that nothing refers to, and no parameter that its function never
+reads."""
 
 import ast
 import re
@@ -77,3 +78,41 @@ def test_every_helper_is_referenced_outside_its_own_definition():
                    for i, line in enumerate(lines) if not (ref == path and i in own)):
             found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert found == []
+
+
+# Functions with parameters that no body reads: (those parameters, why they stay).
+UNREAD_PARAMETERS = {
+    "candecomp.generic_ext_vanishes_cluster": (
+        ("seed",), "benchmark/workloads.py passes it as the fourth positional argument"),
+    "kronecker.build_basis": (("seed",), "benchmark/workloads.py passes it by name"),
+    "laurent.LaurentPoly.__setattr__": (
+        ("self", "name", "value"), "a protocol signature: every assignment raises"),
+}
+
+
+def _functions(tree, prefix):
+    """(dotted name, node) of every function in `tree`, nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + "." + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from _functions(node, name)
+        else:
+            yield from _functions(node, prefix)
+
+
+def test_every_parameter_is_read():
+    # a parameter nothing reads is an option that cannot change any answer
+    found = {}
+    for path in SOURCES:
+        for name, node in _functions(_source(path)[1], path.stem):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread = tuple(p for p in params if p not in read)
+            if unread:
+                found[name] = unread
+    assert found == {name: params for name, (params, _why) in UNREAD_PARAMETERS.items()}
