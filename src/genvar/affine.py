@@ -123,17 +123,21 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     Each real Schur summand is the cluster variable read off the mutation
     walk of its defect's sign (`_real_summand`), grown only until it holds
     the summand; BudgetError when the walk's work up to it passes
-    `budget`. This route is independent of direct character evaluation at
-    the composite vector and can be compared against it. InputError
-    unless `budget` is an int >= 0 and `pool` holds distinct primes.
+    `budget`. The shifted projectives multiply the module part's product
+    once, as the monomial u^{[d]_-}. This route is independent of direct
+    character evaluation at the composite vector and can be compared
+    against it. InputError unless `seed` is an int, `budget` an int >= 0
+    and `pool` holds distinct primes.
     """
     d = q.check_dim(d)
+    if type(seed) is not int:
+        raise InputError("seed %r must be an integer" % (seed,))
     _check_limits(budget, pool)
     aff = q.affine_data()
     if aff is None:
         raise InputError("structural generic values need an affine quiver")
-    dp, dn = positive_part(d), negative_part(d)
-    poly = LaurentPoly.monomial(q.vertices, dn, 1)
+    dp = positive_part(d)
+    poly = LaurentPoly.one(q.vertices)
     k = 0
     real_parts: list[DimVector] = []
     for e, mult, tag in candecomp._summands(q, dp, "structural"):
@@ -147,6 +151,7 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
         poly = poly * delta_character(q, seed=seed, pool=pool, budget=budget) ** k
     for e in real_parts:
         poly = poly * _real_summand(q, e, budget)
+    poly = poly.shift(negative_part(d))
     tag = "delta_layer" if k else "cluster_monomial"
     if poly.denominator_vector() != d:
         raise ConsistencyError("structural value of %r has denominator %r"

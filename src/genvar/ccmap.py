@@ -12,7 +12,10 @@ per instance of the canonical summands, and it is accepted when its parts
 pass the witness test of `candecomp` (each part Schur, every ordered pair
 of distinct parts with Ext = 0). Non-rigid vectors additionally require
 three independently accepted samples to agree. den(X_d) = d is asserted
-on every result.
+on every result. A vector with negative coordinates is answered from its
+positive part's cached value, under the same budget, times the monomial
+u^{[d]_-} of its shifted projectives, so each generic module is drawn
+once per positive part.
 
 A sample's character is assembled summand by summand, since
 X_{M+N} = X_M * X_N for every direct sum (Caldero-Chapoton 2006,
@@ -25,7 +28,7 @@ no prime pool, for one visit per subdimension vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from math import lcm
 
@@ -92,10 +95,7 @@ def cc_of_object(obj: DecoratedRep, pool=DEFAULT_PRIMES,
                  budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """Character of a decorated object: shifted projectives multiply in
     as plain variables."""
-    q = obj.module.quiver
-    x = cc_of_module(obj.module, pool=pool, budget=budget)
-    shift = LaurentPoly.monomial(q.vertices, tuple(obj.shifts), 1)
-    return x * shift
+    return cc_of_module(obj.module, pool=pool, budget=budget).shift(obj.shifts)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,9 @@ def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     counted at primes good for that part. The denominator vector of the
     result must equal d exactly. BudgetError when GENERIC_RETRIES
     attempts give too few certified samples. Values are cached on every
-    argument, so a cached value never outlives the caller's budget.
+    argument, so a cached value never outlives the caller's budget; a
+    vector with negative coordinates is answered from its positive
+    part's entry under the same budget, times the monomial u^{[d]_-}.
     InputError unless `seed` is an int, `budget` an int >= 0 and `pool`
     a list or tuple of ints.
     """
@@ -147,14 +149,28 @@ def generic_variable(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
 @cache
 def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
                       budget: int) -> GenericValue:
-    n = q.vertices
     dp, dn = positive_part(d), negative_part(d)
-    shift = LaurentPoly.monomial(n, dn, 1)
     if not any(dp):
-        return GenericValue(vector=d, poly=shift, rigid=True, summands=(),
-                            predicted_hom=0, samples=())
+        value = GenericValue(vector=d, poly=LaurentPoly.monomial(q.vertices, dn, 1),
+                             rigid=True, summands=(), predicted_hom=0, samples=())
+    elif any(dn):
+        # X_d = X_{[d]_+} * u^{[d]_-}: the shifted projectives are a
+        # monomial factor, so only the positive part is ever sampled.
+        value = _generic_variable(q, dp, seed, pool, budget)
+        value = replace(value, vector=d, poly=value.poly.shift(dn))
+    else:
+        value = _sampled_value(q, d, seed, pool, budget)
+    if value.poly.denominator_vector() != d:
+        raise ConsistencyError(
+            "denominator vector %r of the generic character differs from %r"
+            % (value.poly.denominator_vector(), d))
+    return value
 
-    summands = candecomp._summands(q, dp, "auto")
+
+def _sampled_value(q: Quiver, d: DimVector, seed: int, pool: tuple,
+                   budget: int) -> GenericValue:
+    """The generic value at a nonzero d >= 0, drawn and certified."""
+    summands = candecomp._summands(q, d, "auto")
     instances = [e for e, mult, _t in summands for _ in range(mult)]
     tags = [t for _e, mult, t in summands for _ in range(mult)]
     # dim End of an accepted sample: Hom(a, a) = 1 and Hom(a, b) = <a, b>
@@ -180,7 +196,7 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
                for g in guards):
             continue
         accepted.append(direct_sum(*parts))
-        value = LaurentPoly.one(n)
+        value = LaurentPoly.one(q.vertices)
         for part in parts:
             value = value * cc_of_module(part, pool=pool, budget=budget,
                                          guards=guards)
@@ -190,17 +206,12 @@ def _generic_variable(q: Quiver, d: DimVector, seed: int, pool: tuple,
     if len(accepted) < need:
         raise BudgetError(
             "no certified generic representative of %r within %d attempts"
-            % (dp, GENERIC_RETRIES))
+            % (d, GENERIC_RETRIES))
     if any(v != values[0] for v in values[1:]):
         raise ConsistencyError(
-            "accepted samples of %r disagree on the character" % (dp,))
+            "accepted samples of %r disagree on the character" % (d,))
 
-    poly = values[0] * shift
-    if poly.denominator_vector() != d:
-        raise ConsistencyError(
-            "denominator vector %r of the generic character differs from %r"
-            % (poly.denominator_vector(), d))
-    return GenericValue(vector=d, poly=poly, rigid=rigid_shape,
+    return GenericValue(vector=d, poly=values[0], rigid=rigid_shape,
                         summands=summands, predicted_hom=predicted,
                         samples=tuple((m.dim, m.matrices) for m in accepted))
 

@@ -290,6 +290,15 @@ def test_the_affine_route_mutates_only_as_far_as_it_reads(request, name, d, miss
     assert mutate.cache_info().misses <= misses
 
 
+@pytest.mark.parametrize("d, seed", [((2, 1), "x"), ((2, 1), True),
+                                     ((-1, 0), "x"), ((1, 1), "x")])
+def test_affine_generic_checks_the_seed_on_every_vector(kron, d, seed):
+    # (2, 1) reads the walk and (-1, 0) only a monomial: neither draws a
+    # sample, yet both refuse a seed that is not an int
+    with pytest.raises(InputError):
+        generic_variable_affine(kron, d, seed=seed)
+
+
 def test_affine_generic_rejects_dynkin(a2):
     with pytest.raises(InputError):
         generic_variable_affine(a2, (1, 1))

@@ -6,12 +6,15 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import genvar
 from genvar import cache_stats, clear_caches, repfq
 from genvar.candecomp import canonical_decomposition
 from genvar.ccmap import cc_of_module, generic_variable
 from genvar.errors import BudgetError
 from genvar.quiver import affine_a2, kronecker
+from genvar.repfq import DEFAULT_BUDGET
 from genvar.reps import Representation
 
 KRON, ATILDE = kronecker(), affine_a2()
@@ -26,6 +29,9 @@ CALLS = [
     ("generic", KRON, (2, 2)),
     ("generic", KRON, (2, 1)),
     ("generic", ATILDE, (1, 1, 1)),
+    ("generic", KRON, (-1, 2)),
+    ("generic", ATILDE, (2, -1, 1)),
+    ("generic", KRON, (-1, 2), 1),  # its positive part (0, 2) needs budget 2
     ("decomp", KRON, (3, 3), "structural"),
     ("decomp", KRON, (3, 3), "search"),
     ("decomp", ATILDE, (2, 3, 2), "structural"),
@@ -39,7 +45,8 @@ def _answer(call):
     kind = call[0]
     try:
         if kind == "generic":
-            v = generic_variable(call[1], call[2])
+            budget = call[3] if len(call) > 3 else DEFAULT_BUDGET
+            v = generic_variable(call[1], call[2], budget=budget)
             return v.poly, v.samples, v.summands
         if kind == "decomp":
             dec = canonical_decomposition(call[1], call[2], method=call[3])
@@ -59,6 +66,22 @@ def test_answers_do_not_depend_on_what_is_cached():
     backwards = [_answer(c) for c in reversed(CALLS)][::-1]
     assert warm == cold == backwards
     assert warm[-1][0] == "BudgetError" and not isinstance(warm[-2], tuple)
+    assert warm[5][0] == "BudgetError"
+
+
+def test_a_shifted_vector_keeps_the_budget_verdict_of_its_positive_part():
+    # (2, -1, 1) is answered from the entry of (2, 0, 1), which needs
+    # budget 4; an entry made at the default budget answers no smaller one
+    def verdict():
+        with pytest.raises(BudgetError) as exc:
+            generic_variable(ATILDE, (2, -1, 1), budget=3)
+        return str(exc.value)
+    clear_caches()
+    cold = verdict()
+    generic_variable(ATILDE, (2, 0, 1))
+    generic_variable(ATILDE, (2, -1, 1))
+    assert verdict() == cold
+    assert generic_variable(ATILDE, (2, -1, 1), budget=4).vector == (2, -1, 1)
 
 
 def _module_level_caches():

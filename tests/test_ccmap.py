@@ -15,7 +15,7 @@ from genvar.errors import BudgetError, InputError
 from genvar.laurent import LaurentPoly
 from genvar.mutation import cluster_monomials, enumerate_cluster_variables
 from genvar.kronecker import z_character
-from genvar.quiver import a_n, affine_a2, kronecker
+from genvar.quiver import a_n, affine_a2, kronecker, negative_part, positive_part
 from genvar.repfq import (Representation, chi_all, count_all_subreps, counting_polynomial,
                           ext_from_hom, hom_dim, rep_mod)
 
@@ -93,6 +93,30 @@ def test_generic_variable_mixed_signs(kron):
     gv = generic_variable(kron, (-1, 2))
     assert gv.poly == X_SINK_SIMPLE ** 2 * LaurentPoly.variable(2, 1)
     assert gv.poly.denominator_vector() == (-1, 2)
+
+
+def test_shifted_vectors_draw_only_their_positive_parts(monkeypatch):
+    # X_d = X_{[d]_+} * u^{[d]_-}: each box draws samples once per distinct
+    # nonzero positive part, and every value is that part's value shifted
+    draws = []
+
+    def spy(q, instances, seed, attempt, _orig=ccmap._sample_parts):
+        draws.append((q, tuple(map(sum, zip(*instances))), attempt))
+        return _orig(q, instances, seed, attempt)
+    monkeypatch.setattr(ccmap, "_sample_parts", spy)
+    clear_caches()
+    boxes = [(kronecker(), itertools.product(range(-2, 3), repeat=2)),
+             (affine_a2(), itertools.product(range(-1, 3), repeat=3))]
+    values = {(q, d): generic_variable(q, d) for q, box in boxes for d in box}
+    parts = {(q, positive_part(d)) for q, d in values if any(positive_part(d))}
+    assert len(draws) == len(set(draws))  # no part is drawn twice
+    assert {(q, dp) for q, dp, _a in draws} == parts
+    for (q, d), gv in values.items():
+        at_dp = values[q, positive_part(d)]
+        assert gv.vector == d
+        assert gv.poly == at_dp.poly.shift(negative_part(d))
+        assert (gv.samples, gv.summands, gv.rigid, gv.predicted_hom) == (
+            at_dp.samples, at_dp.summands, at_dp.rigid, at_dp.predicted_hom)
 
 
 def test_generic_variable_rigid_real_root(kron):
