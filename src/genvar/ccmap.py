@@ -271,7 +271,5 @@ def express_in_basis(x: LaurentPoly, basis: list[LaurentPoly]):
     if coeffs is None:
         return None
     m = lcm(*[c.denominator for c in coeffs])
-    acc = LaurentPoly.zero(x.nvars)
-    for c, b in zip(coeffs, basis):
-        acc = acc + b.scale(int(c * m))
+    acc = LaurentPoly.combination(x.nvars, [int(c * m) for c in coeffs], basis)
     return coeffs if acc == x.scale(m) else None

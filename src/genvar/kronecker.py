@@ -50,7 +50,7 @@ def family_element(kind: str, n: int, budget: int = DEFAULT_BUDGET) -> LaurentPo
         raise InputError("unknown family %r" % (kind,))
     if type(n) is not int or n < 0:
         raise InputError("layer index must be nonnegative")
-    return _combine(_coeffs(kind, n), _powers(n + 1, budget))
+    return LaurentPoly.combination(2, _coeffs(kind, n), _powers(n + 1, budget))
 
 
 def _coeffs(kind: str, j: int) -> list[int]:
@@ -71,14 +71,6 @@ def _powers(n: int, budget: int = DEFAULT_BUDGET) -> list[LaurentPoly]:
     return out
 
 
-def _combine(coeffs, polys) -> LaurentPoly:
-    acc = LaurentPoly.zero(2)
-    for c, p in zip(coeffs, polys):
-        if c:
-            acc = acc + p.scale(c)
-    return acc
-
-
 def _column(source: str, target: str, j: int) -> list[int]:
     """Expansion of source element j in the target layer (length j+1), by
     back-substitution: target element i is monic of degree i in z."""
@@ -95,10 +87,11 @@ def _column(source: str, target: str, j: int) -> list[int]:
 def _verify(source: str, target: str, cols: dict) -> None:
     """Re-check each column j of `cols` as the exact Laurent identity
     source_j = sum_i cols[j][i] * target_i; ConsistencyError on failure."""
+    combination = LaurentPoly.combination
     powers = _powers(max(map(len, cols.values())))
-    targets = [_combine(_coeffs(target, i), powers) for i in range(len(powers))]
+    targets = [combination(2, _coeffs(target, i), powers) for i in range(len(powers))]
     for j, col in cols.items():
-        if _combine(col, targets) != _combine(_coeffs(source, j), powers):
+        if combination(2, col, targets) != combination(2, _coeffs(source, j), powers):
             raise ConsistencyError(
                 "column %d of %s->%s fails the Laurent identity"
                 % (j, source, target))
@@ -229,7 +222,7 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
         seen.add(poly.key())
     powers = _powers(n_max + 1, budget)
     for n in range(1, n_max + 1):
-        p = _combine(_coeffs(kind, n), powers)
+        p = LaurentPoly.combination(2, _coeffs(kind, n), powers)
         if p.denominator_vector() != (n, n):
             raise ConsistencyError(
                 "layer element %d has denominator %r" % (n, p.denominator_vector()))
@@ -246,12 +239,20 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
 def independence_check(family: BasisFamily, extra=()) -> dict:
     """Exact linear-independence report over the rationals for the family
     window (plus optional extra polynomials as a negative control).
-    InputError unless every extra is a LaurentPoly in two variables."""
+    InputError unless every extra is a LaurentPoly in two variables.
+
+    Over the lex-sorted joint support, a polynomial's row starts at its
+    lex-least exponent. When those leads are pairwise distinct among the
+    nonzero polynomials, the rows are already in echelon form and the
+    rank is their number; otherwise the dense rows go to `rank_fraction`."""
     if not all(isinstance(p, LaurentPoly) and p.nvars == 2 for p in extra):
         raise InputError("extra elements must be Laurent polynomials in two variables")
     polys = [p for _n, p in family.elements] + list(extra)
-    support = sorted({m for p in polys for m in p.terms})
-    rows = [[p.terms.get(m, 0) for m in support] for p in polys]
-    r = rank_fraction(rows)
+    leads = [min(p.terms) for p in polys if p.terms]
+    if len(set(leads)) == len(leads):
+        r = len(leads)
+    else:
+        support = sorted({m for p in polys for m in p.terms})
+        r = rank_fraction([[p.terms.get(m, 0) for m in support] for p in polys])
     return {"elements": len(polys), "rank": r,
             "independent": r == len(polys)}

@@ -12,9 +12,9 @@ of `nvars` ints, coefficients become ints, a value that is not integral
 coefficients are dropped; `shift` checks its exponent the same way.
 `from_json`, `variable` and powers take ints only, refusing bools.
 Results of arithmetic on polynomials that are already valid (`+`, `-`,
-`*`, `scale`, `shift`, powers and quotients) skip that pass and store
-their term map as built. Every term map is read-only, so a polynomial
-that a cache hands out cannot be changed through it.
+`*`, `scale`, `shift`, `combination`, powers and quotients) skip that
+pass and store their term map as built. Every term map is read-only, so
+a polynomial that a cache hands out cannot be changed through it.
 """
 
 from __future__ import annotations
@@ -175,6 +175,19 @@ class LaurentPoly:
             return LaurentPoly.zero(self.nvars)
         return LaurentPoly._trusted(self.nvars, {e: c * k for e, k in self.terms.items()})
 
+    @classmethod
+    def combination(cls, nvars: int, coeffs: Iterable[int],
+                    polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
+        """sum c * p over the pairs of int coefficients and polynomials in
+        `nvars` variables, added into one term map."""
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for c, p in zip(coeffs, polys):
+            if c:
+                for e, k in p.terms.items():
+                    out[e] = get(e, 0) + c * k
+        return cls._trusted(nvars, {e: c for e, c in out.items() if c})
+
     def shift(self, exp: Iterable[int]) -> "LaurentPoly":
         """Multiply by the monomial u^exp."""
         exp = tuple(map(_as_int, exp))
@@ -186,14 +199,17 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if type(n) is not int or n < 0:
             raise InputError("power %r must be a nonnegative integer" % (n,))
-        result = LaurentPoly.one(self.nvars)
+        if n == 0:
+            return LaurentPoly.one(self.nvars)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; ConsistencyError if inexact.

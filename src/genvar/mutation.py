@@ -5,15 +5,19 @@ polynomials written in the initial variables. The exchange step divides
 exactly in the Laurent ring; an inexact division is an implementation
 bug and raises ConsistencyError. A mutation is a function of its seed and
 vertex, so `mutate` keeps every result for the life of the process; a
-table's walks still charge each step against its budget.
+table's walks still charge each step against its budget. Mutation is an
+involution, so the exchange-graph BFS does not run the step that undoes
+the one a seed was reached by (its result is the parent, already seen);
+it charges that step all the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
 from math import inf, prod
+from operator import mul
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
@@ -51,14 +55,9 @@ def mutate(seed: Seed, k: int) -> Seed:
         raise InputError("mutation vertex %r out of range" % (k,))
     kk = k - 1
     nv = seed.cluster[0].nvars
-    m_plus = LaurentPoly.one(nv)
-    m_minus = LaurentPoly.one(nv)
-    for i in range(n):
-        bik = seed.b[i][kk]
-        if bik > 0:
-            m_plus = m_plus * seed.cluster[i] ** bik
-        elif bik < 0:
-            m_minus = m_minus * seed.cluster[i] ** (-bik)
+    col = [r[kk] for r in seed.b]
+    m_plus = _product([x ** b for x, b in zip(seed.cluster, col) if b > 0], nv)
+    m_minus = _product([x ** -b for x, b in zip(seed.cluster, col) if b < 0], nv)
     new_var = (m_plus + m_minus).divide_exact(seed.cluster[kk])
     cluster = tuple(new_var if i == kk else seed.cluster[i] for i in range(n))
     rk = seed.b[kk]
@@ -71,12 +70,18 @@ def mutate(seed: Seed, k: int) -> Seed:
     return Seed(b, cluster)
 
 
+def _product(factors: list[LaurentPoly], nvars: int) -> LaurentPoly:
+    """The product of `factors` from the first one on, or 1 if there are none."""
+    return reduce(mul, factors) if factors else LaurentPoly.one(nvars)
+
+
 @dataclass
 class ClusterVariableTable:
     """Cluster variables by denominator vector with the mutation word that
     first reached each, and the clusters met, from the initial seed on.
-    `step` mutates, charging `_exchange_terms` before the work runs:
-    BudgetError once `spent` would pass `budget`."""
+    `step` mutates, charging `_exchange_terms` before the work runs
+    (`charge` alone charges a step without running it): BudgetError once
+    `spent` would pass `budget`."""
     quiver: Quiver
     budget: float = inf
     spent: int = 0
@@ -103,10 +108,13 @@ class ClusterVariableTable:
     def add_cluster(self, seed: Seed) -> None:
         self.clusters.add(frozenset(x.denominator_vector() for x in seed.cluster))
 
-    def step(self, seed: Seed, k: int) -> Seed:
+    def charge(self, seed: Seed, k: int) -> None:
         self.spent += _exchange_terms(seed, k)
         if self.spent > self.budget:
             raise BudgetError("cluster-variable enumeration exceeded budget %d" % self.budget)
+
+    def step(self, seed: Seed, k: int) -> Seed:
+        self.charge(seed, k)
         return mutate(seed, k)
 
 
@@ -120,9 +128,12 @@ def enumerate_cluster_variables(q: Quiver, depth: int, sweeps: int = 0,
 
     Before each mutation its exchange work (`_exchange_terms`) counts
     against `budget`, cached in `mutate` or not; BudgetError past it, so
-    no step starts whose work would pass the budget. InputError unless
-    `depth` and `sweeps` are nonnegative ints and `budget` is an int
-    >= 0.
+    no step starts whose work would pass the budget. The BFS skips the
+    undo step of each seed, the mutation at the vertex it was reached by,
+    whose result is its parent, but still charges that step's work, so
+    `spent` and every budget verdict are those of a BFS that runs it.
+    InputError unless `depth` and `sweeps` are nonnegative ints and
+    `budget` is an int >= 0.
     """
     if any(type(x) is not int or x < 0 for x in (depth, sweeps)):
         raise InputError("depth and sweeps must be nonnegative integers")
@@ -146,6 +157,9 @@ def _layers(table: ClusterVariableTable):
         nxt = []
         for seed, word in frontier:
             for k in range(1, len(seed.b) + 1):
+                if word and k == word[-1]:  # mu_k mu_k = id: the parent, seen
+                    table.charge(seed, k)
+                    continue
                 new = table.step(seed, k)
                 key = new.key()
                 if key in seen:

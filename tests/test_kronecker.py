@@ -9,6 +9,7 @@ from genvar.affine import chebyshev_f, chebyshev_s, s_as_f_sum
 from genvar.ccmap import generic_variable
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.laurent import LaurentPoly
+from genvar.linalg import rank_fraction
 
 
 def test_quasi_simple_character_closed_form(z_closed_form):
@@ -260,3 +261,52 @@ def test_independence_extras_must_be_two_variable_laurent_polys(extra):
     fam = kb.build_basis("G", n_max=2, monomial_bound=(1, 1))
     with pytest.raises(InputError):
         kb.independence_check(fam, extra=[extra])
+
+
+def dense_rank(polys):
+    """Rank of the polynomials' coefficient rows over their joint support,
+    by elimination: the reference for `independence_check`."""
+    support = sorted({m for p in polys for m in p.terms})
+    return rank_fraction([[p.terms.get(m, 0) for m in support] for p in polys])
+
+
+@pytest.fixture(scope="module")
+def windows():
+    return {kind: kb.build_basis(kind, n_max=5, monomial_bound=(5, 5))
+            for kind in kb.KINDS}
+
+
+def outside_monomial(fam):
+    """elements[0] plus a monomial outside the window's support: the same
+    lex-least exponent as elements[0], yet independent of the window."""
+    first = fam.elements[0][1]
+    far = (1 + max(e[0] for _n, p in fam.elements for e in p.terms), 0)
+    assert min(first.terms) < far
+    return first + LaurentPoly.monomial(2, far)
+
+
+@pytest.mark.parametrize("kind", kb.KINDS)
+@pytest.mark.parametrize("extra, independent, eliminated", [
+    (lambda fam: [], True, False),
+    (lambda fam: [LaurentPoly.zero(2)], False, False),
+    (lambda fam: [fam.elements[0][1]], False, True),   # the duplicate control
+    (lambda fam: [outside_monomial(fam)], True, True),
+], ids=["window", "zero-extra", "duplicate", "lead-collides-independent"])
+def test_rank_from_leads_matches_elimination(monkeypatch, windows, kind,
+                                             extra, independent, eliminated):
+    fam = windows[kind]
+    extras = extra(fam)
+    polys = [p for _n, p in fam.elements] + extras
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return rank_fraction(rows)
+
+    monkeypatch.setattr(kb, "rank_fraction", spy)
+    rep = kb.independence_check(fam, extra=extras)
+    assert rep["rank"] == dense_rank(polys)
+    assert rep["elements"] == len(polys)
+    assert rep["independent"] is independent is (rep["rank"] == len(polys))
+    # rows are eliminated only when two leading exponents collide
+    assert calls == ([len(polys)] if eliminated else [])

@@ -71,6 +71,21 @@ def test_power_zero_and_negative():
         p ** -1
 
 
+@pytest.mark.parametrize("x", [
+    lp({(2, -1): 3}),                               # a monomial
+    lp({(1, -1): 1, (-1, -1): 1, (-1, 1): 1}),      # negative exponents
+    LaurentPoly.zero(2),
+], ids=["monomial", "negative-exponents", "zero"])
+def test_power_equals_the_repeated_product(x):
+    # powers start from their first factor, not from a product by 1;
+    # so 0 ** 0 == 1 and 0 ** n == 0 for n > 0
+    expected = LaurentPoly.one(2)
+    for n in range(7):
+        assert x ** n == expected
+        expected = expected * x
+    assert x ** 1 == x
+
+
 # A float raised a raw TypeError, and True was read as 1.
 @pytest.mark.parametrize("n", [2.0, True, "2", None])
 def test_power_needs_an_int(z_closed_form, n):

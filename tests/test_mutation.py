@@ -4,10 +4,12 @@ from itertools import product
 
 import pytest
 
+from genvar import clear_caches
 from genvar.errors import BudgetError, InputError
 from genvar.laurent import LaurentPoly
-from genvar.mutation import (cluster_monomials, enumerate_cluster_variables,
-                             initial_seed, laurent_check, mutate)
+from genvar.mutation import (ClusterVariableTable, cluster_monomials,
+                             enumerate_cluster_variables, initial_seed,
+                             laurent_check, mutate)
 
 
 def test_initial_seed(a2):
@@ -243,3 +245,42 @@ def test_a_cached_mutation_cannot_be_changed_by_its_caller(a2):
         mutate(seed, 1).cluster[0].terms[(5, 5)] = 7
     got = mutate(initial_seed(a2), 1).cluster[0]
     assert got.terms == want.terms == {(-1, 0): 1, (-1, 1): 1}
+
+
+def every_vertex_bfs(q, depth):
+    """The exchange-graph BFS that mutates each seed at every vertex, the
+    step back to its parent included, as the reference for the BFS of
+    `enumerate_cluster_variables`, which charges that step unrun."""
+    table = ClusterVariableTable(quiver=q)
+    s0 = initial_seed(q)
+    seen = {s0.key()}
+    frontier = [(s0, ())]
+    for _ in range(depth):
+        nxt = []
+        for seed, word in frontier:
+            for k in range(1, q.vertices + 1):
+                new = table.step(seed, k)
+                if new.key() in seen:
+                    continue
+                seen.add(new.key())
+                table.add_variable(new.cluster[k - 1], word + (k,))
+                table.add_cluster(new)
+                nxt.append((new, word + (k,)))
+        if not nxt:
+            break
+        frontier = nxt
+    return table
+
+
+@pytest.mark.parametrize("name, depth, misses", [("kron", 8, 16), ("a3", 10, 29),
+                                                 ("atilde", 4, 33)])
+def test_bfs_skips_the_undo_step_and_charges_it(request, name, depth, misses):
+    q = request.getfixturevalue(name)
+    clear_caches()
+    table = enumerate_cluster_variables(q, depth)
+    # one cold mutation per seed and vertex, bar the step back to its parent
+    assert mutate.cache_info().misses == misses
+    want = every_vertex_bfs(q, depth)
+    assert mutate.cache_info().misses > misses
+    assert snapshot(table) == snapshot(want)
+    assert table.spent == want.spent
