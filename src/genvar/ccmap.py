@@ -23,7 +23,11 @@ Prop. 3.6). Module characters are memoised on every argument, budget
 included, so budget verdicts do not move. The parts of the generic
 values at multiples of delta on the Kronecker and affine A2 quivers are
 thin (every d_v <= 1): `repfq.chi_all` decides those over Q, consulting
-no prime pool, for one visit per subdimension vector.
+no prime pool, for one visit per subdimension vector. A thin character
+depends only on the support pattern (which arrows carry a nonzero
+scalar), so after the pool and guards are checked, a thin module is
+memoised as its 0/1 representative with pool and guards (): every
+sample of one pattern shares one entry per budget.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_guards, _check_limits, chi_all
-from .reps import Representation, direct_sum, hom_dim, sample_integer_rep
+from .reps import Representation, direct_sum, hom_dim, sample_integer_rep, thin_scalars
 
 GENERIC_RETRIES = 12
 
@@ -68,8 +72,17 @@ def cc_of_module(m: Representation, pool=DEFAULT_PRIMES,
 
     `guards` are passed through to the prime filter: reductions must
     preserve Hom against them, keeping subrepresentation counts on the
-    polynomial branch the rational module certifies."""
-    return _cc_of_module(m, _check_limits(budget, pool), budget, _check_guards(m, guards))
+    polynomial branch the rational module certifies.
+
+    A thin module (every d_v <= 1) is decided over Q from which arrows
+    carry a nonzero scalar, consulting neither the pool nor the guards,
+    so once both are checked it is looked up as its 0/1 representative
+    with pool and guards (); the budget stays in the key."""
+    pool, guards = _check_limits(budget, pool), _check_guards(m, guards)
+    if max(m.dim) <= 1:
+        mats = tuple([((1,),) if x else mat for x, mat in zip(thin_scalars(m), m.matrices)])
+        m, pool, guards = Representation._trusted(m.quiver, 0, m.dim, mats), (), ()
+    return _cc_of_module(m, pool, budget, guards)
 
 
 @cache

@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", metavar="P1,P2,...",
                    help="prime pool for point counting")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="work budget per counting or mutation enumeration")
+                   help="work budget per counting, mutation enumeration or base-change check")
     p.add_argument("--out", metavar="FILE",
                    help="write the JSON document here instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
@@ -190,7 +190,8 @@ def _run(args) -> dict:
 
     elif args.command == "base-change":
         inputs.update(source=args.source, target=args.target, size=args.size)
-        bc = kronecker.base_change(args.source, args.target, args.size)
+        bc = kronecker.base_change(args.source, args.target, args.size,
+                                   budget=args.budget)
         results["base_change"] = bc.to_json()
         results["positivity"] = kronecker.positivity_report(bc.matrix)
 

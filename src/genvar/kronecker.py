@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine, ccmap, mutation
-from .errors import ConsistencyError, InputError
+from .errors import BudgetError, ConsistencyError, InputError
 from .laurent import LaurentPoly
 from .linalg import rank_fraction
 from .quiver import DimVector, kronecker
-from .repfq import DEFAULT_BUDGET
+from .repfq import DEFAULT_BUDGET, _check_limits
 
 KINDS = ("G", "SZ", "CZ")
 
@@ -84,11 +84,12 @@ def _column(source: str, target: str, j: int) -> list[int]:
     return col
 
 
-def _verify(source: str, target: str, cols: dict) -> None:
+def _verify(source: str, target: str, cols: dict, budget: int = DEFAULT_BUDGET) -> None:
     """Re-check each column j of `cols` as the exact Laurent identity
-    source_j = sum_i cols[j][i] * target_i; ConsistencyError on failure."""
+    source_j = sum_i cols[j][i] * target_i; ConsistencyError on failure.
+    z is re-checked under `budget` (`z_character`)."""
     combination = LaurentPoly.combination
-    powers = _powers(max(map(len, cols.values())))
+    powers = _powers(max(map(len, cols.values())), budget)
     targets = [combination(2, _coeffs(target, i), powers) for i in range(len(powers))]
     for j, col in cols.items():
         if combination(2, col, targets) != combination(2, _coeffs(source, j), powers):
@@ -132,16 +133,24 @@ class BaseChangeMatrix:
                 "inverse": [list(r) for r in self.inverse]}
 
 
-def base_change(source: str, target: str, size: int) -> BaseChangeMatrix:
+def base_change(source: str, target: str, size: int,
+                budget: int = DEFAULT_BUDGET) -> BaseChangeMatrix:
     """Integer base-change matrix between two imaginary layers, with its
     inverse; every column is re-verified as an exact Laurent identity and
     the two matrices are checked to be mutually inverse, unit upper
-    triangular, and supported on the parity checkerboard."""
+    triangular, and supported on the parity checkerboard. The work of
+    those checks (`_check_work`) is charged against `budget` before any
+    of it runs, and z is re-checked under the same budget; BudgetError
+    above it. InputError unless `budget` is an int >= 0."""
     for kind in (source, target):
         if kind not in KINDS:
             raise InputError("unknown family %r" % (kind,))
     if type(size) is not int or size < 1:
         raise InputError("size must be positive")
+    _check_limits(budget)
+    work = _check_work(size)
+    if work > budget:
+        raise BudgetError("base-change checks of size %d need %d units of work" % (size, work))
     mat = _square(source, target, size)
     inv = _square(target, source, size)
     _check_identity(mat, inv)
@@ -155,9 +164,17 @@ def base_change(source: str, target: str, size: int) -> BaseChangeMatrix:
                     raise ConsistencyError("base change is not triangular")
                 if (i - j) % 2 and m[i][j] != 0:
                     raise ConsistencyError("base change breaks parity")
-    _verify(source, target, {j: [row[j] for row in mat] for j in range(size)})
+    _verify(source, target, {j: [row[j] for row in mat] for j in range(size)}, budget)
     return BaseChangeMatrix(source=source, target=target, size=size,
                             matrix=mat, inverse=inv)
+
+
+def _check_work(size: int) -> int:
+    """The work of `base_change`'s checks, known before they run: size^3
+    multiply-adds in each of the two inverse checks, and size * (2 size + 1)
+    terms in the Laurent re-check's combinations (j + 1 for target element
+    j, then per column size over the targets and j + 1 for source element j)."""
+    return 2 * size ** 3 + size * (2 * size + 1)
 
 
 def _square(source: str, target: str, size: int) -> tuple:

@@ -72,7 +72,8 @@ from .pencil import pencil_layer_counts
 from .quiver import DimVector
 from .reps import (Representation, _hom_minor, direct_sum, dual_rep, ext_dim,  # noqa: F401
                    ext_from_hom, hom_dim, is_prime, projective_rep, rep_mod,
-                   sample_integer_rep, sample_representation, simple_rep, zero_rep)
+                   sample_integer_rep, sample_representation, simple_rep, thin_scalars,
+                   zero_rep)
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
@@ -476,8 +477,7 @@ def _thin_polynomials(m_int: Representation, es: list,
     BudgetError above `budget`."""
     if len(es) > budget:
         raise BudgetError("subspace enumeration budget exceeded")
-    live = [(s - 1, t - 1) for (s, t), mat in zip(m_int.quiver.arrows, m_int.matrices)
-            if any(map(any, mat))]
+    live = [(s - 1, t - 1) for (s, t), x in zip(m_int.quiver.arrows, thin_scalars(m_int)) if x]
     return {e: [0] if any(e[s] and not e[t] for s, t in live) else [1] for e in es}
 
 

@@ -10,6 +10,14 @@ over Q (`linalg.echelon`), and `_hom_minor` also returns the last Bareiss
 pivot, the minor that certifies which primes keep a rational Hom
 dimension. Ext^1 follows from Hom by the Euler form (`ext_from_hom`),
 since path algebras of quivers are hereditary.
+
+A thin module (every d_v <= 1) is read by its support pattern
+(`thin_scalars`): per arrow the scalar it carries, 0 unless both ends
+have dimension 1. Hom between two thin modules needs no elimination:
+each equation a * phi_t = b * phi_s has at most two unknowns, so
+`hom_dim` reads it from the graph on the common support, one dimension
+per component that no equation kills and whose ratios agree around
+every cycle.
 """
 
 from __future__ import annotations
@@ -195,14 +203,18 @@ def sample_integer_rep(q: Quiver, d, rng: random.Random,
 
 # ------------------------------------------------------------- hom and ext
 
-def _hom_equations(m: Representation, n: Representation) -> tuple[int, list[list[int]]]:
-    """The intertwining equations phi_t * M_a = N_a * phi_s of Hom(m, n):
-    (number of unknowns, integer rows). They are linear in the matrix
-    entries, so reducing them mod p gives the equations of the reductions."""
+def _check_pair(m: Representation, n: Representation) -> None:
     if m.quiver != n.quiver:
         raise InputError("hom_dim needs a common quiver")
     if m.p != n.p:
         raise InputError("hom_dim needs a common field")
+
+
+def _hom_equations(m: Representation, n: Representation) -> tuple[int, list[list[int]]]:
+    """The intertwining equations phi_t * M_a = N_a * phi_s of Hom(m, n):
+    (number of unknowns, integer rows). They are linear in the matrix
+    entries, so reducing them mod p gives the equations of the reductions."""
+    _check_pair(m, n)
     offs = []
     total = 0
     for v in range(m.quiver.vertices):
@@ -224,13 +236,70 @@ def _hom_equations(m: Representation, n: Representation) -> tuple[int, list[list
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    """Dimension of the space of intertwiners m -> n: the number of
-    unknowns minus the rank of the intertwining equations, taken by the
-    packed kernel over F_p (`rank_mod_p`) and by `_hom_minor` over Q."""
+    """Dimension of the space of intertwiners m -> n. Between two thin
+    modules it is read from their support graph (`_thin_hom_dim`);
+    otherwise it is the number of unknowns minus the rank of the
+    intertwining equations, taken by the packed kernel over F_p
+    (`rank_mod_p`) and by `_hom_minor` over Q."""
+    _check_pair(m, n)
+    if max(m.dim + n.dim) <= 1:
+        return _thin_hom_dim(m, n)
     if not m.p:
         return _hom_minor(m, n)[0]
     total, rows = _hom_equations(m, n)
     return total - rank_mod_p(rows, m.p) if rows else total
+
+
+def thin_scalars(m: Representation) -> tuple:
+    """The support pattern of a thin module (every d_v <= 1): per arrow
+    the scalar of its 1 x 1 matrix, or 0 when an end has dimension 0."""
+    return tuple([mat[0][0] if mat and mat[0] else 0 for mat in m.matrices])
+
+
+def _thin_hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(m, n) of two thin modules over one field, without elimination.
+
+    The unknowns are phi_v on the common support. Arrow s -> t gives the
+    one equation a * phi_t = b * phi_s when m_s = n_t = 1, with a, b the
+    scalars of m and n on it: a term with a zero scalar drops out, one
+    nonzero term kills its unknown, and two link phi_t = (b / a) * phi_s.
+    Only the scalars are read: two nonzero ones put both ends on the common
+    support, and one nonzero scalar whose equation is absent (n_t = 0 or
+    m_s = 0) kills a vertex off it, which holds no unknown.
+    Every unknown of a linked component is a fixed multiple of the first
+    one reached, so the component spans one dimension unless an unknown in
+    it is killed or two paths give it different multiples. Multiples are
+    kept as (numerator, denominator) pairs, reduced mod p over F_p, and
+    compared by cross-multiplication."""
+    p, md, nd = m.p, m.dim, n.dim
+    links: dict[int, list] = {v: [] for v in range(len(md)) if md[v] and nd[v]}
+    dead = set()
+    for (s, t), a, b in zip(m.quiver.arrows, thin_scalars(m), thin_scalars(n)):
+        s, t = s - 1, t - 1
+        if a and b:
+            links[s].append((t, b, a))  # phi_t = b / a * phi_s
+            links[t].append((s, a, b))
+        elif a or b:
+            dead.add(t if a else s)
+    ratio: dict[int, tuple] = {}
+    alive = 0
+    for root in links:
+        if root in ratio:
+            continue
+        ratio[root] = (1, 1)
+        component, agree = [root], True
+        for u in component:  # grows while it is walked
+            num, den = ratio[u]
+            for v, x, y in links[u]:
+                new = (num * x % p, den * y % p) if p else (num * x, den * y)
+                if v not in ratio:
+                    ratio[v] = new
+                    component.append(v)
+                else:
+                    cross = ratio[v][0] * new[1] - new[0] * ratio[v][1]
+                    agree = agree and not (cross % p if p else cross)
+        alive += agree and dead.isdisjoint(component)
+    return alive
 
 
 def _hom_minor(m: Representation, n: Representation) -> tuple[int, int]:

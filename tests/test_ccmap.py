@@ -176,7 +176,7 @@ def test_generic_variable_rejects_a_non_integer_seed(kron, seed):
         generic_variable(kron, (1, 1), seed=seed)
 
 
-KRON, A2 = kronecker(), a_n(2)
+KRON, A2, A3 = kronecker(), a_n(2), a_n(3)
 TUBE = Representation(KRON, 0, (1, 1), (((1,),), ((1,),)))
 
 
@@ -215,6 +215,65 @@ def _monomials(**limits):
 def test_entry_points_check_budget_and_pool(call):
     with pytest.raises(InputError):
         call()
+
+
+ATILDE = affine_a2()
+# thin modules of one support pattern each: (a, a sibling with other nonzero scalars)
+THIN_PATTERNS = {
+    "kronecker-1-1": ((KRON, (1, 1), (2, -3)), (KRON, (1, 1), (-1, 1))),
+    "kronecker-one-arrow": ((KRON, (1, 1), (0, 3)), (KRON, (1, 1), (0, -2))),
+    "affine-a2-cycle": ((ATILDE, (1, 1, 1), (1, 2, 3)), (ATILDE, (1, 1, 1), (-3, 1, 1))),
+    "affine-a2-1-0-1": ((ATILDE, (1, 0, 1), (0, 0, 5)), (ATILDE, (1, 0, 1), (0, 0, 1))),
+    "a3-1-1-0": ((A3, (1, 1, 0), (2, 0)), (A3, (1, 1, 0), (-1, 0))),
+}
+
+
+def _thin(q, dim, scalars):
+    mats = tuple(((x,),) if dim[s - 1] and dim[t - 1] else tuple(((),) * dim[t - 1])
+                 for (s, t), x in zip(q.arrows, scalars))
+    return Representation(q, 0, dim, mats)
+
+
+def test_thin_characters_of_one_pattern_share_one_entry():
+    clear_caches()
+    for name, (a, b) in THIN_PATTERNS.items():
+        m, n = _thin(*a), _thin(*b)
+        before = ccmap._cc_of_module.cache_info().currsize
+        assert cc_of_module(m) == cc_of_module(n) == cc_of_module(
+            n, pool=(5,), guards=(m,)), name
+        assert ccmap._cc_of_module.cache_info().currsize == before + 1, name
+    # the characters read the pattern, not only the support: with no live
+    # arrow the Kronecker (1,1) is the sum of its simples
+    assert cc_of_module(_thin(KRON, (1, 1), (0, 0))) != cc_of_module(TUBE)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", sorted(THIN_PATTERNS))
+def test_thin_character_budget_is_two_to_the_support(name, warm):
+    # one visit per e <= dim, 2^s for support size s; a default-budget
+    # entry of a sibling with the same pattern changes no verdict
+    clear_caches()
+    a, b = THIN_PATTERNS[name]
+    m, sibling = _thin(*a), _thin(*b)
+    if warm:
+        cc_of_module(sibling)
+    visits = 2 ** sum(m.dim)
+    with pytest.raises(BudgetError):
+        cc_of_module(m, budget=visits - 1)
+    assert cc_of_module(m, budget=visits) == cc_of_module(sibling)
+
+
+@pytest.mark.parametrize("limits", [
+    {"pool": (4, 4)}, {"pool": (4, 9)}, {"pool": 7},
+    {"guards": (None,)}, {"guards": (rep_mod(TUBE, 5),)}, {"guards": TUBE}],
+    ids=["pool-repeated", "pool-composite", "pool-int",
+         "guard-none", "guard-mod-p", "guard-module"])
+def test_a_thin_character_checks_pool_and_guards_before_its_pattern(limits):
+    cc_of_module(TUBE)  # the pattern's entry exists
+    with pytest.raises(InputError):
+        cc_of_module(TUBE, **limits)
+    with pytest.raises(InputError):
+        cc_of_module(rep_mod(TUBE, 5))
 
 
 def test_rigid_integer_rep(kron):

@@ -299,6 +299,18 @@ def test_base_change_document(capsys):
     assert doc["results"]["positivity"]["nonnegative"] is True
 
 
+def test_base_change_over_budget_exits_3(capsys):
+    # size 60 needs 2 * 60^3 + 60 * 121 = 439,260 units, charged up front
+    argv = ["--budget", "1", "base-change", "--source", "G", "--target", "SZ",
+            "--size", "60"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 3 and "budget exceeded" in err and out == ""
+    argv[1] = "439259"
+    assert run_cli(capsys, argv)[0] == 3
+    argv[1] = "439260"
+    assert run_cli(capsys, argv)[0] == 0
+
+
 def test_family_window_document(capsys):
     rc, out, _err = run_cli(
         capsys, ["kronecker-bases", "--kind", "CZ", "--n-max", "2",

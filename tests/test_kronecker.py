@@ -121,6 +121,23 @@ def test_base_change_identity_and_validation():
         kb.base_change("G", "SZ", 0)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("size, work", [(1, 5), (5, 305), (12, 3756)])
+def test_base_change_budget_boundary_is_the_check_work(size, work, warm):
+    # 2 size^3 multiply-adds in the inverse checks and size (2 size + 1)
+    # terms in the Laurent re-checks, charged before they run; past z's
+    # four visits, so the checks set the boundary
+    clear_caches()
+    if warm:
+        kb.base_change("G", "SZ", size)
+    with pytest.raises(BudgetError):
+        kb.base_change("G", "SZ", size, budget=work - 1)
+    assert kb.base_change("G", "SZ", size, budget=work) == kb.base_change("G", "SZ", size)
+    for budget in ("x", True, -1):
+        with pytest.raises(InputError):
+            kb.base_change("G", "SZ", size, budget=budget)
+
+
 def _matmul(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))

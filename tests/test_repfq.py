@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genvar import linalg, repfq
+from genvar import linalg, repfq, reps
 from genvar.affine import quasi_simple_kronecker
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
@@ -98,6 +98,56 @@ def test_blockwise_hom_sum_is_the_hom_of_the_direct_sum(seed):
     assert hom_dim(total, total) == sum(hom_dim(a, b) for a in parts for b in parts)
     assert hom_dim(total, g) == sum(hom_dim(a, g) for a in parts)
     assert hom_dim(g, total) == sum(hom_dim(g, a) for a in parts)
+
+
+THREE_ARROW = Quiver(2, ((1, 2), (1, 2), (1, 2)))
+
+
+@pytest.mark.parametrize("q", [kronecker(), affine_a2(), a_n(3), THREE_ARROW],
+                         ids=["kronecker", "affine-a2", "a3", "three-arrow"])
+def test_thin_hom_matches_elimination(q):
+    # random thin pairs with independent supports and entries in [-3, 3]
+    # (zero scalars included): the support graph against the Bareiss
+    # elimination over Q and the packed F_p rank at p = 2, 3, 5
+    rng = random.Random(30)
+    dims = list(itertools.product((0, 1), repeat=q.vertices))
+    full = (1,) * q.vertices
+    full_homs = set()
+    for case in range(400):
+        m = sample_integer_rep(q, rng.choice(dims), rng)
+        n = m if case % 5 == 0 else sample_integer_rep(q, rng.choice(dims), rng)
+        hom = reps._thin_hom_dim(m, n)
+        assert hom == hom_dim(m, n) == repfq._hom_minor(m, n)[0]
+        if m.dim == n.dim == full and all(reps.thin_scalars(m) + reps.thin_scalars(n)):
+            full_homs.add(hom)
+        for p in (2, 3, 5):
+            mp, np_ = rep_mod(m, p), rep_mod(n, p)
+            total, rows = reps._hom_equations(mp, np_)
+            assert reps._thin_hom_dim(mp, np_) == hom_dim(mp, np_) == (
+                total - rank_mod_p(rows, p) if rows else total)
+    # with every scalar nonzero, ratios that disagree around a cycle (the
+    # affine A2 triangle, or two parallel arrows) kill Hom, agreeing ones keep it
+    assert full_homs == ({1} if q == a_n(3) else {0, 1})
+
+
+def test_thin_hom_runs_no_elimination(monkeypatch, kron, atilde):
+    def refuse(*_args):
+        raise AssertionError("a thin Hom was eliminated")
+    monkeypatch.setattr(reps, "echelon", refuse)
+    monkeypatch.setattr(reps, "rank_mod_p", refuse)
+    tube = Representation(kron, 0, (1, 1), (((1,),), ((2,),)))
+    cycle = Representation(atilde, 0, (1, 1, 1), (((1,),), ((1,),), ((2,),)))
+    assert hom_dim(tube, tube) == 1 and hom_dim(rep_mod(tube, 5), rep_mod(tube, 5)) == 1
+    c3, s1, s3 = rep_mod(cycle, 3), simple_rep(atilde, 1, 3), simple_rep(atilde, 3, 3)
+    assert hom_dim(cycle, cycle) == 1 and hom_dim(c3, s1) == hom_dim(s3, c3) == 1
+    assert hom_dim(s1, c3) == hom_dim(c3, s3) == 0
+    assert hom_dim(simple_rep(kron, 1), tube) == 0  # both arrows' equations kill phi_1
+    with pytest.raises(AssertionError, match="eliminated"):
+        hom_dim(direct_sum(tube, tube), tube)
+    with pytest.raises(InputError):
+        hom_dim(tube, rep_mod(tube, 5))
+    with pytest.raises(InputError):
+        hom_dim(tube, cycle)
 
 
 # Each of these answered for another vertex or raised a raw IndexError,
