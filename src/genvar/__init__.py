@@ -16,9 +16,8 @@ from .quiver import (AffineData, Quiver, WildTypeError, a_n, affine_a2,
 from .mutation import (ClusterVariableTable, Seed, cluster_monomials,
                        enumerate_cluster_variables, initial_seed, mutate)
 from .reps import (Representation, direct_sum, dual_rep, ext_dim, hom_dim,
-                   projective_rep, sample_representation, simple_rep, zero_rep)
-from .repfq import (chi_all, counting_polynomial, euler_char_grassmannian,
-                    good_primes)
+                   sample_representation, zero_rep)
+from .repfq import chi_all, good_primes
 from .ccmap import (DecoratedRep, GenericValue, cc_of_module, cc_of_object,
                     express_in_basis, generic_variable, rigid_integer_rep)
 from .candecomp import (CanonicalDecomposition, canonical_decomposition,
@@ -27,11 +26,10 @@ from .candecomp import (CanonicalDecomposition, canonical_decomposition,
                         verify_certificate)
 from .affine import (AffineGenericValue, chebyshev_f, chebyshev_s,
                      delta_character, generic_variable_affine,
-                     membership_check_A, quasi_simple_kronecker,
-                     regular_rigid_check, s_as_f_sum, tube_module_kronecker)
+                     membership_check_A, quasi_simple_kronecker, s_as_f_sum,
+                     tube_module_kronecker)
 from .kronecker import (BaseChangeMatrix, BasisFamily, base_change,
-                        build_basis, expand_in_F, expand_in_S,
-                        family_element, independence_check,
+                        build_basis, expand_in_F, family_element, independence_check,
                         positivity_report, z_character)
 from .acceptance import run_all, run_criterion
 
@@ -45,18 +43,17 @@ __all__ = [
     "a_n", "affine_a2", "base_change", "build_basis",
     "cache_stats", "canonical_decomposition", "cc_of_module", "cc_of_object",
     "chi_all", "chebyshev_f", "chebyshev_s", "clear_caches", "cluster_monomials",
-    "counting_polynomial", "delta_character", "direct_sum", "dual_rep",
-    "enumerate_cluster_variables", "euler_char_grassmannian",
-    "exceptional_regular_dims", "expand_in_F", "expand_in_S",
+    "delta_character", "direct_sum", "dual_rep", "enumerate_cluster_variables",
+    "exceptional_regular_dims", "expand_in_F",
     "express_in_basis", "ext_dim", "family_element",
     "generic_ext_vanishes", "generic_ext_vanishes_cluster",
     "generic_variable", "generic_variable_affine", "good_primes",
     "hom_dim", "independence_check", "initial_seed", "is_schur_root",
     "kronecker_quiver", "membership_check_A", "mutate", "negative_part",
-    "positive_part", "positivity_report", "projective_rep",
-    "quasi_simple_kronecker", "regular_rigid_check", "rigid_integer_rep",
+    "positive_part", "positivity_report",
+    "quasi_simple_kronecker", "rigid_integer_rep",
     "run_all", "run_criterion", "s_as_f_sum", "sample_representation",
-    "simple_rep", "tube_module_kronecker", "verify_certificate",
+    "tube_module_kronecker", "verify_certificate",
     "z_character", "zero_rep",
 ]
 

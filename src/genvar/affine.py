@@ -19,11 +19,11 @@ from functools import cache
 from itertools import islice
 
 from . import ccmap, mutation
-from .errors import BudgetError, ConsistencyError, InputError
+from .errors import (DEFAULT_BUDGET, DEFAULT_PRIMES, BudgetError, ConsistencyError, InputError,
+                     _check_limits)
 from .laurent import LaurentPoly
 from .quiver import DimVector, Quiver, negative_part, positive_part
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_limits
-from .reps import Representation, ext_dim
+from .reps import Representation
 from . import candecomp
 
 
@@ -192,21 +192,6 @@ def _real_summand(q: Quiver, e: DimVector, budget: int) -> LaurentPoly:
     if charge.get(e, budget + 1) > budget:
         raise BudgetError("mutation walk to %r exceeded budget %d" % (e, budget))
     return table.entries[e]
-
-
-def regular_rigid_check(m: Representation) -> bool:
-    """True iff m is rigid and every canonical summand of its dimension
-    vector has defect zero (no preprojective or preinjective part).
-    InputError unless m is an integer module on an affine quiver."""
-    q = m.quiver
-    aff = q.affine_data()
-    if aff is None:
-        raise InputError("regularity needs an affine quiver")
-    if m.p != 0:
-        raise InputError("regular-rigid test works on integer modules")
-    if ext_dim(m, m) != 0:
-        return False
-    return all(q.defect(aff, e) == 0 for e, _m, _t in candecomp._summands(q, m.dim, "auto"))
 
 
 def membership_check_A(obj: ccmap.DecoratedRep, n_max: int = 6,

@@ -37,11 +37,12 @@ from functools import cache
 from math import lcm
 
 from . import candecomp, rng
-from .errors import BudgetError, ConsistencyError, InputError
+from .errors import (DEFAULT_BUDGET, DEFAULT_PRIMES, BudgetError, ConsistencyError, InputError,
+                     _check_limits)
 from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_guards, _check_limits, chi_all
+from .repfq import _check_guards, chi_all
 from .reps import Representation, direct_sum, hom_dim, sample_integer_rep, thin_scalars
 
 GENERIC_RETRIES = 12
@@ -60,9 +61,6 @@ class DecoratedRep:
             raise InputError("shift vector length mismatch")
         if any(type(s) is not int or s < 0 for s in self.shifts):
             raise InputError("shift multiplicities must be nonnegative integers")
-
-    def dimension_vector(self) -> DimVector:
-        return tuple(m - s for m, s in zip(self.module.dim, self.shifts))
 
 
 def cc_of_module(m: Representation, pool=DEFAULT_PRIMES,

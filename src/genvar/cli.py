@@ -15,9 +15,9 @@ import json
 import sys
 
 from . import acceptance, affine, candecomp, ccmap, kronecker, mutation
-from .errors import BudgetError, ConsistencyError, InputError
+from .errors import (DEFAULT_BUDGET, DEFAULT_PRIMES, BudgetError, ConsistencyError, InputError,
+                     _check_pool)
 from .quiver import Quiver
-from .repfq import DEFAULT_BUDGET, DEFAULT_PRIMES, _check_pool
 from .reps import Representation
 
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine, ccmap, mutation
-from .errors import BudgetError, ConsistencyError, InputError
+from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, InputError, _check_limits
 from .laurent import LaurentPoly
 from .linalg import rank_fraction
 from .quiver import DimVector, kronecker
-from .repfq import DEFAULT_BUDGET, _check_limits
 
 KINDS = ("G", "SZ", "CZ")
 
@@ -101,20 +100,10 @@ def _verify(source: str, target: str, cols: dict, budget: int = DEFAULT_BUDGET) 
 def expand_in_F(n: int) -> list[int]:
     """Coefficients lambda with z^n = sum_i lambda_i * E_i where E_0 = 1
     and E_i = F_i(z), re-verified as an exact Laurent identity."""
-    return _expand("SZ", n)
-
-
-def expand_in_S(n: int) -> list[int]:
-    """Coefficients mu with z^n = sum_i mu_i * E_i, E_0 = 1, E_i = S_i(z),
-    re-verified as an exact Laurent identity."""
-    return _expand("CZ", n)
-
-
-def _expand(target: str, n: int) -> list[int]:
     if type(n) is not int or n < 0:
         raise InputError("n >= 0 required")
-    col = _column("G", target, n)
-    _verify("G", target, {n: col})
+    col = _column("G", "SZ", n)
+    _verify("G", "SZ", {n: col})
     return col
 
 

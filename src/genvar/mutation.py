@@ -19,10 +19,9 @@ from itertools import islice
 from math import inf, prod
 from operator import mul
 
-from .errors import BudgetError, ConsistencyError, InputError
+from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, InputError, _check_limits
 from .laurent import LaurentPoly
 from .quiver import DimVector, Quiver
-from .repfq import DEFAULT_BUDGET, _check_limits
 
 
 @dataclass(frozen=True)

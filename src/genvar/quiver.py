@@ -108,14 +108,6 @@ class Quiver:
     def _opposite(self) -> "Quiver":
         return Quiver(self.vertices, tuple((t, s) for s, t in self.arrows))
 
-    def sinks(self) -> list[int]:
-        out = {s for s, _ in self.arrows}
-        return [v for v in range(1, self.vertices + 1) if v not in out]
-
-    def sources(self) -> list[int]:
-        into = {t for _, t in self.arrows}
-        return [v for v in range(1, self.vertices + 1) if v not in into]
-
     # --------------------------------------------------------------- forms
 
     def check_dim(self, e) -> DimVector:

@@ -55,8 +55,8 @@ supp(e), stable unless an arrow s -> t with a nonzero scalar has e_s = 1
 and e_t = 0. It consults no prime pool (a one-prime pool answers) and is
 charged one visit per e against the budget.
 
-Representations, sampling, Hom and Ext live in `reps`; their public
-names are re-exported here.
+Representations, sampling, Hom and Ext live in `reps`; the work budget,
+the prime pool and their checks in `errors`.
 """
 
 from __future__ import annotations
@@ -66,39 +66,14 @@ from itertools import combinations, product
 from math import lcm, prod
 from operator import mul
 
-from .errors import BudgetError, ConsistencyError, InputError
+from .errors import (DEFAULT_BUDGET, DEFAULT_PRIMES, BudgetError, ConsistencyError, InputError,
+                     _check_limits, _check_pool)
 from .linalg import PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts, lattice_size
 from .pencil import pencil_layer_counts
 from .quiver import DimVector
-from .reps import (Representation, _hom_minor, direct_sum, dual_rep, ext_dim,  # noqa: F401
-                   ext_from_hom, hom_dim, is_prime, projective_rep, rep_mod,
-                   sample_integer_rep, sample_representation, simple_rep, thin_scalars,
-                   zero_rep)
-
-DEFAULT_BUDGET = 10_000_000
-DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
-
-
-def _check_limits(budget, pool=DEFAULT_PRIMES) -> tuple:
-    """The work budget and prime pool of a library entry point, checked:
-    InputError unless `budget` is an int >= 0 and `pool` a list or tuple
-    of distinct primes (`_check_pool`). Bools are refused, so
-    `budget=True` cannot share a cache entry with `budget=1`."""
-    if type(budget) is not int or budget < 0:
-        raise InputError("budget %r must be a nonnegative integer" % (budget,))
-    return _check_pool(pool)
-
-
-def _check_pool(pool) -> tuple:
-    """InputError unless `pool` is a list or tuple of distinct primes, each
-    an int (bools refused). Returns the pool as a tuple, the form cache
-    keys take. The default pool is trusted without a scan: cached entry
-    points receive it thousands of times per run."""
-    if pool is not DEFAULT_PRIMES and (not isinstance(pool, (list, tuple))
-                                       or not all(map(is_prime, pool))
-                                       or len(set(pool)) < len(pool)):
-        raise InputError("prime pool %r must be a list or tuple of distinct primes" % (pool,))
-    return tuple(pool)
+# direct_sum and zero_rep stay importable here for benchmark/workloads.py
+from .reps import (Representation, _hom_minor, direct_sum, dual_rep, hom_dim,  # noqa: F401
+                   rep_mod, thin_scalars, zero_rep)
 
 
 def _check_guards(m: Representation, guards) -> tuple:
@@ -126,12 +101,6 @@ def count_all_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> dict[D
         dual_counts, _visits = _count_engine(dual_rep(m), budget)
         return {tuple(a - b for a, b in zip(m.dim, e)): c for e, c in dual_counts.items()}
     return _count_engine(m, budget)[0]
-
-
-def count_subreps(m: Representation, e, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of subspace tuples of dimension e stable under all arrows."""
-    e = _subvector(e, m.dim)
-    return count_all_subreps(m, budget).get(e, 0)
 
 
 def _count_engine(m: Representation, budget: int) -> tuple[dict[DimVector, int], int]:
@@ -479,35 +448,6 @@ def _thin_polynomials(m_int: Representation, es: list,
         raise BudgetError("subspace enumeration budget exceeded")
     live = [(s - 1, t - 1) for (s, t), x in zip(m_int.quiver.arrows, thin_scalars(m_int)) if x]
     return {e: [0] if any(e[s] and not e[t] for s, t in live) else [1] for e in es}
-
-
-def _subvector(e, dim: DimVector) -> DimVector:
-    e = tuple(e)
-    if len(e) != len(dim) or any(type(x) is not int or not 0 <= x <= dv
-                                 for x, dv in zip(e, dim)):
-        raise InputError("e must hold integers with 0 <= e <= dim")
-    return e
-
-
-def counting_polynomial(m_int: Representation, e, pool=DEFAULT_PRIMES,
-                        budget: int = DEFAULT_BUDGET,
-                        guards: tuple = ()) -> list[int]:
-    """Integer coefficients of the polynomial counting e-dimensional
-    subrepresentations of m_int over F_q, without trailing zeros. A thin
-    m_int (every d_v <= 1) is decided over Q, consulting no prime pool,
-    for one visit of the budget; any other is interpolated over good
-    primes of the pool."""
-    e = _subvector(e, m_int.dim)
-    ints = _counting_polynomials(m_int, [e], pool, budget, guards)[e]
-    while len(ints) > 1 and ints[-1] == 0:
-        ints.pop()
-    return ints
-
-
-def euler_char_grassmannian(m_int: Representation, e, pool=DEFAULT_PRIMES,
-                            budget: int = DEFAULT_BUDGET) -> int:
-    """chi of the submodule grassmannian: counting polynomial at q = 1."""
-    return poly_eval(counting_polynomial(m_int, e, pool, budget), 1)
 
 
 def chi_all(m_int: Representation, pool=DEFAULT_PRIMES,

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, is_prime
 from .linalg import echelon, rank_mod_p
 from .quiver import DimVector, Quiver
 
@@ -89,10 +88,6 @@ def _not_int(x):
     raise InputError("matrix entry %r is not an integer" % (x,))
 
 
-def is_prime(n) -> bool:
-    return type(n) is int and n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
-
-
 def _nonnegative_dim(q: Quiver, d) -> DimVector:
     d = q.check_dim(d)
     if any(x < 0 for x in d):
@@ -100,52 +95,10 @@ def _nonnegative_dim(q: Quiver, d) -> DimVector:
     return d
 
 
-def _vertex(q: Quiver, i) -> int:
-    if type(i) is not int or not 1 <= i <= q.vertices:
-        raise InputError("vertex %r is not one of 1..%d" % (i, q.vertices))
-    return i
-
-
 # ------------------------------------------------------------ constructors
 
 def zero_rep(q: Quiver, p: int = 0) -> Representation:
     return Representation(q, p, (0,) * q.vertices, tuple(() for _ in q.arrows))
-
-
-def simple_rep(q: Quiver, i: int, p: int = 0) -> Representation:
-    d = [0] * q.vertices
-    d[_vertex(q, i) - 1] = 1
-    # no loops: an arrow into vertex i has a zero-dimensional source
-    return Representation(q, p, tuple(d), tuple(((),) * d[t - 1] for _s, t in q.arrows))
-
-
-def projective_rep(q: Quiver, i: int, p: int = 0) -> Representation:
-    """Indecomposable projective at vertex i: basis = paths starting at i,
-    arrows act by path concatenation."""
-    paths: list[tuple] = [()]  # path = tuple of arrow indices, start fixed at i
-    frontier = [((), _vertex(q, i))]
-    ends = {(): i}
-    while frontier:
-        path, v = frontier.pop()
-        for idx, (s, t) in enumerate(q.arrows):
-            if s == v:
-                new = path + (idx,)
-                paths.append(new)
-                ends[new] = t
-                frontier.append((new, t))
-    by_vertex: dict[int, list[tuple]] = {v: [] for v in range(1, q.vertices + 1)}
-    for path in sorted(paths):
-        by_vertex[ends[path]].append(path)
-    d = tuple(len(by_vertex[v]) for v in range(1, q.vertices + 1))
-    mats = []
-    for idx, (s, t) in enumerate(q.arrows):
-        src = by_vertex[s]
-        tgt = by_vertex[t]
-        rows = [[0] * len(src) for _ in range(len(tgt))]
-        for c, path in enumerate(src):
-            rows[tgt.index(path + (idx,))][c] = 1
-        mats.append(tuple(tuple(r) for r in rows))
-    return Representation(q, p, d, tuple(mats))
 
 
 def direct_sum(first: Representation, *rest: Representation) -> Representation:

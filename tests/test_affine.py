@@ -8,13 +8,13 @@ import pytest
 from genvar import affine, candecomp, ccmap, clear_caches, mutation
 from genvar.affine import (KRONECKER_DELTA, chebyshev_f, chebyshev_s,
                            delta_character, generic_variable_affine,
-                           membership_check_A, quasi_simple_kronecker,
-                           regular_rigid_check, s_as_f_sum,
+                           membership_check_A, quasi_simple_kronecker, s_as_f_sum,
                            tube_module_kronecker)
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.laurent import LaurentPoly
 from genvar.mutation import enumerate_cluster_variables, mutate
-from genvar.repfq import DEFAULT_BUDGET, Representation, ext_dim, hom_dim
+from genvar.errors import DEFAULT_BUDGET
+from genvar.reps import Representation, ext_dim, hom_dim
 
 substitute = LaurentPoly.substitute_univariate
 
@@ -97,26 +97,15 @@ def test_tube_length_must_be_a_positive_integer(kron, length):
 def test_tube_modules_are_not_rigid(kron):
     t1 = tube_module_kronecker(kron, 1, 1)
     assert ext_dim(t1, t1) == 1
-    assert regular_rigid_check(t1) is False
-    rigid = ccmap.rigid_integer_rep(kron, (2, 1))
-    assert regular_rigid_check(rigid) is False  # nonzero defect
     from genvar.candecomp import exceptional_regular_dims
     assert exceptional_regular_dims(kron) == []
 
 
-def test_regular_rigid_check_affine(atilde):
-    from genvar.repfq import Representation
-    r101 = Representation(atilde, 0, (1, 0, 1), ((), ((),), ((1,),)))
-    assert regular_rigid_check(r101) is True
-
-
 # A module on A_2 has a dimension vector that fits the Kronecker quiver:
-# the regularity check answered True about it and the membership report
-# raised ConsistencyError (exit 4).
+# the membership report raised ConsistencyError (exit 4).
 @pytest.mark.parametrize("report", [
-    regular_rigid_check,
     lambda m: membership_check_A(ccmap.DecoratedRep(m, (0, 0))),
-], ids=["regular-rigid", "membership"])
+], ids=["membership"])
 def test_affine_reports_refuse_a_module_on_another_quiver(report):
     from genvar.quiver import a_n
     m = Representation(a_n(2), 0, (1, 1), (((1,),),))
@@ -248,7 +237,7 @@ def test_the_budget_boundary_is_the_walk_charge(kron, order):
             assert generic_variable_affine(kron, (3, 2), budget=charge).poly == want
 
 
-def test_the_affine_route_draws_no_witness_tuple(kron, atilde, monkeypatch):
+def test_the_affine_route_draws_no_witness_tuple(kron, monkeypatch):
     def refuse(*args):
         raise AssertionError("witness tuple drawn")
 
@@ -257,8 +246,6 @@ def test_the_affine_route_draws_no_witness_tuple(kron, atilde, monkeypatch):
         value = generic_variable_affine(kron, (k, k))
         assert (value.tag, value.delta_power) == ("delta_layer", k)
         assert value.poly == delta_character(kron) ** k
-    r101 = Representation(atilde, 0, (1, 0, 1), ((), ((),), ((1,),)))
-    assert regular_rigid_check(r101) is True
 
 
 def test_kronecker_chains_obey_the_division_free_recurrence(kron, z_closed_form):
@@ -341,7 +328,6 @@ def test_membership_deeper_tube(kron):
 
 
 def test_membership_rejects_other_quivers(atilde):
-    from genvar.repfq import Representation
     m = Representation(atilde, 0, (1, 1, 1), (((1,),), ((1,),), ((2,),)))
     with pytest.raises(InputError):
         membership_check_A(ccmap.DecoratedRep(m, (0, 0, 0)))

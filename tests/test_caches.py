@@ -12,9 +12,8 @@ import genvar
 from genvar import cache_stats, clear_caches, repfq
 from genvar.candecomp import canonical_decomposition
 from genvar.ccmap import cc_of_module, generic_variable
-from genvar.errors import BudgetError
+from genvar.errors import DEFAULT_BUDGET, BudgetError
 from genvar.quiver import affine_a2, kronecker
-from genvar.repfq import DEFAULT_BUDGET
 from genvar.reps import Representation
 
 KRON, ATILDE = kronecker(), affine_a2()

@@ -13,7 +13,7 @@ from genvar.candecomp import (CanonicalDecomposition, canonical_decomposition,
                               verify_certificate)
 from genvar.errors import ConsistencyError, InputError
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
-from genvar.repfq import Representation, ext_dim, hom_dim, sample_representation
+from genvar.reps import Representation, ext_dim, hom_dim, sample_representation
 
 
 def test_schur_roots_kronecker(kron):

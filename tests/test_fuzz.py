@@ -21,8 +21,8 @@ from genvar import cli
 from genvar.candecomp import canonical_decomposition
 from genvar.errors import BudgetError, InputError
 from genvar.quiver import Quiver, affine_a2, kronecker
-from genvar.repfq import (Representation, direct_sum, dual_rep, rep_mod, sample_integer_rep,
-                          sample_representation, zero_rep)
+from genvar.reps import (Representation, direct_sum, dual_rep, rep_mod, sample_integer_rep,
+                         sample_representation, zero_rep)
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
                 database=None)

@@ -68,8 +68,8 @@ def test_power_expansions_frozen():
     assert kb.expand_in_F(1) == [0, 1]
     assert kb.expand_in_F(2) == [2, 0, 1]
     assert kb.expand_in_F(4) == [6, 0, 4, 0, 1]
-    assert kb.expand_in_S(2) == [1, 0, 1]
-    assert kb.expand_in_S(4) == [2, 0, 3, 0, 1]
+    assert [row[2] for row in kb.base_change("G", "CZ", 3).matrix] == [1, 0, 1]
+    assert [row[4] for row in kb.base_change("G", "CZ", 5).matrix] == [2, 0, 3, 0, 1]
     with pytest.raises(InputError):
         kb.expand_in_F(-1)
 
@@ -231,7 +231,6 @@ def test_build_basis_window():
     lambda x: kb.base_change("G", "SZ", x),
     lambda x: kb.family_element("CZ", x),
     lambda x: kb.build_basis("G", x),
-    kb.expand_in_S,
     kb.expand_in_F,
     chebyshev_s,
     chebyshev_f,

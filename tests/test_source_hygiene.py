@@ -1,8 +1,8 @@
 """Source checks that need no linter: the package holds no `assert`
 (`python -O` strips it, so a check written as one silently vanishes), no
 module-level import that its module never uses, no function, class or
-method that nothing refers to, and no parameter that its function never
-reads."""
+method that only tests refer to, no parameter that its function never
+reads, and one home for the budget and prime-pool limits."""
 
 import ast
 import re
@@ -12,8 +12,9 @@ import genvar
 
 SOURCES = sorted(Path(genvar.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
-# where a reference keeps a helper alive: the package, its tests and the benchmark
-REFERRERS = SOURCES + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "benchmark").rglob("*.py"))
+# where a reference keeps a helper alive: the package (but not the import and
+# __all__ lines of __init__.py), the benchmark and the README; a test alone does not
+REFERRERS = SOURCES + sorted((ROOT / "benchmark").rglob("*.py")) + [ROOT / "README.md"]
 
 
 def _source(path):
@@ -68,8 +69,21 @@ def _definitions():
                         yield path, meth, "%s.%s" % (node.name, meth.name), r"\.%s\b" % meth.name
 
 
+def _referrer_lines(path):
+    """The lines of one referrer, with the re-export lines of __init__.py blanked."""
+    if path != Path(genvar.__file__):
+        return path.read_text(encoding="utf-8").splitlines()
+    lines, tree = _source(path)
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+                isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)):
+            lines[stmt.lineno - 1:stmt.end_lineno] = [""] * (stmt.end_lineno - stmt.lineno + 1)
+    return lines
+
+
 def test_every_helper_is_referenced_outside_its_own_definition():
-    texts = {path: path.read_text(encoding="utf-8").splitlines() for path in REFERRERS}
+    texts = {path: _referrer_lines(path) for path in REFERRERS}
     found = []
     for path, node, name, pattern in _definitions():
         rx = re.compile(pattern)
@@ -78,6 +92,33 @@ def test_every_helper_is_referenced_outside_its_own_definition():
                    for i, line in enumerate(lines) if not (ref == path and i in own)):
             found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert found == []
+
+
+LIMITS = {"DEFAULT_BUDGET", "DEFAULT_PRIMES", "_check_limits", "_check_pool", "is_prime"}
+
+
+def test_the_limits_live_in_errors_and_only_ccmap_reaches_the_counting_stack():
+    # the budget and prime-pool limits are read without importing repfq
+    importers, homes = set(), {name: [] for name in LIMITS}
+    for path in SOURCES:
+        tree = _source(path)[1]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and (
+                    node.module == "repfq" or node.module is None
+                    and any(alias.name == "repfq" for alias in node.names)):
+                importers.add(path.stem)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in LIMITS.intersection(names):
+                homes[name].append(path.name)
+    assert importers == {"__init__", "ccmap"}
+    assert homes == {name: ["errors.py"] for name in LIMITS}
 
 
 # Functions with parameters that no body reads: (those parameters, why they stay).
