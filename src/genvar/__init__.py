@@ -25,12 +25,11 @@ from .candecomp import (CanonicalDecomposition, canonical_decomposition,
                         generic_ext_vanishes_cluster, is_schur_root,
                         verify_certificate)
 from .affine import (AffineGenericValue, chebyshev_f, chebyshev_s,
-                     delta_character, generic_variable_affine,
-                     membership_check_A, quasi_simple_kronecker, s_as_f_sum,
+                     delta_character, generic_variable_affine, s_as_f_sum,
                      tube_module_kronecker)
 from .kronecker import (BaseChangeMatrix, BasisFamily, base_change,
-                        build_basis, expand_in_F, family_element, independence_check,
-                        positivity_report, z_character)
+                        build_basis, family_element, independence_check,
+                        membership_check_A, positivity_report, z_character)
 from .acceptance import run_all, run_criterion
 
 __version__ = "0.1.0"
@@ -44,14 +43,12 @@ __all__ = [
     "cache_stats", "canonical_decomposition", "cc_of_module", "cc_of_object",
     "chi_all", "chebyshev_f", "chebyshev_s", "clear_caches", "cluster_monomials",
     "delta_character", "direct_sum", "dual_rep", "enumerate_cluster_variables",
-    "exceptional_regular_dims", "expand_in_F",
-    "express_in_basis", "ext_dim", "family_element",
+    "exceptional_regular_dims", "express_in_basis", "ext_dim", "family_element",
     "generic_ext_vanishes", "generic_ext_vanishes_cluster",
     "generic_variable", "generic_variable_affine", "good_primes",
     "hom_dim", "independence_check", "initial_seed", "is_schur_root",
     "kronecker_quiver", "membership_check_A", "mutate", "negative_part",
-    "positive_part", "positivity_report",
-    "quasi_simple_kronecker", "rigid_integer_rep",
+    "positive_part", "positivity_report", "rigid_integer_rep",
     "run_all", "run_criterion", "s_as_f_sum", "sample_representation",
     "tube_module_kronecker", "verify_certificate",
     "z_character", "zero_rep",

@@ -90,7 +90,7 @@ def _criterion_3():
     q = kronecker_quiver()
     z = LaurentPoly(2, {(1, -1): 1, (-1, -1): 1, (-1, 1): 1})
     for lam in (1, 2, 3):
-        m = affine.quasi_simple_kronecker(q, lam)
+        m = affine.tube_module_kronecker(q, lam, 1)
         _check(hom_dim(m, m) == 1, "tube representative is not Schur")
         x = ccmap.cc_of_module(m)
         _check(x == z, "character at parameter %d differs from closed form" % lam)
@@ -273,8 +273,9 @@ def _criterion_9():
 def _criterion_10():
     """Expansion coefficients: parity vanishing, strict inner decrease,
     and positive unipotent base changes to size 12."""
+    g_sz = kronecker.base_change("G", "SZ", 13).matrix
     for n in range(13):
-        lam = kronecker.expand_in_F(n)
+        lam = [row[n] for row in g_sz[:n + 1]]
         for i, c in enumerate(lam):
             if (i - n) % 2:
                 _check(c == 0, "parity fails at (%d, %d)" % (i, n))
@@ -309,7 +310,7 @@ def _criterion_12():
         for n in (1, 2, 3):
             m = affine.tube_module_kronecker(q, lam, n)
             obj = ccmap.DecoratedRep(module=m, shifts=(0, 0))
-            rep = affine.membership_check_A(obj)
+            rep = kronecker.membership_check_A(obj)
             _check(rep["integral"], "tube character is not integral")
             details.append(len(rep["coefficients"]))
     return "six tube characters, integral expansions of sizes %s" % (

@@ -1,6 +1,6 @@
 """Affine-type structure: the two normalized Chebyshev families, explicit
-tube representations on the double-arrow quiver, tagged generic variables
-and the desk-scale basis-membership report.
+tube representations on the double-arrow quiver and tagged generic
+variables.
 
 Both polynomial families follow the three-term recurrence
 P_{n+1}(x) = x*P_n(x) - P_{n-1}(x) from P_1 = x; they differ only in P_0:
@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 
-from . import ccmap, mutation
+from . import candecomp, ccmap, mutation
 from .errors import (DEFAULT_BUDGET, DEFAULT_PRIMES, BudgetError, ConsistencyError, InputError,
                      _check_limits)
 from .laurent import LaurentPoly
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .reps import Representation
-from . import candecomp
 
 
 def chebyshev_s(n: int) -> list[int]:
@@ -66,9 +65,6 @@ def s_as_f_sum(n: int) -> list[int]:
     return out
 
 
-KRONECKER_DELTA: DimVector = (1, 1)
-
-
 def tube_module_kronecker(q: Quiver, lam: int, length: int) -> Representation:
     """Integer representation of quasi-length n in the homogeneous tube at
     parameter lam on the double-arrow quiver: first arrow the identity,
@@ -82,10 +78,6 @@ def tube_module_kronecker(q: Quiver, lam: int, length: int) -> Representation:
     jordan = tuple(tuple(lam if i == j else (1 if j == i + 1 else 0)
                          for j in range(n)) for i in range(n))
     return Representation(q, 0, (n, n), (ident, jordan))
-
-
-def quasi_simple_kronecker(q: Quiver, lam: int) -> Representation:
-    return tube_module_kronecker(q, lam, 1)
 
 
 @dataclass(frozen=True)
@@ -192,36 +184,3 @@ def _real_summand(q: Quiver, e: DimVector, budget: int) -> LaurentPoly:
     if charge.get(e, budget + 1) > budget:
         raise BudgetError("mutation walk to %r exceeded budget %d" % (e, budget))
     return table.entries[e]
-
-
-def membership_check_A(obj: ccmap.DecoratedRep, n_max: int = 6,
-                       pool=DEFAULT_PRIMES, budget: int = DEFAULT_BUDGET) -> dict:
-    """Expand the character of a decorated object on the double-arrow
-    quiver over the atomic family (cluster monomials plus powers of the
-    quasi-simple character), both under `budget`, and demand integer
-    coefficients. InputError unless the module lives on that quiver and
-    n_max is an int >= 0."""
-    from . import kronecker
-    if obj.module.quiver.arrows != ((1, 2), (1, 2)):
-        raise InputError("membership report is double-arrow only")
-    if type(n_max) is not int or n_max < 0:
-        raise InputError("n_max must be a nonnegative integer")
-    x = ccmap.cc_of_object(obj, pool=pool, budget=budget)
-    den = x.denominator_vector()
-    bound = tuple(max(abs(v) + 1, 2) for v in den)
-    fam = kronecker.build_basis("G", n_max=max(n_max, max(bound)),
-                                monomial_bound=bound, budget=budget)
-    names = [name for name, _p in fam.elements]
-    polys = [p for _name, p in fam.elements]
-    coeffs = ccmap.express_in_basis(x, polys)
-    if coeffs is None:
-        raise ConsistencyError("character is outside the family span")
-    nonzero = [(names[i], c) for i, c in enumerate(coeffs) if c != 0]
-    integral = all(c.denominator == 1 for _n, c in nonzero)
-    if not integral:
-        raise ConsistencyError(
-            "non-integral expansion over the atomic family: %r" % (nonzero,))
-    return {"den": list(den),
-            "coefficients": [[name, int(c)] for name, c in nonzero],
-            "integral": True,
-            "family_size": len(polys)}

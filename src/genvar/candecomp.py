@@ -19,10 +19,9 @@ from functools import cache, lru_cache
 from itertools import product
 from operator import mul, sub
 
-from . import rng
 from .errors import BudgetError, ConsistencyError, InputError
 from .quiver import DimVector, Quiver, positive_part
-from .reps import Representation, ext_dim, hom_dim, sample_representation
+from .reps import Representation, derive, ext_dim, hom_dim, sample_representation
 
 
 def _proper_subvectors(e: DimVector):
@@ -256,7 +255,7 @@ def _find_witnesses(q: Quiver, instances: tuple, seed: int) -> tuple:
         return ()
     for p in (5, 7, 11, 13):
         for attempt in range(24):
-            reps = [sample_representation(q, e, p, rng.derive(seed, "wit", tuple(e), p, attempt, i))
+            reps = [sample_representation(q, e, p, derive(seed, "wit", tuple(e), p, attempt, i))
                     for i, e in enumerate(instances)]
             if _witness_fault(reps) is None:
                 return tuple((p, m.dim, m.matrices) for m in reps)

@@ -36,14 +36,15 @@ from dataclasses import dataclass, replace
 from functools import cache
 from math import lcm
 
-from . import candecomp, rng
+from . import candecomp
 from .errors import (DEFAULT_BUDGET, DEFAULT_PRIMES, BudgetError, ConsistencyError, InputError,
                      _check_limits)
 from .laurent import LaurentPoly
 from .linalg import solve
 from .quiver import DimVector, Quiver, negative_part, positive_part
 from .repfq import _check_guards, chi_all
-from .reps import Representation, direct_sum, hom_dim, sample_integer_rep, thin_scalars
+from .reps import (Representation, derive, direct_sum, hom_dim, make_rng, sample_integer_rep,
+                   thin_scalars)
 
 GENERIC_RETRIES = 12
 
@@ -233,7 +234,7 @@ def generic_guards(q: Quiver, rigid: bool, seed: int = 0) -> tuple:
     shapes."""
     if rigid:
         return ()
-    return tuple(rigid_integer_rep(q, e, seed=rng.derive(seed, "guard", e))
+    return tuple(rigid_integer_rep(q, e, seed=derive(seed, "guard", e))
                  for e in candecomp._exceptional_regular_dims(q))
 
 
@@ -244,7 +245,7 @@ def _sample_parts(q: Quiver, instances, seed: int,
     certificate failures escape parameter collisions."""
     bound = 3 + attempt
     return [sample_integer_rep(q, e,
-                               rng.make_rng(seed, "generic", tuple(e), attempt, i),
+                               make_rng(seed, "generic", tuple(e), attempt, i),
                                lo=-bound, hi=bound)
             for i, e in enumerate(instances)]
 
@@ -256,7 +257,7 @@ def rigid_integer_rep(q: Quiver, e, seed: int = 0) -> Representation:
     if q.q_norm(e) != 1:
         raise InputError("rigid representatives need a real root")
     for attempt in range(GENERIC_RETRIES):
-        r = rng.make_rng(seed, "rigid", e, attempt)
+        r = make_rng(seed, "rigid", e, attempt)
         m = sample_integer_rep(q, e, r)
         if hom_dim(m, m) == 1:  # Ext = End - <e, e> = 0 on a real root
             return m

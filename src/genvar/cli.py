@@ -89,17 +89,21 @@ def _ints(text: str, what: str) -> tuple[int, ...]:
         raise InputError("could not parse %s %r" % (what, text))
 
 
+def _load_json(path: str, what: str):
+    """The JSON document in the file at `path`; InputError naming `what` otherwise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError("cannot read %s file: %s" % (what, exc))
+    except json.JSONDecodeError as exc:
+        raise InputError("%s file is not JSON: %s" % (what, exc))
+
+
 def _load_quiver(args) -> Quiver:
     if not args.quiver:
         raise InputError("this command needs --quiver FILE")
-    try:
-        with open(args.quiver, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError("cannot read quiver file: %s" % exc)
-    except json.JSONDecodeError as exc:
-        raise InputError("quiver file is not JSON: %s" % exc)
-    return Quiver.from_json(doc)
+    return Quiver.from_json(_load_json(args.quiver, "quiver"))
 
 
 def _pool(args):
@@ -137,14 +141,7 @@ def _run(args) -> dict:
 
     elif args.command == "cc-map":
         q = _load_quiver(args)
-        try:
-            with open(args.rep, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise InputError("cannot read representation file: %s" % exc)
-        except json.JSONDecodeError as exc:
-            raise InputError("representation file is not JSON: %s" % exc)
-        m = Representation.from_json(q, doc)
+        m = Representation.from_json(q, _load_json(args.rep, "representation"))
         shifts = (_ints(args.shifts, "shifts") if args.shifts
                   else tuple([0] * q.vertices))
         obj = ccmap.DecoratedRep(module=m, shifts=shifts)

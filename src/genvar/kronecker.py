@@ -16,6 +16,11 @@ combinations of the powers of z. z itself is the closed form,
 re-checked against the character of the quasi-simple module on every
 call; that module is thin, so its character consults no prime pool and
 is memoised per budget by `ccmap.cc_of_module`.
+
+A finite window of a family (`build_basis`) is exactly independent
+(`independence_check`), and the membership report (`membership_check_A`)
+expands a character over the window of the power family G that holds
+its denominator, demanding integer coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine, ccmap, mutation
-from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, InputError, _check_limits
+from .errors import (DEFAULT_BUDGET, DEFAULT_PRIMES, BudgetError, ConsistencyError, InputError,
+                     _check_limits)
 from .laurent import LaurentPoly
 from .linalg import rank_fraction
 from .quiver import DimVector, kronecker
@@ -36,7 +42,7 @@ def z_character(budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     cross-checked against the module-character route, which charges the
     thin quasi-simple one visit per e (four in all) against `budget`."""
     closed = LaurentPoly(2, {(1, -1): 1, (-1, -1): 1, (-1, 1): 1})
-    m = affine.quasi_simple_kronecker(kronecker(), 1)
+    m = affine.tube_module_kronecker(kronecker(), 1, 1)
     if ccmap.cc_of_module(m, budget=budget) != closed:
         raise ConsistencyError(
             "quasi-simple character disagrees with its closed form")
@@ -95,16 +101,6 @@ def _verify(source: str, target: str, cols: dict, budget: int = DEFAULT_BUDGET) 
             raise ConsistencyError(
                 "column %d of %s->%s fails the Laurent identity"
                 % (j, source, target))
-
-
-def expand_in_F(n: int) -> list[int]:
-    """Coefficients lambda with z^n = sum_i lambda_i * E_i where E_0 = 1
-    and E_i = F_i(z), re-verified as an exact Laurent identity."""
-    if type(n) is not int or n < 0:
-        raise InputError("n >= 0 required")
-    col = _column("G", "SZ", n)
-    _verify("G", "SZ", {n: col})
-    return col
 
 
 @dataclass(frozen=True)
@@ -222,10 +218,10 @@ def build_basis(kind: str, n_max: int, monomial_bound=(2, 2), seed: int = 0,
     monos = mutation.cluster_monomials(table, q, bound, budget=budget)
     elements = []
     seen = set()
-    for poly in sorted(monos, key=lambda p: (p.denominator_vector(), p.key())):
-        name = "mono:%d,%d" % poly.denominator_vector()
-        elements.append((name, poly))
-        seen.add(poly.key())
+    # the keys are distinct, so the sort never compares two polynomials
+    for (den, key), poly in sorted(((p.denominator_vector(), p.key()), p) for p in monos):
+        elements.append(("mono:%d,%d" % den, poly))
+        seen.add(key)
     powers = _powers(n_max + 1, budget)
     for n in range(1, n_max + 1):
         p = LaurentPoly.combination(2, _coeffs(kind, n), powers)
@@ -262,3 +258,32 @@ def independence_check(family: BasisFamily, extra=()) -> dict:
         r = rank_fraction([[p.terms.get(m, 0) for m in support] for p in polys])
     return {"elements": len(polys), "rank": r,
             "independent": r == len(polys)}
+
+
+def membership_check_A(obj: ccmap.DecoratedRep, pool=DEFAULT_PRIMES,
+                       budget: int = DEFAULT_BUDGET) -> dict:
+    """Expand the character of a decorated object on the double-arrow
+    quiver over the window of the power family (cluster monomials plus
+    powers of the quasi-simple character) that holds its denominator,
+    both under `budget`, and demand integer coefficients. InputError
+    unless the module lives on that quiver."""
+    if obj.module.quiver.arrows != ((1, 2), (1, 2)):
+        raise InputError("membership report is double-arrow only")
+    x = ccmap.cc_of_object(obj, pool=pool, budget=budget)
+    den = x.denominator_vector()
+    bound = tuple(max(abs(v) + 1, 2) for v in den)
+    fam = build_basis("G", n_max=max(6, max(bound)), monomial_bound=bound, budget=budget)
+    names = [name for name, _p in fam.elements]
+    polys = [p for _name, p in fam.elements]
+    coeffs = ccmap.express_in_basis(x, polys)
+    if coeffs is None:
+        raise ConsistencyError("character is outside the family span")
+    nonzero = [(names[i], c) for i, c in enumerate(coeffs) if c != 0]
+    integral = all(c.denominator == 1 for _n, c in nonzero)
+    if not integral:
+        raise ConsistencyError(
+            "non-integral expansion over the atomic family: %r" % (nonzero,))
+    return {"den": list(den),
+            "coefficients": [[name, int(c)] for name, c in nonzero],
+            "integral": True,
+            "family_size": len(polys)}

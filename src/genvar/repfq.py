@@ -21,7 +21,7 @@ With one arrow that is dim W - dim(W meet ker A), so the vertex is
 counted whole from rank A (`linalg.kernel_meet_counts`). With two into
 one target, the W of dimension 0, 1, N - 1 and N are counted from the
 p + 1 ranks of the pencil xA + yB and three plain ranks
-(`pencil.pencil_layer_counts`), and the layers between are walked. In a
+(`linalg.pencil_layer_counts`), and the layers between are walked. In a
 walk, once every target state spans its fibre, the remaining rows'
 p^(free entries) choices are counted in closed form. At the last row
 the tails x are counted by the rank of their images (linear in x): by
@@ -68,8 +68,8 @@ from operator import mul
 
 from .errors import (DEFAULT_BUDGET, DEFAULT_PRIMES, BudgetError, ConsistencyError, InputError,
                      _check_limits, _check_pool)
-from .linalg import PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts, lattice_size
-from .pencil import pencil_layer_counts
+from .linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts, lattice_size,
+                     pencil_layer_counts)
 from .quiver import DimVector
 # direct_sum and zero_rep stay importable here for benchmark/workloads.py
 from .reps import (Representation, _hom_minor, direct_sum, dual_rep, hom_dim,  # noqa: F401

@@ -3,7 +3,11 @@ reduction mod p, and Hom and Ext dimensions.
 
 A `Representation` holds one matrix per arrow over F_p (p prime) or over
 the integers (p = 0, read over Q), with entries checked to be integers
-and reduced mod p. Hom(m, n) is the solution space of the intertwining
+and reduced mod p. Every random draw in the package flows from one
+root seed through `derive`, a SHA-256 split of the seed by a tag path,
+so runs are reproducible and independent subtasks get independent
+streams; the samplers take a seed or a generator made from one
+(`make_rng`). Hom(m, n) is the solution space of the intertwining
 equations phi_t * M_a = N_a * phi_s; `hom_dim` takes their rank with the
 packed F_p kernel (`linalg.rank_mod_p`) or the fraction-free elimination
 over Q (`linalg.echelon`), and `_hom_minor` also returns the last Bareiss
@@ -22,6 +26,7 @@ every cycle.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -130,6 +135,19 @@ def rep_mod(m: Representation, p: int) -> Representation:
         raise InputError("can only reduce an integer representation modulo a prime")
     mats = tuple([tuple([tuple([x % p for x in r]) for r in mat]) for mat in m.matrices])
     return Representation._trusted(m.quiver, p, m.dim, mats)
+
+
+def derive(seed: int, *tags) -> int:
+    """Derive a child seed from a root int seed (InputError otherwise) and a tag path."""
+    if type(seed) is not int:
+        raise InputError("seed %r must be an integer" % (seed,))
+    material = repr((seed,) + tags).encode()
+    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+
+
+def make_rng(seed: int, *tags) -> random.Random:
+    """Return a `random.Random` seeded from the derived child seed."""
+    return random.Random(derive(seed, *tags))
 
 
 def sample_representation(q: Quiver, d, p: int, rng_seed: int) -> Representation:

@@ -6,11 +6,10 @@ from itertools import product
 import pytest
 
 from genvar import affine, candecomp, ccmap, clear_caches, mutation
-from genvar.affine import (KRONECKER_DELTA, chebyshev_f, chebyshev_s,
-                           delta_character, generic_variable_affine,
-                           membership_check_A, quasi_simple_kronecker, s_as_f_sum,
-                           tube_module_kronecker)
+from genvar.affine import (chebyshev_f, chebyshev_s, delta_character,
+                           generic_variable_affine, s_as_f_sum, tube_module_kronecker)
 from genvar.errors import BudgetError, ConsistencyError, InputError
+from genvar.kronecker import membership_check_A
 from genvar.laurent import LaurentPoly
 from genvar.mutation import enumerate_cluster_variables, mutate
 from genvar.errors import DEFAULT_BUDGET
@@ -84,7 +83,7 @@ def test_tube_modules(kron):
     deep = tube_module_kronecker(kron, 1, 3)
     assert deep.dim == (3, 3)
     assert hom_dim(deep, deep) == 3
-    assert quasi_simple_kronecker(kron, 5).dim == (1, 1)
+    assert tube_module_kronecker(kron, 5, 1).dim == (1, 1)
 
 
 @pytest.mark.parametrize("length", [2.7, True, 0, "2"])
@@ -115,7 +114,6 @@ def test_affine_reports_refuse_a_module_on_another_quiver(report):
 
 def test_delta_character_is_quasi_simple_character(kron, z_closed_form):
     assert delta_character(kron) == z_closed_form
-    assert KRONECKER_DELTA == (1, 1)
 
 
 def test_cached_delta_character_keeps_the_prime_pool(kron, z_closed_form):
@@ -301,16 +299,9 @@ def test_membership_tube_characters(kron):
 
 def test_membership_builds_its_family_under_the_callers_budget(kron):
     # the character of a quasi-simple costs 4 visits, its family window more
-    obj = ccmap.DecoratedRep(quasi_simple_kronecker(kron, 1), (0, 0))
+    obj = ccmap.DecoratedRep(tube_module_kronecker(kron, 1, 1), (0, 0))
     with pytest.raises(BudgetError):
         membership_check_A(obj, budget=4)
-
-
-@pytest.mark.parametrize("n_max", ["x", True, -3])
-def test_membership_n_max_must_be_a_nonnegative_int(kron, n_max):
-    obj = ccmap.DecoratedRep(quasi_simple_kronecker(kron, 1), (0, 0))
-    with pytest.raises(InputError):
-        membership_check_A(obj, n_max=n_max)
 
 
 def test_membership_deeper_tube(kron):

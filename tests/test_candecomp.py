@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genvar import candecomp, clear_caches, rng
+from genvar import candecomp, clear_caches
 from genvar.candecomp import (CanonicalDecomposition, canonical_decomposition,
                               exceptional_regular_dims, generic_ext_vanishes,
                               generic_ext_vanishes_cluster, is_schur_root,
                               verify_certificate)
 from genvar.errors import ConsistencyError, InputError
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
-from genvar.reps import Representation, ext_dim, hom_dim, sample_representation
+from genvar.reps import Representation, derive, ext_dim, hom_dim, sample_representation
 
 
 def test_schur_roots_kronecker(kron):
@@ -236,7 +236,7 @@ def _ref_is_schur_root(q, d, seed=0):
             return False
     for p in REF_PRIMES:
         for k in range(REF_SAMPLES):
-            m = sample_representation(q, d, p, rng.derive(seed, "schur", d, p, k))
+            m = sample_representation(q, d, p, derive(seed, "schur", d, p, k))
             if hom_dim(m, m) == 1:
                 return True
     if _ref_space(q, d) <= REF_CAP:
@@ -251,8 +251,8 @@ def _ref_ext_vanishes(q, d, e, seed=0):
         return False
     for p in REF_PRIMES:
         for k in range(REF_SAMPLES):
-            m = sample_representation(q, d, p, rng.derive(seed, "extL", d, e, p, k))
-            n = sample_representation(q, e, p, rng.derive(seed, "extR", d, e, p, k))
+            m = sample_representation(q, d, p, derive(seed, "extL", d, e, p, k))
+            n = sample_representation(q, e, p, derive(seed, "extR", d, e, p, k))
             if ext_dim(m, n) == 0:
                 return True
     if _ref_space(q, d) * _ref_space(q, e) <= REF_CAP:
@@ -303,8 +303,8 @@ def test_every_sample_is_at_least_as_special_as_the_generic_value(case):
     ext_zero = generic_ext_vanishes(q, d, e)
     schur = q.q_norm(d) > 1 or is_schur_root(q, d)
     for p in (5, 7):
-        m = sample_representation(q, d, p, rng.derive(seed, "M", p))
-        n = sample_representation(q, e, p, rng.derive(seed, "N", p))
+        m = sample_representation(q, d, p, derive(seed, "M", p))
+        n = sample_representation(q, e, p, derive(seed, "N", p))
         assert ext_zero or ext_dim(m, n) > 0
         assert schur or hom_dim(m, m) > 1
 
@@ -326,8 +326,8 @@ def test_oracles_build_no_representation(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1.5, True, "1", None])
 def test_decomposition_seed_must_be_an_int(kron, seed):
-    # `rng.derive` truncated 1.5 and True to the witnesses of seed 1
+    # `derive` truncated 1.5 and True to the witnesses of seed 1
     with pytest.raises(InputError):
         canonical_decomposition(kron, (2, 2), seed=seed)
     with pytest.raises(InputError):
-        rng.derive(seed, "wit")
+        derive(seed, "wit")

@@ -64,20 +64,20 @@ def test_family_element_validation():
 # z^4 = F_4 + 4 F_2 + 6 and z^4 = S_4 + 3 S_2 + 2, checked by hand from
 # F_4 = x^4 - 4x^2 + 2 and S_4 = x^4 - 3x^2 + 1.
 def test_power_expansions_frozen():
-    assert kb.expand_in_F(0) == [1]
-    assert kb.expand_in_F(1) == [0, 1]
-    assert kb.expand_in_F(2) == [2, 0, 1]
-    assert kb.expand_in_F(4) == [6, 0, 4, 0, 1]
+    assert [row[0] for row in kb.base_change("G", "SZ", 1).matrix] == [1]
+    assert [row[1] for row in kb.base_change("G", "SZ", 2).matrix] == [0, 1]
+    assert [row[2] for row in kb.base_change("G", "SZ", 3).matrix] == [2, 0, 1]
+    assert [row[4] for row in kb.base_change("G", "SZ", 5).matrix] == [6, 0, 4, 0, 1]
     assert [row[2] for row in kb.base_change("G", "CZ", 3).matrix] == [1, 0, 1]
     assert [row[4] for row in kb.base_change("G", "CZ", 5).matrix] == [2, 0, 3, 0, 1]
     with pytest.raises(InputError):
-        kb.expand_in_F(-1)
+        kb.base_change("G", "SZ", 0)
 
 
 def test_power_expansions_reconstruct(z_closed_form):
     z = z_closed_form
     for n in range(6):
-        lam = kb.expand_in_F(n)
+        lam = [row[n] for row in kb.base_change("G", "SZ", n + 1).matrix]
         acc = LaurentPoly.zero(2)
         for i, c in enumerate(lam):
             if c:
@@ -185,8 +185,8 @@ def test_corrupted_column_fails_the_laurent_identity(monkeypatch):
     with pytest.raises(ConsistencyError, match="Laurent identity"):
         kb.base_change("G", "SZ", 4)
     with pytest.raises(ConsistencyError, match="Laurent identity"):
-        kb.expand_in_F(2)
-    kb.expand_in_F(3)  # other columns still verify
+        kb.base_change("G", "SZ", 3)
+    kb.base_change("G", "SZ", 2)  # the columns before it still verify
 
 
 def test_positivity_reports():
@@ -231,7 +231,6 @@ def test_build_basis_window():
     lambda x: kb.base_change("G", "SZ", x),
     lambda x: kb.family_element("CZ", x),
     lambda x: kb.build_basis("G", x),
-    kb.expand_in_F,
     chebyshev_s,
     chebyshev_f,
     s_as_f_sum,

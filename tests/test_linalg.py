@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from genvar.linalg import (PackedFp, _back_substitute, echelon, gauss_binom,
                            image_rank_counts, kernel_basis, kernel_meet_counts,
-                           rank_fraction, rank_mod_p, solve)
-from genvar.pencil import pencil_layer_counts
+                           pencil_layer_counts, rank_fraction, rank_mod_p, solve)
 
 # Every minor of a matrix below is at most (3 sqrt 5)^5 < 13,600 in absolute
 # value (Hadamard), so none vanishes mod 65537 and the largest rank mod p
@@ -63,8 +62,8 @@ def led_matrices(draw):
 @example([[1, 2], [2, 4]])
 @example([[0, 1], [1, 0], [1, 1]])
 def test_rank_certificate_agrees_with_elimination(a):
-    # `rank_fraction` counts rows with distinct leads without eliminating;
-    # zero rows and repeated leads must not be counted that way
+    # `rank_fraction` is the number of pivot columns of `echelon`, whether
+    # the leads are distinct, repeated or on zero rows
     assert rank_fraction(a) == len(echelon(a)[1])
 
 

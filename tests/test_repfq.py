@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genvar import linalg, repfq, reps
-from genvar.affine import quasi_simple_kronecker
+from genvar.affine import tube_module_kronecker
 from genvar.errors import BudgetError, ConsistencyError, InputError
 from genvar.linalg import (PackedFp, gauss_binom, image_rank_counts, kernel_meet_counts,
-                           rank_mod_p)
-from genvar.pencil import pencil_layer_counts
+                           pencil_layer_counts, rank_mod_p)
 from genvar.quiver import Quiver, a_n, affine_a2, kronecker
 from genvar.repfq import (DEFAULT_BUDGET, DEFAULT_PRIMES, Representation, chi_all,
                           count_all_subreps, good_primes, interpolate)
@@ -584,7 +583,7 @@ def test_good_primes_rejects_a_composite(kron):
 def test_a_thin_module_refuses_a_bad_pool(kron, pool):
     # a thin module consults no prime, yet its pool is checked as any other
     with pytest.raises(InputError):
-        repfq.chi_all(quasi_simple_kronecker(kron, 2), pool=pool)
+        repfq.chi_all(tube_module_kronecker(kron, 2, 1), pool=pool)
 
 
 def test_good_primes_budget_error(kron):

@@ -1,8 +1,9 @@
 """Source checks that need no linter: the package holds no `assert`
 (`python -O` strips it, so a check written as one silently vanishes), no
-module-level import that its module never uses, no function, class or
-method that only tests refer to, no parameter that its function never
-reads, and one home for the budget and prime-pool limits."""
+module-level import that its module never uses and no import inside a
+function, no function, class, method or module-level constant that only
+tests refer to, no parameter that its function never reads, and one home
+for the budget and prime-pool limits."""
 
 import ast
 import re
@@ -53,6 +54,15 @@ def test_no_unused_module_level_import():
     assert found == []
 
 
+def test_no_import_inside_a_function():
+    # every dependency between modules shows at the top of its module
+    found = ["%s:%d" % (p.name, node.lineno) for p in SOURCES
+             for func in ast.walk(_source(p)[1])
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
 def _definitions():
     """(file, line span, name, pattern) for every module-level function and
     class of the package, which must be named as a word, and every method
@@ -82,15 +92,35 @@ def _referrer_lines(path):
     return lines
 
 
+def _named_elsewhere(texts, path, node, pattern):
+    """Whether `pattern` matches a referrer line outside the lines of `node` in `path`."""
+    rx = re.compile(pattern)
+    own = range(node.lineno - 1, node.end_lineno)
+    return any(rx.search(line) for ref, lines in texts.items()
+               for i, line in enumerate(lines) if not (ref == path and i in own))
+
+
 def test_every_helper_is_referenced_outside_its_own_definition():
     texts = {path: _referrer_lines(path) for path in REFERRERS}
+    found = ["%s:%d %s" % (path.name, node.lineno, name)
+             for path, node, name, pattern in _definitions()
+             if not _named_elsewhere(texts, path, node, pattern)]
+    assert found == []
+
+
+def test_every_module_constant_is_referenced_outside_its_own_line():
+    # dunders (__all__, __version__) are read by the import system and tools
+    texts = {path: _referrer_lines(path) for path in REFERRERS}
     found = []
-    for path, node, name, pattern in _definitions():
-        rx = re.compile(pattern)
-        own = range(node.lineno - 1, node.end_lineno)
-        if not any(rx.search(line) for ref, lines in texts.items()
-                   for i, line in enumerate(lines) if not (ref == path and i in own)):
-            found.append("%s:%d %s" % (path.name, node.lineno, name))
+    for path in SOURCES:
+        for stmt in _source(path)[1].body:
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                if not (name.startswith("__") and name.endswith("__")) and not _named_elsewhere(
+                        texts, path, stmt, r"\b%s\b" % name):
+                    found.append("%s:%d %s" % (path.name, stmt.lineno, name))
     assert found == []
 
 
