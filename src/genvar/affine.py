@@ -111,15 +111,18 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     quasi-simple character) times exchange-graph variables for the real
     Schur summands, times shifted-projective variables.
 
-    The summands come from `candecomp._summands`, with no witness tuple.
-    Each real Schur summand is the cluster variable read off the mutation
-    walk of its defect's sign (`_real_summand`), grown only until it holds
-    the summand; BudgetError when the walk's work up to it passes
-    `budget`. The shifted projectives multiply the module part's product
-    once, as the monomial u^{[d]_-}. This route is independent of direct
-    character evaluation at the composite vector and can be compared
-    against it. InputError unless `seed` is an int, `budget` an int >= 0
-    and `pool` holds distinct primes.
+    The summands come from `candecomp._summands`, with no witness tuple;
+    its Schur tests read the defect (`candecomp.is_schur_root`), so no
+    vector above delta reaches Schofield's recursion. The value is the
+    product of its factors from the first one on. Each real Schur summand
+    is the cluster variable read off the mutation walk of its defect's
+    sign (`_real_summand`), grown only until it holds the summand;
+    BudgetError when the walk's work up to it passes `budget`. The
+    shifted projectives multiply the module part's product once, as the
+    monomial u^{[d]_-}, when d has a negative coordinate. This route is
+    independent of direct character evaluation at the composite vector
+    and can be compared against it. InputError unless `seed` is an int,
+    `budget` an int >= 0 and `pool` holds distinct primes.
     """
     d = q.check_dim(d)
     if type(seed) is not int:
@@ -128,8 +131,7 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
     aff = q.affine_data()
     if aff is None:
         raise InputError("structural generic values need an affine quiver")
-    dp = positive_part(d)
-    poly = LaurentPoly.one(q.vertices)
+    dp, dn = positive_part(d), negative_part(d)
     k = 0
     real_parts: list[DimVector] = []
     for e, mult, tag in candecomp._summands(q, dp, "structural"):
@@ -139,11 +141,11 @@ def generic_variable_affine(q: Quiver, d, seed: int = 0, pool=DEFAULT_PRIMES,
             k = mult
         else:
             real_parts.extend([e] * mult)
-    if k:
-        poly = poly * delta_character(q, seed=seed, pool=pool, budget=budget) ** k
-    for e in real_parts:
-        poly = poly * _real_summand(q, e, budget)
-    poly = poly.shift(negative_part(d))
+    factors = [delta_character(q, seed=seed, pool=pool, budget=budget) ** k] if k else []
+    factors.extend(_real_summand(q, e, budget) for e in real_parts)
+    poly = mutation._product(factors, q.vertices)
+    if any(dn):
+        poly = poly.shift(dn)
     tag = "delta_layer" if k else "cluster_monomial"
     if poly.denominator_vector() != d:
         raise ConsistencyError("structural value of %r has denominator %r"

@@ -4,10 +4,14 @@ Both oracles are exact and build no representation. They follow
 Schofield's recursion (General representations of quivers, 1992,
 Thm 3.3, 5.4 and 6.1): generic Ext and generic subdimension vectors are
 decided from the Euler form alone, memoised on the quiver and the two
-vectors. Every decomposition returned here carries sampled witness
-representations as its certificate, checked exactly when they are drawn
-(each summand Schur, all ordered pairs of distinct summand instances with
-vanishing Ext); `verify_certificate` re-checks a stored one. Draws are a
+vectors. On an affine quiver `is_schur_root` reads the answer from the
+defect and runs the recursion only on real roots of defect 0 below
+delta; the 'search' method keeps the recursion everywhere, so the two
+methods share the Schur test only below delta. Every decomposition
+returned here carries sampled witness representations as its
+certificate, checked exactly when they are drawn (each summand Schur,
+all ordered pairs of distinct summand instances with vanishing Ext);
+`verify_certificate` re-checks a stored one. Draws are a
 function of (quiver, instances, seed), so `_find_witnesses` is memoised:
 each witness tuple is drawn once per process (a failure is not cached).
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
-from operator import mul, sub
+from operator import le, mul, sub
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .quiver import DimVector, Quiver, positive_part
@@ -59,15 +63,34 @@ def _is_schur(q: Quiver, d: DimVector) -> bool:
 
 def is_schur_root(q: Quiver, d) -> bool:
     """True iff a general representation of dimension d has a trivial
-    endomorphism algebra. Exact: decided from the Euler form alone."""
+    endomorphism algebra. Exact and decided from the Euler form alone: on
+    an affine quiver from the defect (`_schur_by_defect`), elsewhere by
+    Schofield's recursion."""
     d = q.check_dim(d)
     if not any(d):
         raise InputError("zero vector is not a root")
     if any(x < 0 for x in d):
         return False
-    if q.q_norm(d) > 1:
-        return False  # not a root at all
-    return _is_schur(q, d)
+    return _schur_by_defect(q, d) if q.type_class() == "affine" else _schur_root(q, d)
+
+
+def _schur_root(q: Quiver, d: DimVector) -> bool:
+    """Schofield's answer for a nonzero d >= 0: d is a root (q(d) <= 1)
+    and passes `_is_schur`."""
+    return q.q_norm(d) <= 1 and _is_schur(q, d)
+
+
+def _schur_by_defect(q: Quiver, d: DimVector) -> bool:
+    """`_schur_root` on an affine quiver, read from the defect
+    (Dlab-Ringel 1976, Mem. AMS 173; Ringel 1984, LNM 1099): delta is the
+    only Schur imaginary root; a real root of nonzero defect is the
+    dimension of a preprojective or preinjective indecomposable, which is
+    exceptional; a real root of defect 0 is Schur only if it lies below
+    delta, where `_is_schur` decides."""
+    aff = q.affine_data()
+    if q.q_norm(d) != 1:
+        return d == aff.delta  # q(d) = 0 on the multiples of delta, q(d) > 1 off the roots
+    return q.defect(aff, d) != 0 or (all(map(le, d, aff.delta)) and _is_schur(q, d))
 
 
 def generic_ext_vanishes(q: Quiver, d, e) -> bool:
@@ -111,7 +134,7 @@ def _exceptional_regular_dims(q: Quiver) -> tuple[DimVector, ...]:
     for e in product(*[range(x + 1) for x in aff.delta]):
         if not any(e) or e == aff.delta:
             continue
-        if q.defect(aff, e) == 0 and q.q_norm(e) == 1 and is_schur_root(q, e):
+        if q.defect(aff, e) == 0 and q.q_norm(e) == 1 and _is_schur(q, e):
             out.append(e)
     return tuple(sorted(out))
 
@@ -205,7 +228,9 @@ def _decompose(q: Quiver, d: DimVector, method: str) -> list[DimVector]:
                 continue
             if _ext_zero(q, a, b) and _ext_zero(q, b, a):
                 return _decompose(q, a, method) + _decompose(q, b, method)
-    if is_schur_root(q, d):
+    # 'search' keeps the recursion on affine quivers too, so the two
+    # methods share the Schur test only below delta
+    if is_schur_root(q, d) if method == "structural" else _schur_root(q, d):
         return [d]
     for a, b in _splittings(d):
         if _ext_zero(q, a, b) and _ext_zero(q, b, a):

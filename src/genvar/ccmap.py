@@ -33,8 +33,9 @@ sample of one pattern shares one entry per budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, reduce
 from math import lcm
+from operator import mul
 
 from . import candecomp
 from .errors import (DEFAULT_BUDGET, DEFAULT_PRIMES, BudgetError, ConsistencyError, InputError,
@@ -208,11 +209,8 @@ def _sampled_value(q: Quiver, d: DimVector, seed: int, pool: tuple,
                for g in guards):
             continue
         accepted.append(direct_sum(*parts))
-        value = LaurentPoly.one(q.vertices)
-        for part in parts:
-            value = value * cc_of_module(part, pool=pool, budget=budget,
-                                         guards=guards)
-        values.append(value)
+        values.append(reduce(mul, [cc_of_module(part, pool=pool, budget=budget, guards=guards)
+                                   for part in parts]))
         if len(accepted) >= need:
             break
     if len(accepted) < need:

@@ -9,7 +9,9 @@ The public constructor `LaurentPoly(nvars, terms)`, and the builders and
 `from_json` that go through it, validate: exponent vectors become tuples
 of `nvars` ints, coefficients become ints, a value that is not integral
 (0.5, "1") raises InputError instead of being truncated, and zero
-coefficients are dropped; `shift` checks its exponent the same way.
+coefficients are dropped. `shift` checks its exponent the same way;
+`const` and `one` check nvars and c the same way, then wrap their
+one-term map as built.
 `from_json`, `variable` and powers take ints only, refusing bools.
 Results of arithmetic on polynomials that are already valid (`+`, `-`,
 `*`, `scale`, `shift`, `combination`, powers and quotients) skip that
@@ -19,8 +21,10 @@ a polynomial that a cache hands out cannot be changed through it.
 
 from __future__ import annotations
 
+from functools import reduce
 from heapq import heappop, heappush
-from operator import add, sub
+from itertools import repeat
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -81,7 +85,11 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, nvars: int, c: int) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        """The constant c; nvars and c pass the constructor's checks."""
+        if type(nvars) is not int or nvars <= 0:
+            raise InputError("nvars must be a positive integer")
+        c = _as_int(c)
+        return cls._trusted(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
@@ -201,15 +209,10 @@ class LaurentPoly:
             raise InputError("power %r must be a nonnegative integer" % (n,))
         if n == 0:
             return LaurentPoly.one(self.nvars)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        # multiply by the base n - 1 times: each step costs |x^j| * |x|,
+        # below repeated squaring's |x^(n/2)|^2 on sparse polynomials
+        # (Fateman 1974, Stud. Appl. Math. 53)
+        return reduce(mul, repeat(self, n - 1), self)
 
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; ConsistencyError if inexact.
@@ -270,7 +273,7 @@ class LaurentPoly:
         """den(x): x times u^den(x) is a polynomial not divisible by any u_i."""
         if self.is_zero():
             raise InputError("denominator vector of zero is undefined")
-        return tuple(-min(exp[i] for exp in self.terms) for i in range(self.nvars))
+        return tuple(-min(col) for col in zip(*self.terms))
 
     # -------------------------------------------------------- substitution
 

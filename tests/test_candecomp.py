@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genvar import candecomp, clear_caches
+from genvar.affine import generic_variable_affine
 from genvar.candecomp import (CanonicalDecomposition, canonical_decomposition,
                               exceptional_regular_dims, generic_ext_vanishes,
                               generic_ext_vanishes_cluster, is_schur_root,
@@ -38,6 +39,57 @@ def test_schur_roots_dynkin_and_affine(a2, atilde):
     assert is_schur_root(atilde, (0, 1, 0))
     assert not is_schur_root(atilde, (2, 2, 2))
     assert not is_schur_root(atilde, (3, 2, 3))  # regular real, length > 1
+
+
+DEFECT_QUIVERS = [
+    ("kronecker", kronecker()),
+    ("affine-a2", affine_a2()),
+    ("affine-a3", Quiver(4, ((1, 2), (2, 3), (3, 4), (1, 4)))),
+    ("affine-d4", Quiver(5, ((1, 5), (2, 5), (3, 5), (4, 5)))),
+]
+
+
+@pytest.mark.parametrize("name,q", DEFECT_QUIVERS, ids=[c[0] for c in DEFECT_QUIVERS])
+def test_the_defect_rule_agrees_with_the_recursion_up_to_three_delta(name, q):
+    # is_schur_root answers affine quivers from the defect; Schofield's
+    # recursion (a root, q(d) <= 1, passing `_is_schur`) must agree on
+    # every nonzero vector up to 3 * delta
+    box = [3 * x for x in q.affine_data().delta]
+    for d in _grid(box):
+        assert is_schur_root(q, d) == (q.q_norm(d) <= 1 and candecomp._is_schur(q, d)), d
+
+
+def _spy_is_schur(monkeypatch) -> list:
+    """Record every vector that reaches Schofield's Schur recursion."""
+    seen, is_schur = [], candecomp._is_schur
+
+    def spy(q, d):
+        seen.append(d)
+        return is_schur(q, d)
+
+    monkeypatch.setattr(candecomp, "_is_schur", spy)
+    return seen
+
+
+def test_the_affine_route_runs_the_recursion_only_below_delta(monkeypatch):
+    # a deterministic scale guard: the structural route never asks the
+    # recursion above delta, which took seconds at (31, 30, 31)
+    clear_caches()
+    q = affine_a2()
+    seen = _spy_is_schur(monkeypatch)
+    value = generic_variable_affine(q, (31, 30, 31))
+    assert value.poly.denominator_vector() == (31, 30, 31)
+    assert seen and all(x <= 1 for d in seen for x in d)
+
+
+def test_the_search_method_keeps_the_recursion_above_delta(monkeypatch):
+    # criterion 8 compares 'structural' with 'search'; the two share the
+    # Schur test only below delta
+    clear_caches()
+    q = affine_a2()
+    seen = _spy_is_schur(monkeypatch)
+    canonical_decomposition(q, (3, 2, 3), method="search")
+    assert any(not all(x <= 1 for x in d) for d in seen)
 
 
 def test_generic_ext_directions(kron):

@@ -44,6 +44,8 @@ CASES = [
     ("base-change-CZ-G", ["base-change", "--source", "CZ", "--target", "G", "--size", "5"]),
     ("affine-generic-kron-2-2", ["--quiver", "kron", "affine-generic", "--d", "2,2"]),
     ("affine-generic-atilde-2-1-2", ["--quiver", "atilde", "affine-generic", "--d", "2,1,2"]),
+    ("affine-generic-atilde-12-11-12", ["--quiver", "atilde", "affine-generic", "--d",
+                                        "12,11,12"]),
     ("cc-map-kron-band", ["--quiver", "kron", "cc-map", "--rep", "band11"]),
     ("cc-map-atilde-shifted", ["--quiver", "atilde", "cc-map", "--rep", "tube212",
                                "--shifts", "0,1,0"]),

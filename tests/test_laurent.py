@@ -26,6 +26,12 @@ def test_constructors():
     assert LaurentPoly.one(2).terms == {(0, 0): 1}
     assert LaurentPoly.const(2, 5).terms == {(0, 0): 5}
     assert LaurentPoly.const(2, 0).is_zero()
+    # const runs the constructor's checks on c, then wraps its map as built
+    assert_canonical(LaurentPoly.const(2, 2.0), 2)
+    assert LaurentPoly.const(2, True) == LaurentPoly.one(2)
+    for c in (1.5, "1", None):
+        with pytest.raises(InputError):
+            LaurentPoly.const(2, c)
     assert LaurentPoly.variable(2, 1).terms == {(1, 0): 1}
     assert LaurentPoly.variable(2, 2).terms == {(0, 1): 1}
     assert LaurentPoly.monomial(2, (-1, 3), 4).terms == {(-1, 3): 4}
@@ -307,6 +313,9 @@ def test_variable_count_must_be_a_positive_int(nvars, terms):
     # 1.5 and True were accepted; "2" raised a raw TypeError
     with pytest.raises(InputError):
         LaurentPoly(nvars, terms)
+    for build in (LaurentPoly.one, LaurentPoly.zero):
+        with pytest.raises(InputError):
+            build(nvars)
 
 
 def nonzero_terms(min_size):
